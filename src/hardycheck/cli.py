@@ -68,9 +68,7 @@ def _run_command(args: argparse.Namespace) -> tuple[object, bool]:
     if args.command == "lhv":
         result = hardy_lhv_feasibility()
         return result, not result.feasible
-    if args.command == "optimize":
-        return maximize_paradox(tol=args.tol), True
-    raise UsageError("a command is required (verify, counterfactual, lhv, optimize, table)")
+    return maximize_paradox(tol=args.tol), True
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -85,17 +83,18 @@ def main(argv: list[str] | None = None) -> int:
             raise UsageError(f"--theta must lie strictly inside (0, pi/2), got {args.theta!r}")
         report, passed = _run_command(args)
         data = render_report(report, args.format)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValidationError as exc:
+    except (UsageError, ValidationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except ConvergenceError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     if args.out is not None:
-        args.out.write_bytes(data)
+        try:
+            args.out.write_bytes(data)
+        except OSError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
     else:
         sys.stdout.write(data.decode("utf-8"))
     return 0 if passed else 1

@@ -54,20 +54,42 @@ def _require_right(setting: Setting) -> Setting:
 
 
 @dataclass(frozen=True)
-class CounterfactualInstance:
+class OutcomeAssignment:
+    """Outcomes in a fixed slot order; subclasses set the slot count ``_size`` and ``_noun``."""
+
+    outcomes: tuple[Outcome, ...]
+
+    def __post_init__(self) -> None:
+        values = tuple(self.outcomes)
+        if len(values) != self._size or not all(isinstance(o, Outcome) for o in values):
+            raise ValidationError(f"{self._noun} needs exactly {self._size} Outcome entries")
+        object.__setattr__(self, "outcomes", values)
+
+    @property
+    def index(self) -> int:
+        """Rank in the canonical enumeration ("+" < "-", leftmost slot most significant)."""
+        rank = 0
+        for outcome in self.outcomes:
+            rank = (rank << 1) | (outcome is Outcome.MINUS)
+        return rank
+
+    def labels(self) -> tuple[str, ...]:
+        return tuple(str(o) for o in self.outcomes)
+
+    def __str__(self) -> str:
+        return "(" + ", ".join(self.labels()) + ")"
+
+
+@dataclass(frozen=True)
+class CounterfactualInstance(OutcomeAssignment):
     """Total outcome assignment, stored as the canonical 6-tuple.
 
     Tuple order: (o_L(L1), o_L(L2), o_R(L1,R1), o_R(L1,R2), o_R(L2,R1),
     o_R(L2,R2)).
     """
 
-    outcomes: tuple[Outcome, Outcome, Outcome, Outcome, Outcome, Outcome]
-
-    def __post_init__(self) -> None:
-        values = tuple(self.outcomes)
-        if len(values) != 6 or not all(isinstance(o, Outcome) for o in values):
-            raise ValidationError("an instance needs exactly 6 Outcome entries")
-        object.__setattr__(self, "outcomes", values)
+    _size = len(INSTANCE_FIELDS)
+    _noun = "an instance"
 
     @classmethod
     def from_maps(
@@ -87,20 +109,6 @@ class CounterfactualInstance:
 
     def right_outcome(self, left_choice: Setting, right_choice: Setting) -> Outcome:
         return self.outcomes[_RIGHT_SLOT[(_require_left(left_choice), _require_right(right_choice))]]
-
-    @property
-    def index(self) -> int:
-        """Rank in the canonical enumeration ("+" < "-", leftmost slot most significant)."""
-        rank = 0
-        for outcome in self.outcomes:
-            rank = (rank << 1) | (outcome is Outcome.MINUS)
-        return rank
-
-    def labels(self) -> tuple[str, ...]:
-        return tuple(str(o) for o in self.outcomes)
-
-    def __str__(self) -> str:
-        return "(" + ", ".join(self.labels()) + ")"
 
 
 @lru_cache(maxsize=1)
@@ -129,13 +137,6 @@ class Constraint:
     def event_text(self) -> str:
         (sl, sr), (ol, orr) = self.settings, self.outcomes
         return f"({sl}{ol}, {sr}{orr}) under ({sl},{sr})"
-
-    def to_json_dict(self) -> dict[str, object]:
-        return {
-            "label": self.label,
-            "settings": [str(s) for s in self.settings],
-            "outcomes": [str(o) for o in self.outcomes],
-        }
 
 
 @dataclass(frozen=True)
@@ -170,12 +171,6 @@ class ConstraintSet:
             positivity=tuple(c for c in self.positivity if c.label != label),
         )
 
-    def to_json_dict(self) -> dict[str, object]:
-        return {
-            "zeros": [c.to_json_dict() for c in self.zeros],
-            "positivity": [c.to_json_dict() for c in self.positivity],
-        }
-
 
 def hardy_constraint_set() -> ConstraintSet:
     """The three zero events plus the positivity event of the Hardy-type table."""
@@ -191,10 +186,11 @@ def hardy_constraint_set() -> ConstraintSet:
 
 def realizes(instance: CounterfactualInstance, constraint: Constraint) -> bool:
     """True when the instance produces exactly the constraint's outcome pair under its settings."""
-    left_setting, right_setting = constraint.settings
+    # Constraint.__post_init__ has already checked the sides of both settings.
+    pair, outcomes = constraint.settings, instance.outcomes
     return (
-        instance.left_outcome(left_setting) is constraint.outcomes[0]
-        and instance.right_outcome(left_setting, right_setting) is constraint.outcomes[1]
+        outcomes[_LEFT_SLOT[pair[0]]] is constraint.outcomes[0]
+        and outcomes[_RIGHT_SLOT[pair]] is constraint.outcomes[1]
     )
 
 
@@ -215,14 +211,6 @@ class SRVerdict:
     context: Setting
     premise_holds: bool
     sr_value: bool
-
-    def to_json_dict(self) -> dict[str, object]:
-        return {
-            "instance_index": self.instance_index,
-            "context": str(self.context),
-            "premise_holds": self.premise_holds,
-            "sr_value": self.sr_value,
-        }
 
 
 def evaluate_sr(instance: CounterfactualInstance, context: Setting) -> SRVerdict:
@@ -253,9 +241,9 @@ class Property1Report:
             "holds": self.holds,
             "admissible_count": len(self.admissible),
             "admissible_ids": [inst.index for inst in self.admissible],
-            "sr_verdicts": [v.to_json_dict() for v in self.verdicts],
+            "sr_verdicts": self.verdicts,
             "counterexample_ids": [inst.index for inst in self.counterexamples],
-            "constraint_set": self.constraint_set.to_json_dict(),
+            "constraint_set": self.constraint_set,
         }
 
 
@@ -293,9 +281,9 @@ class Property2Report:
             "witness_id": None if self.witness is None else self.witness.index,
             "witness": None if self.witness is None else list(self.witness.labels()),
             "witness_count": self.witness_count,
-            "sr_verdict": None if self.witness_verdict is None else self.witness_verdict.to_json_dict(),
+            "sr_verdict": self.witness_verdict,
             "forced_step": self.forced_step,
-            "constraint_set": self.constraint_set.to_json_dict(),
+            "constraint_set": self.constraint_set,
         }
 
 
@@ -369,8 +357,8 @@ class LocalityReport:
             "sr_always_true_at_L2": self.sr_always_true_at_l2,
             "sr_sometimes_false_at_L1": self.sr_sometimes_false_at_l1,
             "note": self.note,
-            "property1": self.property1.to_json_dict(),
-            "property2": self.property2.to_json_dict(),
+            "property1": self.property1,
+            "property2": self.property2,
         }
 
 

@@ -184,17 +184,6 @@ class JointProbabilityTable:
             for op in OUTCOME_PAIRS
         ]
 
-    def to_json_obj(self) -> list[dict[str, object]]:
-        return self.records()
-
-    def to_csv_text(self) -> str:
-        """CSV with header ``setting_pair,outcome_pair,probability`` and 16 data rows."""
-        lines = ["setting_pair,outcome_pair,probability"]
-        for record in self.records():
-            prob = format(float(record["probability"]), ".17g")
-            lines.append(f"\"{record['setting_pair']}\",{record['outcome_pair']},{prob}")
-        return "\n".join(lines) + "\n"
-
 
 def joint_probability_table(config: HardyConfiguration) -> JointProbabilityTable:
     """Evaluate the Born rule for all 4 setting pairs x 4 outcome pairs."""
@@ -237,7 +226,7 @@ class PredictionReport:
             "p3_zero": self.p3_zero,
             "p4_positive": self.p4_positive,
             "left_minus_marginal_under_L1": self.left_minus_marginal_under_L1,
-            "verdicts": list(self.verdicts),
+            "verdicts": self.verdicts,
             "tol": self.tol,
             "all_hold": self.all_hold,
         }
@@ -264,14 +253,6 @@ class NoSignallingReport:
     max_deviation: float
     tol: float
     deviations: dict[str, float]
-
-    def to_json_dict(self) -> dict[str, object]:
-        return {
-            "passed": self.passed,
-            "max_deviation": self.max_deviation,
-            "tol": self.tol,
-            "deviations": dict(self.deviations),
-        }
 
 
 def no_signalling_check(table: JointProbabilityTable, tol: float = NO_SIGNALLING_TOL) -> NoSignallingReport:

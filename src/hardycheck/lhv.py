@@ -17,53 +17,46 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
-from .counterfactuals import Constraint, ConstraintSet, CounterfactualInstance, hardy_constraint_set
-from .quantum import OUTCOMES, Outcome, Setting, ValidationError
-
-_SLOT = {Setting.L1: 0, Setting.L2: 1, Setting.R1: 2, Setting.R2: 3}
+from .counterfactuals import (
+    Constraint,
+    ConstraintSet,
+    CounterfactualInstance,
+    OutcomeAssignment,
+    hardy_constraint_set,
+    realizes,
+    satisfies_zeros,
+)
+from .quantum import OUTCOMES, Outcome, Setting
 
 
 @dataclass(frozen=True)
-class LocalStrategy:
-    """Outcome pre-assignment, stored as (o_L(L1), o_L(L2), o_R(R1), o_R(R2))."""
+class LocalStrategy(OutcomeAssignment):
+    """Outcome pre-assignment, stored as (o_L(L1), o_L(L2), o_R(R1), o_R(R2)).
 
-    outcomes: tuple[Outcome, Outcome, Outcome, Outcome]
+    Every question about a strategy is answered by its embedding into the
+    counterfactual carrier, built once per strategy.
+    """
 
-    def __post_init__(self) -> None:
-        values = tuple(self.outcomes)
-        if len(values) != 4 or not all(isinstance(o, Outcome) for o in values):
-            raise ValidationError("a strategy needs exactly 4 Outcome entries")
-        object.__setattr__(self, "outcomes", values)
+    _size = 4
+    _noun = "a strategy"
 
-    def left_outcome(self, setting: Setting) -> Outcome:
-        if setting.side != "L":
-            raise ValidationError(f"expected a left-side choice, got {setting}")
-        return self.outcomes[_SLOT[setting]]
-
-    def right_outcome(self, setting: Setting) -> Outcome:
-        if setting.side != "R":
-            raise ValidationError(f"expected a right-side choice, got {setting}")
-        return self.outcomes[_SLOT[setting]]
-
-    @property
-    def index(self) -> int:
-        rank = 0
-        for outcome in self.outcomes:
-            rank = (rank << 1) | (outcome is Outcome.MINUS)
-        return rank
-
-    def labels(self) -> tuple[str, ...]:
-        return tuple(str(o) for o in self.outcomes)
-
-    def __str__(self) -> str:
-        return "(" + ", ".join(self.labels()) + ")"
+    @cached_property
+    def _instance(self) -> CounterfactualInstance:
+        l1, l2, r1, r2 = self.outcomes
+        return CounterfactualInstance((l1, l2, r1, r2, r1, r2))
 
     def as_instance(self) -> CounterfactualInstance:
         """Embed into the counterfactual carrier; the right entries ignore the left choice."""
-        l1, l2, r1, r2 = self.outcomes
-        return CounterfactualInstance((l1, l2, r1, r2, r1, r2))
+        return self._instance
+
+    def left_outcome(self, setting: Setting) -> Outcome:
+        return self._instance.left_outcome(setting)
+
+    def right_outcome(self, setting: Setting) -> Outcome:
+        # Either left choice reads the same right entry of the embedding.
+        return self._instance.right_outcome(Setting.L1, setting)
 
 
 @lru_cache(maxsize=1)
@@ -73,11 +66,7 @@ def enumerate_strategies() -> tuple[LocalStrategy, ...]:
 
 
 def strategy_realizes(strategy: LocalStrategy, constraint: Constraint) -> bool:
-    left_setting, right_setting = constraint.settings
-    return (
-        strategy.left_outcome(left_setting) is constraint.outcomes[0]
-        and strategy.right_outcome(right_setting) is constraint.outcomes[1]
-    )
+    return realizes(strategy.as_instance(), constraint)
 
 
 def strategy_satisfies(strategy: LocalStrategy, constraint_set: ConstraintSet) -> bool:
@@ -86,7 +75,7 @@ def strategy_satisfies(strategy: LocalStrategy, constraint_set: ConstraintSet) -
     Positivity events are existentials over a set of strategies, so they are
     checked at the set level by :func:`hardy_lhv_feasibility`, not here.
     """
-    return not any(strategy_realizes(strategy, zero) for zero in constraint_set.zeros)
+    return satisfies_zeros(strategy.as_instance(), constraint_set)
 
 
 @dataclass(frozen=True)
@@ -96,9 +85,6 @@ class TraceStep:
     constraint: str
     assignment: str
     kind: str  # "forced" or "contradiction"
-
-    def to_json_dict(self) -> dict[str, object]:
-        return {"constraint": self.constraint, "assignment": self.assignment, "kind": self.kind}
 
 
 @dataclass(frozen=True)
@@ -121,9 +107,9 @@ class FeasibilityResult:
             "feasible": self.feasible,
             "witness_count": len(self.witnesses),
             "witnesses": [list(w.labels()) for w in self.witnesses],
-            "assumed": list(self.assumed),
-            "trace": [step.to_json_dict() for step in self.trace],
-            "constraint_set": self.constraint_set.to_json_dict(),
+            "assumed": self.assumed,
+            "trace": self.trace,
+            "constraint_set": self.constraint_set,
         }
 
 
@@ -156,27 +142,19 @@ def _deduction_trace(constraint_set: ConstraintSet) -> tuple[tuple[str, ...], tu
     while changed:
         changed = False
         for zero in constraint_set.zeros:
-            left_setting, right_setting = zero.settings
-            left_target, right_target = zero.outcomes
-            left_now = assigned.get(left_setting)
-            right_now = assigned.get(right_setting)
-            if left_now is left_target and right_now is right_target:
+            now = tuple(assigned.get(setting) for setting in zero.settings)
+            if now == zero.outcomes:
                 steps.append(
                     TraceStep(zero.label, f"contradiction: event {zero.event_text()} realized", "contradiction")
                 )
                 return tuple(assumed), tuple(steps)
-            if left_now is left_target and right_now is None:
-                assigned[right_setting] = right_target.opposite
-                steps.append(
-                    TraceStep(zero.label, f"forces {_variable_name(right_setting)} = {right_target.opposite}", "forced")
-                )
-                changed = True
-            elif right_now is right_target and left_now is None:
-                assigned[left_setting] = left_target.opposite
-                steps.append(
-                    TraceStep(zero.label, f"forces {_variable_name(left_setting)} = {left_target.opposite}", "forced")
-                )
-                changed = True
+            # A side already on its event outcome forces the unassigned other side off it.
+            for known, free in ((0, 1), (1, 0)):
+                if now[known] is zero.outcomes[known] and now[free] is None:
+                    setting, forced = zero.settings[free], zero.outcomes[free].opposite
+                    assigned[setting] = forced
+                    steps.append(TraceStep(zero.label, f"forces {_variable_name(setting)} = {forced}", "forced"))
+                    changed = True
     return tuple(assumed), tuple(steps)
 
 

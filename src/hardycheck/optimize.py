@@ -94,15 +94,6 @@ class ObjectiveReport:
     bracket: tuple[float, float]
     oracle_gap: float
 
-    def to_json_dict(self) -> dict[str, object]:
-        return {
-            "theta_star": self.theta_star,
-            "p4_max": self.p4_max,
-            "iterations": self.iterations,
-            "bracket": list(self.bracket),
-            "oracle_gap": self.oracle_gap,
-        }
-
 
 def maximize_paradox(
     lo: float = DEFAULT_BRACKET[0],

@@ -1,9 +1,16 @@
-"""Deterministic report rendering: fixed key order, 17-significant-digit floats."""
+"""Deterministic report rendering: fixed key order, 17-significant-digit floats.
+
+In JSON a dataclass renders as its fields in declaration order, or as its
+``to_json_dict()`` where keys are renamed or derived; an enum as its string.
+"""
 
 from __future__ import annotations
 
-import json
 import math
+from dataclasses import fields, is_dataclass
+from enum import Enum
+from functools import cache
+from json.encoder import encode_basestring_ascii
 
 from .counterfactuals import LocalityReport, Property1Report, Property2Report
 from .hardy import JointProbabilityTable, NoSignallingReport, PredictionReport
@@ -23,9 +30,14 @@ def format_float(value: float) -> str:
     return format(value, ".17g")
 
 
+@cache
+def _field_names(cls: type) -> tuple[str, ...]:
+    # One entry per dataclass type rendered; fields() is too slow to call per object.
+    return tuple(f.name for f in fields(cls))
+
+
 def _emit(value: object, indent: int, out: list[str]) -> None:
-    pad = "  " * indent
-    if isinstance(value, bool):
+    if value is True or value is False:
         out.append("true" if value else "false")
     elif value is None:
         out.append("null")
@@ -33,28 +45,28 @@ def _emit(value: object, indent: int, out: list[str]) -> None:
         out.append(str(value))
     elif isinstance(value, float):
         out.append(format_float(value))
-    elif isinstance(value, str):
-        out.append(json.dumps(value))
+    elif isinstance(value, (str, Enum)):
+        out.append(encode_basestring_ascii(str(value)))
     elif isinstance(value, dict):
-        if not value:
-            out.append("{}")
-            return
-        out.append("{\n")
-        for i, (key, item) in enumerate(value.items()):
-            out.append(f"{pad}  {json.dumps(str(key))}: ")
+        pad = "\n" + "  " * indent
+        sep = "{" + pad + "  "
+        for key, item in value.items():
+            out.append(f"{sep}{encode_basestring_ascii(str(key))}: ")
             _emit(item, indent + 1, out)
-            out.append(",\n" if i + 1 < len(value) else "\n")
-        out.append(pad + "}")
+            sep = "," + pad + "  "
+        out.append(pad + "}" if value else "{}")
     elif isinstance(value, (list, tuple)):
-        if not value:
-            out.append("[]")
-            return
-        out.append("[\n")
-        for i, item in enumerate(value):
-            out.append(pad + "  ")
+        pad = "\n" + "  " * indent
+        sep = "[" + pad + "  "
+        for item in value:
+            out.append(sep)
             _emit(item, indent + 1, out)
-            out.append(",\n" if i + 1 < len(value) else "\n")
-        out.append(pad + "]")
+            sep = "," + pad + "  "
+        out.append(pad + "]" if value else "[]")
+    elif hasattr(value, "to_json_dict"):
+        _emit(value.to_json_dict(), indent, out)
+    elif is_dataclass(value):
+        _emit({name: getattr(value, name) for name in _field_names(type(value))}, indent, out)
     else:
         raise TypeError(f"cannot serialize {type(value).__name__} to JSON")
 
@@ -91,6 +103,14 @@ def _text_table(table: JointProbabilityTable) -> str:
             f"{record['setting_pair']:<14} {record['outcome_pair']:<14} "
             f"{format_float(float(record['probability']))}"
         )
+    return "\n".join(lines)
+
+
+def _csv_table(table: JointProbabilityTable) -> str:
+    lines = ["setting_pair,outcome_pair,probability"]
+    for record in table.records():
+        prob = format_float(record["probability"])
+        lines.append(f"\"{record['setting_pair']}\",{record['outcome_pair']},{prob}")
     return "\n".join(lines)
 
 
@@ -199,14 +219,11 @@ def render_report(report: object, fmt: str) -> bytes:
     produce identical bytes.
     """
     if fmt == "json":
-        if isinstance(report, JointProbabilityTable):
-            payload: object = report.to_json_obj()
-        else:
-            payload = report.to_json_dict()
+        payload = report.records() if isinstance(report, JointProbabilityTable) else report
         return to_json_text(payload).encode("utf-8")
     if fmt == "csv":
         if isinstance(report, JointProbabilityTable):
-            return report.to_csv_text().encode("utf-8")
+            return (_csv_table(report) + "\n").encode("utf-8")
         raise UsageError("csv output is only available for probability tables")
     if fmt == "text":
         for kind, renderer in _TEXT_RENDERERS:

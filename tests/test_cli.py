@@ -4,21 +4,34 @@ from __future__ import annotations
 
 import json
 import math
+from pathlib import Path
 
 import pytest
 
 from hardycheck import (
+    Constraint,
+    ConstraintSet,
     JointProbabilityTable,
+    Outcome,
+    Setting,
     UsageError,
     build_hardy_configuration,
+    check_property1,
+    check_property2,
+    hardy_constraint_set,
+    hardy_lhv_feasibility,
     joint_probability_table,
+    locality_violation_report,
+    maximize_paradox,
     no_signalling_check,
     render_report,
+    validate_basis,
     verify_hardy_predictions,
 )
 from hardycheck.cli import main
 
 PI_6 = "0.5235987755982988"
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def run(capsys, *argv: str) -> tuple[int, str, str]:
@@ -154,11 +167,62 @@ class TestDeterminismAndOutput:
         _, stdout_run, _ = run(capsys, "verify", "--format", "json")
         assert target.read_bytes().decode("utf-8") == stdout_run
 
+    def test_out_into_missing_directory_is_one_line_usage_error(self, capsys, tmp_path) -> None:
+        target = tmp_path / "no-such-dir" / "report.txt"
+        code, out, err = run(capsys, "verify", "--out", str(target))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:")
+        assert err.count("\n") == 1
+        assert not target.exists()
+
     def test_json_floats_carry_17_significant_digits(self, capsys) -> None:
         _, out, _ = run(capsys, "verify", "--theta", PI_6, "--format", "json")
         payload = json.loads(out)
         rendered = format(payload["p4_positive"], ".17g")
         assert rendered in out
+
+
+@pytest.mark.parametrize("golden", sorted(p.name for p in GOLDEN.iterdir()))
+def test_stdout_matches_golden_bytes(capsys, golden: str) -> None:
+    stem, fmt = golden.rsplit(".", 1)
+    command, _, theta = stem.partition("-theta")
+    argv = [command, "--format", fmt] + (["--theta", theta] if theta else [])
+    code, out, err = run(capsys, *argv)
+    assert (code, err) == (0, "")
+    assert out.encode("utf-8") == (GOLDEN / golden).read_bytes()
+
+
+def _every_report() -> list[object]:
+    config = build_hardy_configuration(0.5)
+    table = joint_probability_table(config)
+    cs = hardy_constraint_set()
+    # Both zeros on (L1,R2) with right outcome + leave the SR premise at L1 unsatisfiable.
+    no_witness = ConstraintSet(
+        zeros=tuple(Constraint(f"Z{o}", (Setting.L1, Setting.R2), (o, Outcome.PLUS)) for o in Outcome)
+    )
+    return [
+        verify_hardy_predictions(table),
+        table,
+        no_signalling_check(table),
+        locality_violation_report(cs),
+        check_property1(cs),
+        check_property2(cs),
+        check_property2(no_witness),
+        hardy_lhv_feasibility(cs),
+        hardy_lhv_feasibility(cs.without("Eq1")),
+        maximize_paradox(0.3, 0.6, 1e-6),
+        validate_basis(config.basis(Setting.L1)),
+    ]
+
+
+@pytest.mark.parametrize("report", _every_report(), ids=lambda r: type(r).__name__)
+def test_every_report_renders_as_json_and_text(report: object) -> None:
+    payload = json.loads(render_report(report, "json"))
+    assert isinstance(payload, list if isinstance(report, JointProbabilityTable) else dict)
+    assert payload
+    text = render_report(report, "text").decode("utf-8")
+    assert text.endswith("\n") and text.strip()
 
 
 class TestRenderReport:

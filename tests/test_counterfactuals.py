@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import json
 from fractions import Fraction
 
 import pytest
@@ -24,6 +25,7 @@ from hardycheck import (
     hardy_constraint_set,
     locality_violation_report,
     realizes,
+    render_report,
     satisfies_zeros,
 )
 
@@ -270,7 +272,7 @@ class TestLocalityReport:
         assert report.violation
 
     def test_json_payload_carries_constraints_verdicts_and_ids(self) -> None:
-        payload = locality_violation_report(hardy_constraint_set()).to_json_dict()
+        payload = json.loads(render_report(locality_violation_report(hardy_constraint_set()), "json"))
         assert payload["violation"] is True
         assert payload["property1"]["admissible_count"] == ZERO_SATISFYING_COUNT
         assert len(payload["property1"]["sr_verdicts"]) == ZERO_SATISFYING_COUNT

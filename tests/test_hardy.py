@@ -21,6 +21,7 @@ from hardycheck import (
     from_hardy_notation,
     joint_probability_table,
     no_signalling_check,
+    render_report,
     to_hardy_notation,
     verify_hardy_predictions,
 )
@@ -120,7 +121,7 @@ class TestJointProbabilityTable:
 
     def test_csv_has_header_and_16_rows_with_17_digit_floats(self) -> None:
         table = joint_probability_table(build_hardy_configuration(math.pi / 6))
-        text = table.to_csv_text()
+        text = render_report(table, "csv").decode("utf-8")
         lines = text.strip().split("\n")
         assert lines[0] == "setting_pair,outcome_pair,probability"
         assert len(lines) == 17
@@ -130,8 +131,8 @@ class TestJointProbabilityTable:
     def test_serialization_is_deterministic(self) -> None:
         table = joint_probability_table(build_hardy_configuration(0.9))
         again = joint_probability_table(build_hardy_configuration(0.9))
-        assert table.to_csv_text() == again.to_csv_text()
-        assert table.to_json_obj() == again.to_json_obj()
+        assert render_report(table, "csv") == render_report(again, "csv")
+        assert render_report(table, "json") == render_report(again, "json")
 
 
 class TestVerifyPredictions:

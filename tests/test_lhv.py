@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import json
 
 import pytest
 
@@ -14,6 +15,7 @@ from hardycheck import (
     enumerate_strategies,
     hardy_constraint_set,
     hardy_lhv_feasibility,
+    render_report,
     satisfies_zeros,
     strategy_realizes,
     strategy_satisfies,
@@ -137,7 +139,7 @@ class TestFeasibility:
                 assert not strategy_realizes(strategy, eq4)
 
     def test_json_payload_shape(self) -> None:
-        payload = hardy_lhv_feasibility().to_json_dict()
+        payload = json.loads(render_report(hardy_lhv_feasibility(), "json"))
         assert payload["feasible"] is False
         assert payload["witness_count"] == 0
         assert [step["constraint"] for step in payload["trace"]] == ["Eq2", "Eq3", "Eq1"]
