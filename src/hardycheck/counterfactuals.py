@@ -25,7 +25,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable, Mapping
+from typing import Callable, Mapping
 
 from .quantum import OUTCOMES, Outcome, Setting, ValidationError
 
@@ -200,6 +200,47 @@ def satisfies_zeros(instance: CounterfactualInstance, constraint_set: Constraint
 
 
 @dataclass(frozen=True)
+class TraceStep:
+    """One step of a unit-propagation deduction over the zero events."""
+
+    constraint: str
+    assignment: str
+    kind: str  # "forced" or "contradiction"
+
+
+def propagate_zeros(
+    zeros: tuple[Constraint, ...], assigned: dict[str, Outcome], slots: Callable[[Constraint], tuple[str, str]]
+) -> tuple[TraceStep, ...]:
+    """Unit propagation: a zero event with one slot on its outcome forces the other slot off it.
+
+    ``slots`` names the (left, right) outcome slots an event reads. The zeros are
+    scanned in order to a fixpoint, extending ``assigned`` in place, up to the
+    first zero event whose two slots both take its outcomes (a contradiction).
+    """
+    steps: list[TraceStep] = []
+    changed = True
+    while changed:
+        changed = False
+        for zero in zeros:
+            names = slots(zero)
+            now = (assigned.get(names[0]), assigned.get(names[1]))
+            if now == zero.outcomes:
+                steps.append(TraceStep(zero.label, f"contradiction: event {zero.event_text()} realized", "contradiction"))
+                return tuple(steps)
+            for known, free in ((0, 1), (1, 0)):
+                if now[known] is zero.outcomes[known] and now[free] is None:
+                    forced = zero.outcomes[free].opposite
+                    assigned[names[free]] = forced
+                    steps.append(TraceStep(zero.label, f"forces {names[free]} = {forced}", "forced"))
+                    changed = True
+    return tuple(steps)
+
+
+def _instance_slots(event: Constraint) -> tuple[str, str]:
+    return INSTANCE_FIELDS[_LEFT_SLOT[event.settings[0]]], INSTANCE_FIELDS[_RIGHT_SLOT[event.settings]]
+
+
+@dataclass(frozen=True)
 class SRVerdict:
     """Truth value of SR for one instance at one left context.
 
@@ -247,18 +288,14 @@ class Property1Report:
         }
 
 
-def check_property1(
-    constraint_set: ConstraintSet,
-    instances: Iterable[CounterfactualInstance] | None = None,
-) -> Property1Report:
+def check_property1(constraint_set: ConstraintSet) -> Property1Report:
     """Does "the left choice is L2" force SR across all zero-satisfying instances?
 
     With the three zero constraints in place the answer is yes: the premise
     o_R(L2,R2) = + excludes o_L(L2) = - (Eq1), and o_L(L2) = + in turn
     excludes o_R(L2,R1) = + (Eq2), so the conclusion o_R(L2,R1) = - follows.
     """
-    pool = enumerate_instances() if instances is None else tuple(instances)
-    admissible = tuple(inst for inst in pool if satisfies_zeros(inst, constraint_set))
+    admissible = tuple(inst for inst in enumerate_instances() if satisfies_zeros(inst, constraint_set))
     verdicts = tuple(evaluate_sr(inst, Setting.L2) for inst in admissible)
     counterexamples = tuple(inst for inst, v in zip(admissible, verdicts) if not v.sr_value)
     return Property1Report(not counterexamples, admissible, verdicts, counterexamples, constraint_set)
@@ -288,24 +325,16 @@ class Property2Report:
 
 
 def _forced_premise_step(witness: CounterfactualInstance, constraint_set: ConstraintSet) -> str | None:
-    # The zero on settings (L1, R2) pins o_R(L1,R2) once o_L(L1) matches its
-    # left outcome; surface that deduction for the report.
-    for zero in constraint_set.zeros:
-        left_setting, right_setting = zero.settings
-        if left_setting is not Setting.L1 or right_setting is not Setting.R2:
-            continue
-        if witness.left_outcome(Setting.L1) is not zero.outcomes[0]:
-            continue
-        forced = zero.outcomes[1].opposite
-        if witness.right_outcome(Setting.L1, Setting.R2) is forced:
-            return f"{zero.label} forces o_R(L1,R2) = {forced} given o_L(L1) = {zero.outcomes[0]}"
-    return None
+    # Seed o_L(L1) from the witness, propagate the zeros over instance slots,
+    # and report the step that pins the SR premise slot o_R(L1,R2).
+    given = witness.left_outcome(Setting.L1)
+    assigned = {"o_L(L1)": given}
+    steps = propagate_zeros(constraint_set.zeros, assigned, _instance_slots)
+    pinned = f"forces o_R(L1,R2) = {assigned.get('o_R(L1,R2)')}"
+    return next((f"{s.constraint} {pinned} given o_L(L1) = {given}" for s in steps if s.assignment == pinned), None)
 
 
-def check_property2(
-    constraint_set: ConstraintSet,
-    instances: Iterable[CounterfactualInstance] | None = None,
-) -> Property2Report:
+def check_property2(constraint_set: ConstraintSet) -> Property2Report:
     """Search for a zero-satisfying instance that realizes every positivity event and falsifies SR at L1.
 
     For the Hardy constraints any instance realizing (L1-, R1+) works: the
@@ -313,10 +342,9 @@ def check_property2(
     o_R(L1,R1) = + denies the conclusion. Returns a failure report (no
     exception) when no candidate survives.
     """
-    pool = enumerate_instances() if instances is None else tuple(instances)
     witnesses = [
         inst
-        for inst in pool
+        for inst in enumerate_instances()
         if satisfies_zeros(inst, constraint_set)
         and all(realizes(inst, p) for p in constraint_set.positivity)
         and not evaluate_sr(inst, Setting.L1).sr_value
@@ -362,10 +390,7 @@ class LocalityReport:
         }
 
 
-def locality_violation_report(
-    constraint_set: ConstraintSet,
-    instances: Iterable[CounterfactualInstance] | None = None,
-) -> LocalityReport:
+def locality_violation_report(constraint_set: ConstraintSet) -> LocalityReport:
     """Flag a locality violation: SR forced at context L2, falsified at context L1.
 
     The flag is raised only when both hold non-vacuously: at least one
@@ -373,8 +398,8 @@ def locality_violation_report(
     some admissible instance realizing the positivity events falsifies SR at
     context L1.
     """
-    p1 = check_property1(constraint_set, instances)
-    p2 = check_property2(constraint_set, instances)
+    p1 = check_property1(constraint_set)
+    p2 = check_property2(constraint_set)
     forced_at_l2 = p1.holds and bool(p1.admissible)
     falsified_at_l1 = p2.witness_found
     return LocalityReport(

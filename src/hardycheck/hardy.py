@@ -96,7 +96,7 @@ def build_hardy_configuration(theta: float) -> HardyConfiguration:
 
     Raises ``ValidationError`` unless ``theta`` lies strictly inside
     ``(0, pi/2)``; at the endpoints the state is a product state and the basis
-    construction degenerates.
+    construction degenerates, and below theta of about 2.5e-206 ``g**3`` overflows.
     """
     theta = float(theta)
     if not math.isfinite(theta) or not 0.0 < theta < math.pi / 2:
@@ -104,7 +104,10 @@ def build_hardy_configuration(theta: float) -> HardyConfiguration:
     a = math.cos(theta)
     b = math.sin(theta)
     g = math.sqrt(a / b)
-    g3 = g**3
+    try:
+        g3 = g**3
+    except OverflowError:
+        raise ValidationError(f"theta={theta!r} is too small for the basis construction in double precision") from None
     n1 = math.hypot(1.0, g)
     n3 = math.hypot(1.0, g3)
 
@@ -234,8 +237,8 @@ class PredictionReport:
 
 def verify_hardy_predictions(table: JointProbabilityTable, tol: float = ZERO_TOL) -> PredictionReport:
     """Check the three zeros and the positivity of the paradox event at ``tol``."""
-    if not tol > 0.0:
-        raise ValidationError(f"tol must be positive, got {tol!r}")
+    if not 0.0 < tol < math.inf:
+        raise ValidationError(f"tol must be positive and finite, got {tol!r}")
     p1 = table.probability(Setting.L2, Setting.R2, Outcome.MINUS, Outcome.PLUS)
     p2 = table.probability(Setting.L2, Setting.R1, Outcome.PLUS, Outcome.PLUS)
     p3 = table.probability(Setting.L1, Setting.R2, Outcome.MINUS, Outcome.MINUS)

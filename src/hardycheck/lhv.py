@@ -24,7 +24,9 @@ from .counterfactuals import (
     ConstraintSet,
     CounterfactualInstance,
     OutcomeAssignment,
+    TraceStep,
     hardy_constraint_set,
+    propagate_zeros,
     realizes,
     satisfies_zeros,
 )
@@ -79,15 +81,6 @@ def strategy_satisfies(strategy: LocalStrategy, constraint_set: ConstraintSet) -
 
 
 @dataclass(frozen=True)
-class TraceStep:
-    """One constraint-propagation step of the infeasibility deduction."""
-
-    constraint: str
-    assignment: str
-    kind: str  # "forced" or "contradiction"
-
-
-@dataclass(frozen=True)
 class FeasibilityResult:
     """Witness scan over the 16 strategies, plus a deduction trace when empty.
 
@@ -113,49 +106,25 @@ class FeasibilityResult:
         }
 
 
-def _variable_name(setting: Setting) -> str:
-    return f"o_{setting.side}({setting})"
+def _strategy_slots(event: Constraint) -> tuple[str, str]:
+    left, right = event.settings
+    return f"o_L({left})", f"o_R({right})"
 
 
 def _deduction_trace(constraint_set: ConstraintSet) -> tuple[tuple[str, ...], tuple[TraceStep, ...]]:
-    """Unit propagation seeded by the positivity events, scanning zeros to a fixpoint."""
-    assigned: dict[Setting, Outcome] = {}
+    """Seed strategy slots from the positivity events, then propagate the zeros."""
+    assigned: dict[str, Outcome] = {}
     assumed: list[str] = []
-    steps: list[TraceStep] = []
     for positive in constraint_set.positivity:
         parts = []
-        for setting, outcome in zip(positive.settings, positive.outcomes):
-            previous = assigned.get(setting)
-            if previous is not None and previous is not outcome:
-                steps.append(
-                    TraceStep(
-                        positive.label,
-                        f"contradiction: {_variable_name(setting)} already forced to {previous}",
-                        "contradiction",
-                    )
-                )
-                return tuple(assumed), tuple(steps)
-            assigned[setting] = outcome
-            parts.append(f"{_variable_name(setting)} = {outcome}")
+        for name, outcome in zip(_strategy_slots(positive), positive.outcomes):
+            previous = assigned.setdefault(name, outcome)
+            if previous is not outcome:
+                clash = TraceStep(positive.label, f"contradiction: {name} already forced to {previous}", "contradiction")
+                return tuple(assumed), (clash,)
+            parts.append(f"{name} = {outcome}")
         assumed.append(f"{positive.label}: " + ", ".join(parts))
-    changed = True
-    while changed:
-        changed = False
-        for zero in constraint_set.zeros:
-            now = tuple(assigned.get(setting) for setting in zero.settings)
-            if now == zero.outcomes:
-                steps.append(
-                    TraceStep(zero.label, f"contradiction: event {zero.event_text()} realized", "contradiction")
-                )
-                return tuple(assumed), tuple(steps)
-            # A side already on its event outcome forces the unassigned other side off it.
-            for known, free in ((0, 1), (1, 0)):
-                if now[known] is zero.outcomes[known] and now[free] is None:
-                    setting, forced = zero.settings[free], zero.outcomes[free].opposite
-                    assigned[setting] = forced
-                    steps.append(TraceStep(zero.label, f"forces {_variable_name(setting)} = {forced}", "forced"))
-                    changed = True
-    return tuple(assumed), tuple(steps)
+    return tuple(assumed), propagate_zeros(constraint_set.zeros, assigned, _strategy_slots)
 
 
 def hardy_lhv_feasibility(constraint_set: ConstraintSet | None = None) -> FeasibilityResult:

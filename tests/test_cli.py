@@ -87,6 +87,26 @@ class TestExitCodes:
         codes = {fmt: run(capsys, "verify", "--format", fmt)[0] for fmt in ("json", "text")}
         assert codes["json"] == codes["text"] == 0
 
+    @pytest.mark.parametrize(
+        "argv, expected_code",
+        [
+            (["verify", "--theta", "1e-300"], 2),
+            (["verify", "--tol", "inf"], 2),
+            (["optimize", "--tol", "inf"], 1),
+            (["optimize", "--tol", "1e-16", "--format", "json"], 0),
+        ],
+    )
+    def test_extreme_theta_and_tol_end_cleanly(self, capsys, argv: list[str], expected_code: int) -> None:
+        code, out, err = run(capsys, *argv)
+        assert code == expected_code
+        if expected_code == 0:
+            assert err == ""
+            assert json.loads(out)["iterations"] < 100
+        else:
+            assert out == ""
+            assert err.startswith("error:")
+            assert err.count("\n") == 1
+
 
 class TestCommands:
     def test_lhv_reports_infeasibility_with_three_step_trace(self, capsys) -> None:

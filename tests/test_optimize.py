@@ -13,7 +13,6 @@ import numpy as np
 import pytest
 
 from hardycheck import (
-    ConvergenceError,
     Setting,
     Outcome,
     ValidationError,
@@ -142,10 +141,6 @@ class TestMaximizeParadox:
         assert report.theta_star == pytest.approx(THETA_STAR_LEFT, abs=1e-6)
         assert report.p4_max == pytest.approx(P4_MAX_EXACT, abs=1e-10)
 
-    def test_max_iter_exhaustion_raises(self) -> None:
-        with pytest.raises(ConvergenceError, match="iterations"):
-            maximize_paradox(tol=1e-12, max_iter=5)
-
     @pytest.mark.parametrize(
         "kwargs",
         [
@@ -153,7 +148,6 @@ class TestMaximizeParadox:
             {"lo": -0.1, "hi": 1.0},
             {"lo": 0.1, "hi": math.pi / 2},
             {"tol": 0.0},
-            {"max_iter": 0},
         ],
     )
     def test_invalid_inputs_rejected(self, kwargs: dict) -> None:

@@ -1,0 +1,109 @@
+"""Property tests over the whole input domain: angles, tolerances and CLI argument lists.
+
+Each property states what every input must give: a correct result, or one
+of the package's own errors. An uncaught exception fails the property.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import io
+import math
+import tempfile
+from pathlib import Path
+
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from hardycheck import (
+    ZERO_TOL,
+    ConvergenceError,
+    ValidationError,
+    build_hardy_configuration,
+    joint_probability_table,
+    maximize_paradox,
+    no_signalling_check,
+    verify_hardy_predictions,
+)
+from hardycheck.cli import main
+
+P4_MAX_EXACT = (5.0 * math.sqrt(5.0) - 11.0) / 2.0
+HALF_PI_BELOW = math.nextafter(math.pi / 2, 0.0)
+
+angles = st.floats(min_value=0.0, max_value=math.pi / 2, exclude_min=True, exclude_max=True, allow_subnormal=True)
+
+
+@settings(max_examples=200, deadline=None)
+@given(theta=angles)
+@example(theta=1e-300)
+@example(theta=1e-206)
+@example(theta=5e-324)
+@example(theta=2.2250738585072014e-308)
+@example(theta=HALF_PI_BELOW)
+def test_every_angle_builds_a_valid_table_or_is_rejected(theta: float) -> None:
+    try:
+        table = joint_probability_table(build_hardy_configuration(theta))
+    except ValidationError:
+        return
+    report = verify_hardy_predictions(table)
+    assert max(report.p1_zero, report.p2_zero, report.p3_zero) <= ZERO_TOL
+    a, b = math.cos(theta), math.sin(theta)
+    reference = (a * b * (b - a) / (1.0 - a * b)) ** 2
+    assert abs(report.p4_positive - reference) <= max(1e-14, 1e-9 * reference)
+    assert no_signalling_check(table).passed
+
+
+@settings(max_examples=40, deadline=None)
+@given(tol=st.floats(min_value=0.0, exclude_min=True, allow_subnormal=True))
+@example(tol=math.inf)
+@example(tol=1.0)
+@example(tol=1e-16)
+@example(tol=5e-324)
+def test_every_tolerance_finds_the_optimum_or_raises(tol: float) -> None:
+    try:
+        report = maximize_paradox(tol=tol)
+    except ConvergenceError:
+        return
+    assert abs(report.p4_max - P4_MAX_EXACT) <= 1e-8
+
+
+numbers = st.one_of(
+    angles.map(repr),
+    st.floats(allow_subnormal=True).map(repr),
+    st.sampled_from(["0", "-0", "1", "inf", "-inf", "nan", "1e-300", "1e-16", "1e400", "0x1p-3", "", "abc"]),
+)
+tokens = st.one_of(
+    st.sampled_from(["verify", "counterfactual", "lhv", "optimize", "table", "frobnicate", "-h"]),
+    st.sampled_from(["--theta", "--tol", "--format", "--out"]),
+    st.sampled_from(["json", "csv", "text", "xml"]),
+    numbers,
+)
+argvs = st.one_of(
+    st.lists(tokens, max_size=6),
+    st.tuples(
+        st.sampled_from(["verify", "table", "optimize"]),
+        st.sampled_from(["--theta", "--tol"]),
+        numbers,
+        st.sampled_from(["json", "csv", "text"]),
+    ).map(lambda t: [t[0], t[1], t[2], "--format", t[3]]),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(argv=argvs)
+@example(argv=["verify", "--theta", "1e-300"])
+@example(argv=["optimize", "--tol", "inf"])
+@example(argv=["verify", "--tol", "inf", "--format", "json"])
+@example(argv=["optimize", "--tol", "1e-16"])
+def test_cli_exits_0_1_or_2_without_a_traceback(argv: list[str]) -> None:
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        # A value after --out names a file inside a fresh directory, never a path elsewhere.
+        argv = [str(Path(tmp) / "out") if i and argv[i - 1] == "--out" else a for i, a in enumerate(argv)]
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            try:
+                code = main(argv)
+            except SystemExit as exc:  # argparse's -h prints help and exits 0
+                code = exc.code
+    assert code in (0, 1, 2)
+    assert "Traceback" not in stderr.getvalue()
