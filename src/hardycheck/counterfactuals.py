@@ -262,8 +262,8 @@ def evaluate_sr(instance: CounterfactualInstance, context: Setting) -> SRVerdict
     slot, untouched by the right-side switch.
     """
     _require_left(context)
-    premise = instance.right_outcome(context, Setting.R2) is Outcome.PLUS
-    conclusion = instance.right_outcome(context, Setting.R1) is Outcome.MINUS
+    premise = instance.outcomes[_RIGHT_SLOT[(context, Setting.R2)]] is Outcome.PLUS
+    conclusion = instance.outcomes[_RIGHT_SLOT[(context, Setting.R1)]] is Outcome.MINUS
     return SRVerdict(instance.index, context, premise, (not premise) or conclusion)
 
 

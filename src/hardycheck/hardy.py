@@ -107,7 +107,9 @@ def build_hardy_configuration(theta: float) -> HardyConfiguration:
     try:
         g3 = g**3
     except OverflowError:
-        raise ValidationError(f"theta={theta!r} is too small for the basis construction in double precision") from None
+        g3 = math.inf
+    if math.isinf(g3):  # subnormal theta already overflows a / b to inf, which raises nothing
+        raise ValidationError(f"theta={theta!r} is too small for the basis construction in double precision")
     n1 = math.hypot(1.0, g)
     n3 = math.hypot(1.0, g3)
 
@@ -258,11 +260,11 @@ class NoSignallingReport:
     deviations: dict[str, float]
 
 
-def no_signalling_check(table: JointProbabilityTable, tol: float = NO_SIGNALLING_TOL) -> NoSignallingReport:
+def no_signalling_check(table: JointProbabilityTable) -> NoSignallingReport:
     """Check that each side's outcome marginals ignore the remote setting choice.
 
     Eight comparisons: for every (own setting, own outcome) on each side, the
-    marginal under the two remote settings must agree within ``tol``.
+    marginal under the two remote settings must agree within ``NO_SIGNALLING_TOL``.
     """
     deviations: dict[str, float] = {}
     for left_setting in (Setting.L1, Setting.L2):
@@ -276,7 +278,7 @@ def no_signalling_check(table: JointProbabilityTable, tol: float = NO_SIGNALLING
             m_l2 = table.right_marginal(right_setting, outcome, Setting.L2)
             deviations[f"P({right_setting}{outcome}) L1 vs L2"] = abs(m_l1 - m_l2)
     worst = max(deviations.values())
-    return NoSignallingReport(worst <= tol, worst, float(tol), deviations)
+    return NoSignallingReport(worst <= NO_SIGNALLING_TOL, worst, NO_SIGNALLING_TOL, deviations)
 
 
 _HARDY_LABELS: dict[tuple[Setting, Outcome], str] = {

@@ -182,7 +182,7 @@ def validate_basis(basis: MeasurementBasis, tol: float = IDENTITY_TOL) -> BasisR
     """Check that a basis is orthonormal within ``tol`` and report the deviations."""
     plus_err = abs(basis.plus.norm_squared() - 1.0)
     minus_err = abs(basis.minus.norm_squared() - 1.0)
-    overlap = abs(inner_product(basis.plus, basis.minus))
+    overlap = abs(complex(np.vdot(basis.plus.components, basis.minus.components)))
     failures: list[str] = []
     if plus_err > tol:
         failures.append(f"plus vector squared norm off by {plus_err:.3e}")
@@ -216,6 +216,6 @@ def born_joint_probability(
         check = validate_basis(basis, INPUT_TOL)
         if not check.passed:
             raise ValidationError(f"basis {basis.label} is not orthonormal: " + "; ".join(check.failures))
-    projector = tensor_product(left_basis.vector_for(left_outcome), right_basis.vector_for(right_outcome))
-    amplitude = inner_product(projector, psi)
-    return float(abs(amplitude) ** 2)
+    # Basis components are validated read-only 2-vectors; the public helpers would copy and re-check them.
+    projector = np.kron(left_basis.vector_for(left_outcome).components, right_basis.vector_for(right_outcome).components)
+    return float(abs(complex(np.vdot(projector, psi))) ** 2)

@@ -94,6 +94,7 @@ class TestExitCodes:
             (["verify", "--tol", "inf"], 2),
             (["optimize", "--tol", "inf"], 1),
             (["optimize", "--tol", "1e-16", "--format", "json"], 0),
+            (["verify", "--theta", "5e-324"], 2),
         ],
     )
     def test_extreme_theta_and_tol_end_cleanly(self, capsys, argv: list[str], expected_code: int) -> None:
@@ -106,6 +107,8 @@ class TestExitCodes:
             assert out == ""
             assert err.startswith("error:")
             assert err.count("\n") == 1
+        if "--theta" in argv:
+            assert "too small" in err
 
 
 class TestCommands:

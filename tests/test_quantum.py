@@ -9,6 +9,9 @@ import pytest
 
 from hardycheck import (
     IDENTITY_TOL,
+    INPUT_TOL,
+    OUTCOME_PAIRS,
+    SETTING_PAIRS,
     MeasurementBasis,
     Outcome,
     Qubit2Vector,
@@ -16,6 +19,7 @@ from hardycheck import (
     StateVector,
     ValidationError,
     born_joint_probability,
+    build_hardy_configuration,
     inner_product,
     tensor_product,
     validate_basis,
@@ -115,8 +119,6 @@ class TestBornRule:
 
     def test_hardy_configuration_zero_entry(self) -> None:
         """The (L2-, R2+) joint event of the built configuration is forbidden."""
-        from hardycheck import build_hardy_configuration
-
         config = build_hardy_configuration(math.pi / 6)
         p = born_joint_probability(
             config.state, config.basis(Setting.L2), Outcome.MINUS, config.basis(Setting.R2), Outcome.PLUS
@@ -148,6 +150,31 @@ class TestBornRule:
                     p0 = born_joint_probability(state, left, ol, right, orr)
                     p1 = born_joint_probability(rotated, left, ol, right, orr)
                     assert p1 == pytest.approx(p0, abs=IDENTITY_TOL)
+
+    @pytest.mark.parametrize(
+        ("theta", "raw_state"),
+        [
+            (1e-200, False),
+            (0.3, False),
+            (math.pi / 4, False),
+            (1.2, False),
+            (math.nextafter(math.pi / 2, 0.0), False),
+            (0.3, True),
+        ],
+    )
+    def test_matches_checked_public_helpers_bit_for_bit(self, theta: float, raw_state: bool) -> None:
+        """The Born rule reads basis components directly; the checked helpers give the same bits."""
+        config = build_hardy_configuration(theta)
+        state: object = config.state
+        if raw_state:
+            # A plain list whose squared norm is off by 1e-11: inside INPUT_TOL, so it is accepted.
+            state = [complex(c) * math.sqrt(1.0 + 1e-11) for c in config.state.components]
+            assert IDENTITY_TOL < abs(sum(abs(c) ** 2 for c in state) - 1.0) < INPUT_TOL
+        for left_setting, right_setting in SETTING_PAIRS:
+            left, right = config.basis(left_setting), config.basis(right_setting)
+            for ol, orr in OUTCOME_PAIRS:
+                reference = abs(inner_product(tensor_product(left.vector_for(ol), right.vector_for(orr)), state)) ** 2
+                assert born_joint_probability(state, left, ol, right, orr).hex() == reference.hex()
 
     def test_rejects_non_normalized_state(self) -> None:
         bad = np.array([1.001, 0, 0, 0], dtype=complex)
