@@ -27,7 +27,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Callable, Mapping
 
-from .quantum import OUTCOMES, Outcome, Setting, ValidationError
+from .quantum import LEFT_SETTINGS, OUTCOMES, RIGHT_SETTINGS, Outcome, Setting, ValidationError
 
 #: Field order of the canonical 6-tuple encoding of an instance.
 INSTANCE_FIELDS = ("o_L(L1)", "o_L(L2)", "o_R(L1,R1)", "o_R(L1,R2)", "o_R(L2,R1)", "o_R(L2,R2)")
@@ -41,15 +41,11 @@ _RIGHT_SLOT = {
 }
 
 
-def _require_left(setting: Setting) -> Setting:
-    if setting not in _LEFT_SLOT:
-        raise ValidationError(f"expected a left-side choice (L1 or L2), got {setting}")
-    return setting
-
-
-def _require_right(setting: Setting) -> Setting:
-    if setting.side != "R":
-        raise ValidationError(f"expected a right-side choice (R1 or R2), got {setting}")
+def _require_side(setting: object, side: tuple[Setting, Setting]) -> Setting:
+    """Return ``setting`` if it is one of ``side`` (``LEFT_SETTINGS`` or ``RIGHT_SETTINGS``)."""
+    if setting not in side:
+        name = "left" if side is LEFT_SETTINGS else "right"
+        raise ValidationError(f"expected a {name}-side choice ({side[0]} or {side[1]}), got {setting}")
     return setting
 
 
@@ -105,10 +101,11 @@ class CounterfactualInstance(OutcomeAssignment):
         return cls(tuple(values))
 
     def left_outcome(self, left_choice: Setting) -> Outcome:
-        return self.outcomes[_LEFT_SLOT[_require_left(left_choice)]]
+        return self.outcomes[_LEFT_SLOT[_require_side(left_choice, LEFT_SETTINGS)]]
 
     def right_outcome(self, left_choice: Setting, right_choice: Setting) -> Outcome:
-        return self.outcomes[_RIGHT_SLOT[(_require_left(left_choice), _require_right(right_choice))]]
+        pair = (_require_side(left_choice, LEFT_SETTINGS), _require_side(right_choice, RIGHT_SETTINGS))
+        return self.outcomes[_RIGHT_SLOT[pair]]
 
 
 @lru_cache(maxsize=1)
@@ -126,9 +123,13 @@ class Constraint:
     outcomes: tuple[Outcome, Outcome]
 
     def __post_init__(self) -> None:
-        left, right = self.settings
-        _require_left(left)
-        _require_right(right)
+        settings, outcomes = self.settings, self.outcomes
+        if not (isinstance(settings, tuple) and isinstance(outcomes, tuple) and len(settings) == len(outcomes) == 2):
+            raise ValidationError(f"constraint {self.label!r} needs a (left, right) tuple of settings and of outcomes")
+        if not all(isinstance(o, Outcome) for o in outcomes):
+            raise ValidationError(f"constraint {self.label!r} outcomes must be Outcome members, got {outcomes!r}")
+        _require_side(settings[0], LEFT_SETTINGS)
+        _require_side(settings[1], RIGHT_SETTINGS)
 
     @property
     def event_key(self) -> tuple[tuple[Setting, Setting], tuple[Outcome, Outcome]]:
@@ -149,6 +150,8 @@ class ConstraintSet:
     def __post_init__(self) -> None:
         object.__setattr__(self, "zeros", tuple(self.zeros))
         object.__setattr__(self, "positivity", tuple(self.positivity))
+        if not all(isinstance(c, Constraint) for c in self.zeros + self.positivity):
+            raise ValidationError("constraint set entries must be Constraint objects")
         zero_events = {c.event_key for c in self.zeros}
         positive_events = {c.event_key for c in self.positivity}
         if zero_events & positive_events:
@@ -172,8 +175,9 @@ class ConstraintSet:
         )
 
 
+@lru_cache(maxsize=1)
 def hardy_constraint_set() -> ConstraintSet:
-    """The three zero events plus the positivity event of the Hardy-type table."""
+    """The three zero events and the positivity event of the Hardy-type table; every layer reads them here."""
     return ConstraintSet(
         zeros=(
             Constraint("Eq1", (Setting.L2, Setting.R2), (Outcome.MINUS, Outcome.PLUS)),
@@ -186,7 +190,7 @@ def hardy_constraint_set() -> ConstraintSet:
 
 def realizes(instance: CounterfactualInstance, constraint: Constraint) -> bool:
     """True when the instance produces exactly the constraint's outcome pair under its settings."""
-    # Constraint.__post_init__ has already checked the sides of both settings.
+    # Constraint.__post_init__ has already checked both settings and outcomes.
     pair, outcomes = constraint.settings, instance.outcomes
     return (
         outcomes[_LEFT_SLOT[pair[0]]] is constraint.outcomes[0]
@@ -261,7 +265,7 @@ def evaluate_sr(instance: CounterfactualInstance, context: Setting) -> SRVerdict
     instance is legitimate because the left outcome at this context is one
     slot, untouched by the right-side switch.
     """
-    _require_left(context)
+    _require_side(context, LEFT_SETTINGS)
     premise = instance.outcomes[_RIGHT_SLOT[(context, Setting.R2)]] is Outcome.PLUS
     conclusion = instance.outcomes[_RIGHT_SLOT[(context, Setting.R1)]] is Outcome.MINUS
     return SRVerdict(instance.index, context, premise, (not premise) or conclusion)
@@ -441,21 +445,6 @@ class Ensemble:
             return self.instances
         return tuple(inst for inst, w in zip(self.instances, self.weights) if w > 0)
 
-    def realizes(self, constraint: Constraint) -> bool:
-        return any(realizes(inst, constraint) for inst in self.support())
-
-
-#: Left events an admissible ensemble must realize by default: only (L1, -),
-#: the case the SR falsification needs; stronger requirements are opt-in.
-DEFAULT_REQUIRED_LEFT_EVENTS: tuple[tuple[Setting, Outcome], ...] = ((Setting.L1, Outcome.MINUS),)
-
-ALL_LEFT_EVENTS: tuple[tuple[Setting, Outcome], ...] = (
-    (Setting.L1, Outcome.PLUS),
-    (Setting.L1, Outcome.MINUS),
-    (Setting.L2, Outcome.PLUS),
-    (Setting.L2, Outcome.MINUS),
-)
-
 
 @dataclass(frozen=True)
 class AdmissibilityReport:
@@ -463,14 +452,10 @@ class AdmissibilityReport:
     failures: tuple[str, ...]
 
 
-def ensemble_admissible(
-    ensemble: Ensemble,
-    constraint_set: ConstraintSet,
-    *,
-    required_left_events: tuple[tuple[Setting, Outcome], ...] = DEFAULT_REQUIRED_LEFT_EVENTS,
-) -> AdmissibilityReport:
+def ensemble_admissible(ensemble: Ensemble, constraint_set: ConstraintSet) -> AdmissibilityReport:
     """Check an ensemble against the constraints: zeros per supported instance,
-    positivity and required left events as existentials over the support."""
+    positivity and the left event (L1, -), which the SR falsification needs,
+    as existentials over the support."""
     failures: list[str] = []
     support = ensemble.support()
     for inst in support:
@@ -478,9 +463,8 @@ def ensemble_admissible(
             if realizes(inst, zero):
                 failures.append(f"instance {inst.index} realizes zero event {zero.label}")
     for positive in constraint_set.positivity:
-        if not ensemble.realizes(positive):
+        if not any(realizes(inst, positive) for inst in support):
             failures.append(f"positivity event {positive.label} never realized")
-    for setting, outcome in required_left_events:
-        if not any(inst.left_outcome(setting) is outcome for inst in support):
-            failures.append(f"left event {setting}{outcome} never realized")
+    if not any(inst.left_outcome(Setting.L1) is Outcome.MINUS for inst in support):
+        failures.append(f"left event {Setting.L1}{Outcome.MINUS} never realized")
     return AdmissibilityReport(not failures, tuple(failures))

@@ -19,6 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .counterfactuals import hardy_constraint_set
 from .quantum import (
     IDENTITY_TOL,
     OUTCOMES,
@@ -238,14 +239,13 @@ class PredictionReport:
 
 
 def verify_hardy_predictions(table: JointProbabilityTable, tol: float = ZERO_TOL) -> PredictionReport:
-    """Check the three zeros and the positivity of the paradox event at ``tol``."""
+    """Check the three zeros and the positivity of the paradox event of ``hardy_constraint_set()`` at ``tol``."""
     if not 0.0 < tol < math.inf:
         raise ValidationError(f"tol must be positive and finite, got {tol!r}")
-    p1 = table.probability(Setting.L2, Setting.R2, Outcome.MINUS, Outcome.PLUS)
-    p2 = table.probability(Setting.L2, Setting.R1, Outcome.PLUS, Outcome.PLUS)
-    p3 = table.probability(Setting.L1, Setting.R2, Outcome.MINUS, Outcome.MINUS)
-    p4 = table.probability(Setting.L1, Setting.R1, Outcome.MINUS, Outcome.PLUS)
-    marginal = table.left_marginal(Setting.L1, Outcome.MINUS, Setting.R1)
+    events = hardy_constraint_set()
+    p1, p2, p3, p4 = (table.probability(*e.settings, *e.outcomes) for e in events.zeros + events.positivity)
+    (left, right), (left_outcome, _) = events.positivity[0].event_key
+    marginal = table.left_marginal(left, left_outcome, right)
     verdicts = (p1 < tol, p2 < tol, p3 < tol, p4 > tol)
     return PredictionReport(p1, p2, p3, p4, marginal, verdicts, float(tol))
 

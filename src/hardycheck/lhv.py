@@ -7,10 +7,12 @@ each side reading only its own setting:
 
 so every one of the four measurements carries a pre-assigned value at once
 and the right side cannot see the left choice. There are 2**4 = 16 strategies.
-Mixtures reduce to their support for every check here: a zero constraint must
-hold in each supported strategy, and a positivity event is realized by a
-mixture exactly when some supported strategy realizes it, so scanning the 16
-deterministic strategies settles feasibility outright.
+The scan looks for one strategy that satisfies every zero and realizes every
+positivity event. A mixture must keep each zero in every supported strategy
+but needs each positivity event in only one of them, so the scan settles
+mixture feasibility when there is at most one positivity event, as in the
+Hardy set and its drop-one variants; with two or more, a mixture can pass
+where no single strategy does.
 """
 
 from __future__ import annotations
@@ -84,7 +86,8 @@ def strategy_satisfies(strategy: LocalStrategy, constraint_set: ConstraintSet) -
 class FeasibilityResult:
     """Witness scan over the 16 strategies, plus a deduction trace when empty.
 
-    ``feasible`` is true exactly when ``witnesses`` is nonempty. For an
+    ``feasible`` is true exactly when ``witnesses`` is nonempty, that is when
+    one strategy realizes every positivity event (see the module note). For an
     infeasible set, ``assumed`` names the positivity assignments the deduction
     starts from and ``trace`` lists the forced steps up to the contradiction.
     """
@@ -130,11 +133,13 @@ def _deduction_trace(constraint_set: ConstraintSet) -> tuple[tuple[str, ...], tu
 def hardy_lhv_feasibility(constraint_set: ConstraintSet | None = None) -> FeasibilityResult:
     """Scan all 16 strategies for one satisfying every zero and realizing every positivity event.
 
-    For the full Hardy set the scan comes back empty and the deduction trace
-    closes in three steps: assuming the (L1-, R1+) event, the zero on (L2,R1)
-    forces o_L(L2) = -, the zero on (L1,R2) forces o_R(R2) = +, and the zero
-    on (L2,R2) is then realized outright. Dropping any single constraint
-    reopens feasibility.
+    This equals mixture feasibility when there is at most one positivity
+    event; with more, a mixture can pass where this scan finds no strategy
+    (``ensemble_admissible`` checks a given mixture). For the full Hardy set
+    the scan comes back empty and the deduction trace closes in three steps:
+    assuming the (L1-, R1+) event, the zero on (L2,R1) forces o_L(L2) = -,
+    the zero on (L1,R2) forces o_R(R2) = +, and the zero on (L2,R2) is then
+    realized outright. Dropping any single constraint reopens feasibility.
     """
     cs = hardy_constraint_set() if constraint_set is None else constraint_set
     witnesses = tuple(

@@ -16,8 +16,9 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .counterfactuals import hardy_constraint_set
 from .hardy import build_hardy_configuration
-from .quantum import Outcome, Setting, ValidationError, born_joint_probability
+from .quantum import ValidationError, born_joint_probability
 
 INV_PHI = (math.sqrt(5) - 1) / 2  # 1/phi
 INV_PHI_SQ = (3 - math.sqrt(5)) / 2  # 1/phi^2
@@ -36,14 +37,13 @@ class ConvergenceError(RuntimeError):
 def paradox_probability(theta: float) -> float:
     """P(left -, right +) when both sides pick their first alternative (L1, R1).
 
-    Evaluated through the full state/basis pipeline; equals the
-    ((L1,R1), (-,+)) entry of the configuration's joint probability table.
+    Evaluated through the full state/basis pipeline for Eq4 of
+    ``hardy_constraint_set()``, the ((L1,R1), (-,+)) entry of the table.
     Raises ``ValidationError`` outside the open interval (0, pi/2).
     """
     config = build_hardy_configuration(theta)
-    return born_joint_probability(
-        config.state, config.basis(Setting.L1), Outcome.MINUS, config.basis(Setting.R1), Outcome.PLUS
-    )
+    (left, right), (left_outcome, right_outcome) = hardy_constraint_set().positivity[0].event_key
+    return born_joint_probability(config.state, config.basis(left), left_outcome, config.basis(right), right_outcome)
 
 
 def reference_curve(thetas: object) -> np.ndarray:

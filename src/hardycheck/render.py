@@ -12,7 +12,7 @@ from enum import Enum
 from functools import cache
 from json.encoder import encode_basestring_ascii
 
-from .counterfactuals import LocalityReport, Property1Report, Property2Report
+from .counterfactuals import LocalityReport, Property1Report, Property2Report, hardy_constraint_set
 from .hardy import JointProbabilityTable, NoSignallingReport, PredictionReport
 from .lhv import FeasibilityResult
 from .optimize import ObjectiveReport
@@ -84,15 +84,16 @@ def _yes(ok: bool) -> str:
 
 
 def _text_prediction(report: PredictionReport) -> str:
-    lines = [
-        f"Hardy prediction report (tol = {format_float(report.tol)})",
-        f"  Eq1  P(L2-, R2+ | L2,R2) = {format_float(report.p1_zero)}  zero within tol: {_yes(report.verdicts[0])}",
-        f"  Eq2  P(L2+, R1+ | L2,R1) = {format_float(report.p2_zero)}  zero within tol: {_yes(report.verdicts[1])}",
-        f"  Eq3  P(L1-, R2- | L1,R2) = {format_float(report.p3_zero)}  zero within tol: {_yes(report.verdicts[2])}",
-        f"  Eq4  P(L1-, R1+ | L1,R1) = {format_float(report.p4_positive)}  positive above tol: {_yes(report.verdicts[3])}",
-        f"  P(L1- | L1) = {format_float(report.left_minus_marginal_under_L1)} (reported, not enforced)",
-        f"  all predictions hold: {_yes(report.all_hold)}",
-    ]
+    events = hardy_constraint_set()
+    values = (report.p1_zero, report.p2_zero, report.p3_zero, report.p4_positive)
+    lines = [f"Hardy prediction report (tol = {format_float(report.tol)})"]
+    for i, (event, p, ok) in enumerate(zip(events.zeros + events.positivity, values, report.verdicts)):
+        (sl, sr), (ol, orr) = event.event_key
+        check = "zero within tol" if i < len(events.zeros) else "positive above tol"
+        lines.append(f"  {event.label}  P({sl}{ol}, {sr}{orr} | {sl},{sr}) = {format_float(p)}  {check}: {_yes(ok)}")
+    (sl, _), (ol, _) = events.positivity[0].event_key
+    lines.append(f"  P({sl}{ol} | {sl}) = {format_float(report.left_minus_marginal_under_L1)} (reported, not enforced)")
+    lines.append(f"  all predictions hold: {_yes(report.all_hold)}")
     return "\n".join(lines)
 
 

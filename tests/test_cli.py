@@ -12,6 +12,7 @@ from hardycheck import (
     Constraint,
     ConstraintSet,
     JointProbabilityTable,
+    MeasurementBasis,
     Outcome,
     Setting,
     UsageError,
@@ -25,6 +26,7 @@ from hardycheck import (
     maximize_paradox,
     no_signalling_check,
     render_report,
+    to_json_text,
     validate_basis,
     verify_hardy_predictions,
 )
@@ -216,6 +218,9 @@ def test_stdout_matches_golden_bytes(capsys, golden: str) -> None:
     assert out.encode("utf-8") == (GOLDEN / golden).read_bytes()
 
 
+_SKEWED_BASIS = MeasurementBasis(plus=[1.0, 0.0], minus=[0.6, 0.8], label=Setting.R1)
+
+
 def _every_report() -> list[object]:
     config = build_hardy_configuration(0.5)
     table = joint_probability_table(config)
@@ -236,6 +241,9 @@ def _every_report() -> list[object]:
         hardy_lhv_feasibility(cs.without("Eq1")),
         maximize_paradox(0.3, 0.6, 1e-6),
         validate_basis(config.basis(Setting.L1)),
+        # Failing reports, with explicit ids so the ids above keep their names.
+        pytest.param(validate_basis(_SKEWED_BASIS), id="BasisReport-overlap"),
+        pytest.param(check_property1(cs.without("Eq2")), id="Property1Report-counterexamples"),
     ]
 
 
@@ -246,6 +254,27 @@ def test_every_report_renders_as_json_and_text(report: object) -> None:
     assert payload
     text = render_report(report, "text").decode("utf-8")
     assert text.endswith("\n") and text.strip()
+
+
+def test_failing_reports_list_their_failures_in_text() -> None:
+    basis_text = render_report(validate_basis(_SKEWED_BASIS), "text").decode("utf-8")
+    assert basis_text.splitlines() == [
+        "Basis orthonormality check (tol = 9.9999999999999998e-13): FAIL",
+        "  plus/minus overlap magnitude 6.000e-01",
+    ]
+    report = check_property1(hardy_constraint_set().without("Eq2"))
+    lines = render_report(report, "text").decode("utf-8").splitlines()[1:]
+    assert report.counterexamples
+    assert lines == [f"  counterexample #{inst.index}: {inst}" for inst in report.counterexamples]
+
+
+def test_unrenderable_values_raise() -> None:
+    with pytest.raises(ValueError, match="non-finite"):
+        to_json_text(math.nan)
+    with pytest.raises(TypeError, match="cannot serialize object"):
+        to_json_text(object())
+    with pytest.raises(TypeError, match="no text renderer"):
+        render_report(object(), "text")
 
 
 class TestRenderReport:

@@ -9,7 +9,6 @@ from fractions import Fraction
 import pytest
 
 from hardycheck import (
-    ALL_LEFT_EVENTS,
     Constraint,
     ConstraintSet,
     CounterfactualInstance,
@@ -87,6 +86,13 @@ class TestEnumeration:
             inst.left_outcome(Setting.R1)
         with pytest.raises(ValidationError):
             inst.right_outcome(Setting.L1, Setting.L2)
+        with pytest.raises(ValidationError):
+            inst.right_outcome(Setting.L1, "R1")  # type: ignore[arg-type]
+
+    @pytest.mark.parametrize("size", [0, 5, 7])
+    def test_wrong_length_rejected(self, size: int) -> None:
+        with pytest.raises(ValidationError, match="exactly 6"):
+            CounterfactualInstance((PLUS,) * size)
 
     def test_from_maps_round_trip(self) -> None:
         inst = instance_from_chars(FIRST_WITNESS_LABELS)
@@ -300,8 +306,31 @@ class TestConstraintSet:
             hardy_constraint_set().without("Eq9")
 
     def test_constraint_settings_validated(self) -> None:
-        with pytest.raises(ValidationError):
-            Constraint("bad", (Setting.R1, Setting.L1), (PLUS, PLUS))
+        # Settings on the wrong sides or not Setting members, outcomes that are
+        # not Outcome members, and pairs of the wrong arity or type.
+        bad_inputs = [
+            ((Setting.R1, Setting.L1), (PLUS, PLUS)),
+            ((Setting.L1, "R1"), (PLUS, PLUS)),
+            (("L1", Setting.R1), (PLUS, PLUS)),
+            ((Setting.L1, Setting.R1), ("-", "+")),
+            ((Setting.L1, Setting.R1, Setting.R2), (PLUS, PLUS)),
+            ((Setting.L1, Setting.R1), (PLUS,)),
+            ([Setting.L1, Setting.R1], (PLUS, PLUS)),
+            (None, (PLUS, PLUS)),
+        ]
+        for settings, outcomes in bad_inputs:
+            with pytest.raises(ValidationError):
+                Constraint("bad", settings, outcomes)  # type: ignore[arg-type]
+
+    def test_constraint_set_rejects_non_constraint_entries(self) -> None:
+        eq4 = hardy_constraint_set().constraint("Eq4")
+        with pytest.raises(ValidationError, match="Constraint"):
+            ConstraintSet(zeros=(eq4.event_key,))  # type: ignore[arg-type]
+        with pytest.raises(ValidationError, match="Constraint"):
+            ConstraintSet(positivity=(eq4, "Eq1"))  # type: ignore[arg-type]
+
+    def test_hardy_constraint_set_is_one_shared_object(self) -> None:
+        assert hardy_constraint_set() is hardy_constraint_set()
 
 
 class TestEnsembles:
@@ -349,15 +378,13 @@ class TestEnsembles:
         assert not report.admissible
         assert any("L1-" in failure for failure in report.failures)
 
-    def test_requiring_all_left_events_is_stricter(self) -> None:
+    def test_only_left_minus_under_l1_is_required(self) -> None:
+        # The support never realizes L2-, and the ensemble is still admissible.
         cs = hardy_constraint_set()
         support = tuple(
             inst for inst in self._admissible_instances() if inst.left_outcome(Setting.L2) is PLUS
         )
-        default_report = ensemble_admissible(Ensemble(support), cs)
-        strict_report = ensemble_admissible(Ensemble(support), cs, required_left_events=ALL_LEFT_EVENTS)
-        assert default_report.admissible
-        assert not strict_report.admissible
+        assert ensemble_admissible(Ensemble(support), cs).admissible
 
     def test_zero_constraint_violation_in_support_fails(self) -> None:
         bad = CounterfactualInstance((PLUS, MINUS, PLUS, PLUS, PLUS, PLUS))  # realizes Eq1

@@ -11,6 +11,7 @@ import pytest
 from hardycheck import (
     OUTCOME_PAIRS,
     SETTING_PAIRS,
+    HardyConfiguration,
     JointProbabilityTable,
     MeasurementBasis,
     Outcome,
@@ -73,6 +74,12 @@ class TestConfigurationBuilder:
     def test_rejects_angles_outside_open_interval(self, theta: float) -> None:
         with pytest.raises(ValidationError):
             build_hardy_configuration(theta)
+
+    def test_mislabelled_bases_rejected(self) -> None:
+        config = build_hardy_configuration(0.5)
+        swapped = (config.bases[1], config.bases[0]) + config.bases[2:]
+        with pytest.raises(ValidationError, match="labelled"):
+            HardyConfiguration(state=config.state, bases=swapped, theta=config.theta)
 
     def test_paradox_probability_vanishes_at_maximal_entanglement(self) -> None:
         table = joint_probability_table(build_hardy_configuration(math.pi / 4))

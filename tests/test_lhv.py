@@ -8,10 +8,13 @@ import json
 import pytest
 
 from hardycheck import (
+    Constraint,
     ConstraintSet,
+    Ensemble,
     Outcome,
     Setting,
     ValidationError,
+    ensemble_admissible,
     enumerate_strategies,
     hardy_constraint_set,
     hardy_lhv_feasibility,
@@ -137,6 +140,23 @@ class TestFeasibility:
         for strategy in enumerate_strategies():
             if strategy_satisfies(strategy, cs):
                 assert not strategy_realizes(strategy, eq4)
+
+    def test_scan_asks_one_strategy_to_realize_every_positivity_event(self) -> None:
+        """Two positivity events that no single strategy realizes, while a mixture does."""
+        cs = ConstraintSet(
+            positivity=(
+                Constraint("A", (Setting.L1, Setting.R1), (PLUS, PLUS)),
+                Constraint("B", (Setting.L1, Setting.R1), (MINUS, MINUS)),
+            )
+        )
+        result = hardy_lhv_feasibility(cs)
+        assert not result.feasible
+        assert result.assumed == ("A: o_L(L1) = +, o_R(R1) = +",)
+        assert [(s.constraint, s.assignment, s.kind) for s in result.trace] == [
+            ("B", "contradiction: o_L(L1) already forced to +", "contradiction")
+        ]
+        mixture = Ensemble(tuple(LocalStrategy((o,) * 4).as_instance() for o in (PLUS, MINUS)))
+        assert ensemble_admissible(mixture, cs).admissible
 
     def test_json_payload_shape(self) -> None:
         payload = json.loads(render_report(hardy_lhv_feasibility(), "json"))

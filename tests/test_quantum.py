@@ -100,6 +100,10 @@ class TestInnerProduct:
         with pytest.raises(ValidationError):
             inner_product(np.zeros(2), np.zeros(4))
 
+    def test_two_dimensional_argument_rejected(self) -> None:
+        with pytest.raises(ValidationError, match="one-dimensional"):
+            inner_product(np.eye(2), np.eye(2))
+
 
 class TestBornRule:
     def test_definite_product_state(self) -> None:
@@ -223,6 +227,14 @@ class TestTypeInvariants:
     def test_qubit_vector_rejects_infinity(self) -> None:
         with pytest.raises(ValidationError):
             Qubit2Vector(np.array([np.inf, 0.0]))
+
+    def test_qubit_vector_rejects_three_components(self) -> None:
+        with pytest.raises(ValidationError, match="exactly 2 components"):
+            Qubit2Vector(np.array([1.0, 0.0, 0.0]))
+
+    def test_basis_label_must_be_a_setting(self) -> None:
+        with pytest.raises(ValidationError, match="label"):
+            MeasurementBasis(plus=KET0, minus=KET1, label="L1")  # type: ignore[arg-type]
 
     def test_normalized_constructor(self) -> None:
         state = StateVector.normalized(np.array([3.0, 0.0, 0.0, 4.0]))
