@@ -17,8 +17,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .counterfactuals import hardy_constraint_set
 from .quantum import (
     IDENTITY_TOL,
@@ -28,8 +26,11 @@ from .quantum import (
     Setting,
     StateVector,
     ValidationError,
+    _LazyNumpy,
     born_joint_probability,
 )
+
+np = _LazyNumpy(globals())
 
 #: Default tolerance for the three zero constraints; looser than IDENTITY_TOL
 #: to absorb the constructor's floating-point solve.
@@ -298,9 +299,13 @@ def to_hardy_notation(setting: Setting, outcome: Outcome) -> str:
     """Map a (setting, outcome) pair to its single-letter ket label.
 
     The map is L1(+,-) -> (c1,d1), L2(+,-) -> (v1,u1), R1(+,-) -> (d2,c2),
-    R2(+,-) -> (u2,v2); it is a bijection onto the eight labels.
+    R2(+,-) -> (u2,v2); it is a bijection onto the eight labels. Raises
+    ``ValidationError`` unless ``setting`` is a ``Setting`` and ``outcome`` an ``Outcome``.
     """
-    return _HARDY_LABELS[(setting, outcome)]
+    try:
+        return _HARDY_LABELS[(setting, outcome)]
+    except (KeyError, TypeError):
+        raise ValidationError(f"no ket label for setting {setting!r} and outcome {outcome!r}") from None
 
 
 def from_hardy_notation(label: str) -> tuple[Setting, Outcome]:

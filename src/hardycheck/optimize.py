@@ -14,11 +14,11 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
-import numpy as np
-
 from .counterfactuals import hardy_constraint_set
 from .hardy import build_hardy_configuration
-from .quantum import ValidationError, born_joint_probability
+from .quantum import ValidationError, _LazyNumpy, born_joint_probability
+
+np = _LazyNumpy(globals())
 
 INV_PHI = (math.sqrt(5) - 1) / 2  # 1/phi
 INV_PHI_SQ = (3 - math.sqrt(5)) / 2  # 1/phi^2

@@ -1,6 +1,7 @@
 """Two-qubit pure states, local two-outcome measurement bases, Born probabilities.
 
-Vectors are dense complex arrays. A two-qubit state is a 4-vector laid out
+Vectors are dense complex numpy arrays; numpy is imported on first use, so
+the logic modules run without it. A two-qubit state is a 4-vector laid out
 row-major over (left, right) basis indices, i.e. components (00, 01, 10, 11)
 with the left system as the slow index. The dimension is fixed at 2 x 2; there
 is deliberately no general tensor machinery here.
@@ -15,10 +16,25 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 
-import numpy as np
-
 IDENTITY_TOL = 1e-12
 INPUT_TOL = 1e-9
+
+
+class _LazyNumpy:
+    """Stand-in for ``np`` in an array module: the first attribute read imports
+    numpy and rebinds that module's ``np`` to it, so later calls use numpy itself."""
+
+    def __init__(self, namespace: dict[str, object]) -> None:
+        self._namespace = namespace
+
+    def __getattr__(self, name: str) -> object:
+        import numpy
+
+        self._namespace["np"] = numpy
+        return getattr(numpy, name)
+
+
+np = _LazyNumpy(globals())
 
 
 class ValidationError(ValueError):

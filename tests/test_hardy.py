@@ -253,6 +253,15 @@ class TestHardyNotation:
         with pytest.raises(ValueError):
             from_hardy_notation("z9")
 
+    @pytest.mark.parametrize(
+        "setting, outcome", [(Setting.L1, "+"), ("L1", PLUS), ([], PLUS)], ids=["str_outcome", "str_setting", "unhashable"]
+    )
+    def test_non_enum_arguments_rejected_by_name(self, setting: object, outcome: object) -> None:
+        with pytest.raises(ValidationError) as info:
+            to_hardy_notation(setting, outcome)
+        assert repr(setting) in str(info.value)
+        assert repr(outcome) in str(info.value)
+
     def test_zero_events_translate_to_expected_label_pairs(self) -> None:
         from hardycheck import hardy_constraint_set
 
