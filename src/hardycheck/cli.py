@@ -28,30 +28,30 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument(
-        "--theta",
-        type=float,
-        default=DEFAULT_THETA,
-        help="configuration angle in radians, strictly inside (0, pi/2) [default: pi/6]",
-    )
-    common.add_argument("--tol", type=float, default=1e-10, help="check tolerance [default: 1e-10]")
-    common.add_argument(
-        "--format",
-        choices=("json", "csv", "text"),
-        default="text",
-        help="output format; csv applies only to the table command [default: text]",
-    )
-    common.add_argument("--out", type=Path, default=None, help="write the report to this file instead of stdout")
+#: (command, its --format choices, help line); csv applies only to the probability table.
+_COMMANDS = (
+    ("verify", ("json", "text"), "check the three zeros and the paradox positivity"),
+    ("counterfactual", ("json", "text"), "machine-check Property 1, Property 2, and the locality flag"),
+    ("lhv", ("json", "text"), "scan the 16 deterministic local strategies for feasibility"),
+    ("optimize", ("json", "text"), "maximize the paradox probability over the angle"),
+    ("table", ("json", "csv", "text"), "emit the full joint probability table"),
+)
 
+
+def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="hardycheck", description="Hardy-type nonlocality verification toolkit")
-    sub = parser.add_subparsers(dest="command", metavar="command", parser_class=_Parser)
-    sub.add_parser("verify", parents=[common], help="check the three zeros and the paradox positivity")
-    sub.add_parser("counterfactual", parents=[common], help="machine-check Property 1, Property 2, and the locality flag")
-    sub.add_parser("lhv", parents=[common], help="scan the 16 deterministic local strategies for feasibility")
-    sub.add_parser("optimize", parents=[common], help="maximize the paradox probability over the angle")
-    sub.add_parser("table", parents=[common], help="emit the full joint probability table")
+    sub = parser.add_subparsers(dest="command", metavar="command", required=True, parser_class=_Parser)
+    for name, formats, summary in _COMMANDS:
+        command = sub.add_parser(name, help=summary)
+        command.add_argument(
+            "--theta",
+            type=float,
+            default=DEFAULT_THETA,
+            help="configuration angle in radians, strictly inside (0, pi/2) [default: pi/6]",
+        )
+        command.add_argument("--tol", type=float, default=1e-10, help="check tolerance [default: 1e-10]")
+        command.add_argument("--format", choices=formats, default="text", help="output format [default: text]")
+        command.add_argument("--out", type=Path, default=None, help="write the report to this file instead of stdout")
     return parser
 
 
@@ -75,8 +75,6 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        if getattr(args, "command", None) is None:
-            raise UsageError("a command is required (verify, counterfactual, lhv, optimize, table)")
         if not args.tol > 0.0:
             raise UsageError(f"--tol must be positive, got {args.tol!r}")
         if not (math.isfinite(args.theta) and 0.0 < args.theta < math.pi / 2):

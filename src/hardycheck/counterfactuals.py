@@ -23,9 +23,8 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
-from typing import Callable, Mapping
+from typing import Callable, ClassVar, Iterable
 
 from .quantum import LEFT_SETTINGS, OUTCOMES, RIGHT_SETTINGS, Outcome, Setting, ValidationError
 
@@ -86,19 +85,6 @@ class CounterfactualInstance(OutcomeAssignment):
 
     _size = len(INSTANCE_FIELDS)
     _noun = "an instance"
-
-    @classmethod
-    def from_maps(
-        cls,
-        o_left: Mapping[Setting, Outcome],
-        o_right: Mapping[tuple[Setting, Setting], Outcome],
-    ) -> CounterfactualInstance:
-        values = [None] * 6
-        for setting, slot in _LEFT_SLOT.items():
-            values[slot] = o_left[setting]
-        for pair, slot in _RIGHT_SLOT.items():
-            values[slot] = o_right[pair]
-        return cls(tuple(values))
 
     def left_outcome(self, left_choice: Setting) -> Outcome:
         return self.outcomes[_LEFT_SLOT[_require_side(left_choice, LEFT_SETTINGS)]]
@@ -381,7 +367,7 @@ class LocalityReport:
     sr_sometimes_false_at_l1: bool
     property1: Property1Report
     property2: Property2Report
-    note: str
+    note: ClassVar[str] = LOCALITY_NOTE
 
     def to_json_dict(self) -> dict[str, object]:
         return {
@@ -412,38 +398,7 @@ def locality_violation_report(constraint_set: ConstraintSet) -> LocalityReport:
         sr_sometimes_false_at_l1=falsified_at_l1,
         property1=p1,
         property2=p2,
-        note=LOCALITY_NOTE,
     )
-
-
-@dataclass(frozen=True)
-class Ensemble:
-    """A theory modelled as a set of instances, optionally weighted.
-
-    Weights, when given, are nonnegative rationals summing to exactly 1; all
-    logic reads only the support (weight > 0), so no floating point enters the
-    logical layer.
-    """
-
-    instances: tuple[CounterfactualInstance, ...]
-    weights: tuple[Fraction, ...] | None = None
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "instances", tuple(self.instances))
-        if self.weights is not None:
-            weights = tuple(Fraction(w) for w in self.weights)
-            if len(weights) != len(self.instances):
-                raise ValidationError("need one weight per instance")
-            if any(w < 0 for w in weights):
-                raise ValidationError("weights must be nonnegative")
-            if sum(weights) != 1:
-                raise ValidationError("weights must sum to exactly 1")
-            object.__setattr__(self, "weights", weights)
-
-    def support(self) -> tuple[CounterfactualInstance, ...]:
-        if self.weights is None:
-            return self.instances
-        return tuple(inst for inst, w in zip(self.instances, self.weights) if w > 0)
 
 
 @dataclass(frozen=True)
@@ -452,12 +407,15 @@ class AdmissibilityReport:
     failures: tuple[str, ...]
 
 
-def ensemble_admissible(ensemble: Ensemble, constraint_set: ConstraintSet) -> AdmissibilityReport:
-    """Check an ensemble against the constraints: zeros per supported instance,
-    positivity and the left event (L1, -), which the SR falsification needs,
-    as existentials over the support."""
+def ensemble_admissible(support: Iterable[CounterfactualInstance], constraint_set: ConstraintSet) -> AdmissibilityReport:
+    """Check an ensemble, given as the instances it supports, against the constraints.
+
+    Every instance must avoid each zero event; each positivity event and the
+    left event (L1, -), which the SR falsification needs, must occur in some
+    instance. Only the support matters, so the ensemble carries no weights.
+    """
+    support = tuple(support)
     failures: list[str] = []
-    support = ensemble.support()
     for inst in support:
         for zero in constraint_set.zeros:
             if realizes(inst, zero):

@@ -164,9 +164,6 @@ class JointProbabilityTable:
     ) -> float:
         return self.entries[((left_setting, right_setting), (left_outcome, right_outcome))]
 
-    def row(self, left_setting: Setting, right_setting: Setting) -> dict[OutcomePair, float]:
-        return {op: self.entries[((left_setting, right_setting), op)] for op in OUTCOME_PAIRS}
-
     def left_marginal(self, left_setting: Setting, left_outcome: Outcome, right_setting: Setting) -> float:
         """P(left outcome | settings), summed over the right outcome."""
         return sum(

@@ -32,7 +32,7 @@ from .counterfactuals import (
     realizes,
     satisfies_zeros,
 )
-from .quantum import OUTCOMES, Outcome, Setting
+from .quantum import OUTCOMES, Outcome
 
 
 @dataclass(frozen=True)
@@ -54,13 +54,6 @@ class LocalStrategy(OutcomeAssignment):
     def as_instance(self) -> CounterfactualInstance:
         """Embed into the counterfactual carrier; the right entries ignore the left choice."""
         return self._instance
-
-    def left_outcome(self, setting: Setting) -> Outcome:
-        return self._instance.left_outcome(setting)
-
-    def right_outcome(self, setting: Setting) -> Outcome:
-        # Either left choice reads the same right entry of the embedding.
-        return self._instance.right_outcome(Setting.L1, setting)
 
 
 @lru_cache(maxsize=1)

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
 
 from .counterfactuals import hardy_constraint_set
 from .hardy import build_hardy_configuration
@@ -157,24 +156,3 @@ def maximize_paradox(
         oracle_gap=gap,
     )
 
-
-class FiniteDifferenceEstimate(NamedTuple):
-    estimate: float
-    step: float
-
-
-def finite_difference_scan(theta: float, h: float) -> FiniteDifferenceEstimate:
-    """Central-difference slope (p4(theta+h) - p4(theta-h)) / 2h, O(h^2) accurate.
-
-    Both probe angles must stay strictly inside (0, pi/2). At an interior
-    maximizer the estimate collapses toward zero; on monotone stretches its
-    sign matches the slope.
-    """
-    theta = float(theta)
-    h = float(h)
-    if not h > 0.0:
-        raise ValidationError(f"step h must be positive, got {h!r}")
-    if not (0.0 < theta - h and theta + h < math.pi / 2):
-        raise ValidationError(f"theta +/- h must stay inside (0, pi/2), got theta={theta!r}, h={h!r}")
-    slope = (paradox_probability(theta + h) - paradox_probability(theta - h)) / (2.0 * h)
-    return FiniteDifferenceEstimate(slope, h)

@@ -70,14 +70,6 @@ class Setting(enum.Enum):
     def __str__(self) -> str:
         return self.value
 
-    @property
-    def side(self) -> str:
-        return self.value[0]
-
-    @property
-    def index(self) -> int:
-        return int(self.value[1])
-
 
 LEFT_SETTINGS = (Setting.L1, Setting.L2)
 RIGHT_SETTINGS = (Setting.R1, Setting.R2)
@@ -122,18 +114,6 @@ class StateVector:
         if abs(norm_sq - 1.0) > IDENTITY_TOL:
             raise ValidationError(f"StateVector squared norm {norm_sq!r} differs from 1 beyond {IDENTITY_TOL}")
         object.__setattr__(self, "components", arr)
-
-    @classmethod
-    def normalized(cls, components: object) -> StateVector:
-        """Build a state from any nonzero 4-vector by dividing out its norm."""
-        arr = _as_vector(components, 4, "StateVector")
-        norm = float(np.sqrt(np.vdot(arr, arr).real))
-        if norm == 0.0:
-            raise ValidationError("cannot normalize the zero vector")
-        return cls(arr / norm)
-
-    def norm_squared(self) -> float:
-        return float(np.vdot(self.components, self.components).real)
 
 
 @dataclass(frozen=True, eq=False)

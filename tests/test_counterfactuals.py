@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import itertools
 import json
-from fractions import Fraction
 
 import pytest
 
@@ -12,7 +11,6 @@ from hardycheck import (
     Constraint,
     ConstraintSet,
     CounterfactualInstance,
-    Ensemble,
     Outcome,
     Setting,
     ValidationError,
@@ -36,13 +34,6 @@ ZERO_SATISFYING_COUNT = 24
 FIRST_WITNESS_INDEX = 34
 FIRST_WITNESS_LABELS = ("-", "+", "+", "+", "-", "+")
 WITNESS_COUNT = 4
-
-_CHAR = {"+": PLUS, "-": MINUS}
-
-
-def instance_from_chars(chars: tuple[str, ...]) -> CounterfactualInstance:
-    return CounterfactualInstance(tuple(_CHAR[c] for c in chars))
-
 
 def _oracle_zero_satisfying() -> list[tuple[str, ...]]:
     """Independent brute force: the rules are spelled out inline, not via the library."""
@@ -94,32 +85,10 @@ class TestEnumeration:
         with pytest.raises(ValidationError, match="exactly 6"):
             CounterfactualInstance((PLUS,) * size)
 
-    def test_from_maps_round_trip(self) -> None:
-        inst = instance_from_chars(FIRST_WITNESS_LABELS)
-        rebuilt = CounterfactualInstance.from_maps(
-            {Setting.L1: inst.left_outcome(Setting.L1), Setting.L2: inst.left_outcome(Setting.L2)},
-            {
-                (sl, sr): inst.right_outcome(sl, sr)
-                for sl in (Setting.L1, Setting.L2)
-                for sr in (Setting.R1, Setting.R2)
-            },
-        )
-        assert rebuilt == inst
-        assert rebuilt.labels() == FIRST_WITNESS_LABELS
-        assert str(rebuilt) == "(-, +, +, +, -, +)"
-
 
 class TestZeroConstraints:
     def test_eq1_violating_instance_rejected(self) -> None:
-        inst = CounterfactualInstance.from_maps(
-            {Setting.L1: PLUS, Setting.L2: MINUS},
-            {
-                (Setting.L1, Setting.R1): PLUS,
-                (Setting.L1, Setting.R2): PLUS,
-                (Setting.L2, Setting.R1): PLUS,
-                (Setting.L2, Setting.R2): PLUS,
-            },
-        )
+        inst = CounterfactualInstance((PLUS, MINUS, PLUS, PLUS, PLUS, PLUS))  # o_L(L2) = -, o_R(L2,R2) = +
         assert not satisfies_zeros(inst, hardy_constraint_set())
 
     def test_all_plus_left_all_minus_right_accepted(self) -> None:
@@ -338,24 +307,8 @@ class TestEnsembles:
         cs = hardy_constraint_set()
         return tuple(inst for inst in enumerate_instances() if satisfies_zeros(inst, cs))
 
-    def test_weights_must_be_unit_total_nonnegative(self) -> None:
-        instances = self._admissible_instances()[:2]
-        Ensemble(instances, (Fraction(1, 3), Fraction(2, 3)))
-        with pytest.raises(ValidationError, match="sum"):
-            Ensemble(instances, (Fraction(1, 3), Fraction(1, 3)))
-        with pytest.raises(ValidationError, match="nonnegative"):
-            Ensemble(instances, (Fraction(-1, 3), Fraction(4, 3)))
-        with pytest.raises(ValidationError, match="one weight"):
-            Ensemble(instances, (Fraction(1),))
-
-    def test_support_ignores_zero_weight_instances(self) -> None:
-        instances = self._admissible_instances()[:3]
-        ens = Ensemble(instances, (Fraction(0), Fraction(1, 2), Fraction(1, 2)))
-        assert ens.support() == instances[1:]
-
     def test_maximal_admissible_ensemble_passes(self) -> None:
-        ens = Ensemble(self._admissible_instances())
-        report = ensemble_admissible(ens, hardy_constraint_set())
+        report = ensemble_admissible(self._admissible_instances(), hardy_constraint_set())
         assert report.admissible
         assert report.failures == ()
 
@@ -363,7 +316,7 @@ class TestEnsembles:
         cs = hardy_constraint_set()
         eq4 = cs.constraint("Eq4")
         without_event = tuple(inst for inst in self._admissible_instances() if not realizes(inst, eq4))
-        report = ensemble_admissible(Ensemble(without_event), cs)
+        report = ensemble_admissible(without_event, cs)
         assert not report.admissible
         assert any("Eq4" in failure for failure in report.failures)
 
@@ -374,7 +327,7 @@ class TestEnsembles:
             for inst in self._admissible_instances()
             if inst.left_outcome(Setting.L1) is PLUS
         )
-        report = ensemble_admissible(Ensemble(support), cs)
+        report = ensemble_admissible(support, cs)
         assert not report.admissible
         assert any("L1-" in failure for failure in report.failures)
 
@@ -384,9 +337,9 @@ class TestEnsembles:
         support = tuple(
             inst for inst in self._admissible_instances() if inst.left_outcome(Setting.L2) is PLUS
         )
-        assert ensemble_admissible(Ensemble(support), cs).admissible
+        assert ensemble_admissible(support, cs).admissible
 
     def test_zero_constraint_violation_in_support_fails(self) -> None:
         bad = CounterfactualInstance((PLUS, MINUS, PLUS, PLUS, PLUS, PLUS))  # realizes Eq1
-        report = ensemble_admissible(Ensemble(self._admissible_instances() + (bad,)), hardy_constraint_set())
+        report = ensemble_admissible(self._admissible_instances() + (bad,), hardy_constraint_set())
         assert not report.admissible

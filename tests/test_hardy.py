@@ -101,7 +101,7 @@ class TestJointProbabilityTable:
         table = joint_probability_table(build_hardy_configuration(0.7))
         assert len(table.entries) == 16
         for pair in SETTING_PAIRS:
-            assert sum(table.row(*pair).values()) == pytest.approx(1.0, abs=1e-12)
+            assert sum(table.entries[(pair, op)] for op in OUTCOME_PAIRS) == pytest.approx(1.0, abs=1e-12)
 
     def test_rejects_unnormalized_row(self) -> None:
         rows = {pair: uniform_row() for pair in SETTING_PAIRS}

@@ -15,7 +15,8 @@ GOLDEN = Path(__file__).parent / "golden"
 
 SUBMODULES = ("quantum", "hardy", "counterfactuals", "lhv", "optimize", "render")
 
-#: One argv per usage class the cli benchmark draws from.
+#: At least one argv per usage class the cli benchmark draws from; csv for a
+#: report is rejected at parse time, before any array work.
 USAGE_ARGVS = (
     ["frobnicate"],
     [],
@@ -23,6 +24,8 @@ USAGE_ARGVS = (
     ["table", "--theta", "abc"],
     ["verify", "--tol", "0"],
     ["lhv", "--format", "csv"],
+    ["optimize", "--format", "csv"],
+    ["verify", "--format", "csv"],
     ["lhv", "--format", "xml"],
 )
 

@@ -10,10 +10,8 @@ import pytest
 from hardycheck import (
     Constraint,
     ConstraintSet,
-    Ensemble,
     Outcome,
     Setting,
-    ValidationError,
     ensemble_admissible,
     enumerate_strategies,
     hardy_constraint_set,
@@ -55,21 +53,14 @@ class TestEnumeration:
     def test_each_strategy_fixes_all_four_setting_pairs(self) -> None:
         for strategy in enumerate_strategies():
             inst = strategy.as_instance()
+            o_l1, o_l2, o_r1, o_r2 = strategy.outcomes
+            assert (inst.left_outcome(Setting.L1), inst.left_outcome(Setting.L2)) == (o_l1, o_l2)
             for left in (Setting.L1, Setting.L2):
-                for right in (Setting.R1, Setting.R2):
-                    assert inst.right_outcome(left, right) is strategy.right_outcome(right)
-                assert inst.left_outcome(left) is strategy.left_outcome(left)
+                assert (inst.right_outcome(left, Setting.R1), inst.right_outcome(left, Setting.R2)) == (o_r1, o_r2)
 
     def test_embedding_is_injective(self) -> None:
         images = {s.as_instance() for s in enumerate_strategies()}
         assert len(images) == 16
-
-    def test_side_checks_on_accessors(self) -> None:
-        strategy = enumerate_strategies()[3]
-        with pytest.raises(ValidationError):
-            strategy.left_outcome(Setting.R1)
-        with pytest.raises(ValidationError):
-            strategy.right_outcome(Setting.L2)
 
 
 class TestStrategySatisfies:
@@ -155,7 +146,7 @@ class TestFeasibility:
         assert [(s.constraint, s.assignment, s.kind) for s in result.trace] == [
             ("B", "contradiction: o_L(L1) already forced to +", "contradiction")
         ]
-        mixture = Ensemble(tuple(LocalStrategy((o,) * 4).as_instance() for o in (PLUS, MINUS)))
+        mixture = tuple(LocalStrategy((o,) * 4).as_instance() for o in (PLUS, MINUS))
         assert ensemble_admissible(mixture, cs).admissible
 
     def test_json_payload_shape(self) -> None:
