@@ -50,6 +50,7 @@ SETTING_PAIRS: tuple[SettingPair, ...] = (
     (Setting.L2, Setting.R2),
 )
 OUTCOME_PAIRS: tuple[OutcomePair, ...] = tuple((ol, orr) for ol in OUTCOMES for orr in OUTCOMES)
+_TABLE_KEYS = frozenset((sp, op) for sp in SETTING_PAIRS for op in OUTCOME_PAIRS)
 
 _BASIS_ORDER = (Setting.L1, Setting.L2, Setting.R1, Setting.R2)
 
@@ -140,8 +141,7 @@ class JointProbabilityTable:
     entries: dict[tuple[SettingPair, OutcomePair], float]
 
     def __post_init__(self) -> None:
-        expected = {(sp, op) for sp in SETTING_PAIRS for op in OUTCOME_PAIRS}
-        if set(self.entries) != expected:
+        if set(self.entries) != _TABLE_KEYS:
             raise ValidationError("table must contain exactly the 16 setting/outcome pair entries")
         clean: dict[tuple[SettingPair, OutcomePair], float] = {}
         for key, value in self.entries.items():

@@ -53,9 +53,11 @@ def reference_curve(thetas: object) -> np.ndarray:
     states or bases; it serves as the independent grid reference.
     """
     th = np.asarray(thetas, dtype=float)
-    a = np.cos(th)
-    b = np.sin(th)
-    return (a * b * (b - a) / (1.0 - a * b)) ** 2
+    a = np.cos(th.reshape(-1))  # 1-D, so the out= steps also work for scalar input
+    b = np.sin(th.reshape(-1))
+    ab = a * b  # then ab * (b - a) / (1 - ab) in the formula's operation order, written into b
+    np.divide(np.multiply(ab, np.subtract(b, a, out=b), out=b), np.subtract(1.0, ab, out=ab), out=b)
+    return b.reshape(th.shape)[()] ** 2  # a 0-d input squares a numpy scalar, as the formula did
 
 
 def _check_bracket(lo: float, hi: float) -> tuple[float, float]:

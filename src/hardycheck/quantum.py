@@ -82,7 +82,7 @@ def _as_vector(value: object, size: int | None, what: str) -> np.ndarray:
         raise ValidationError(f"{what} must have exactly {size} components, got shape {arr.shape}")
     if arr.ndim != 1:
         raise ValidationError(f"{what} must be one-dimensional, got shape {arr.shape}")
-    if not (np.all(np.isfinite(arr.real)) and np.all(np.isfinite(arr.imag))):
+    if not np.isfinite(arr).all():  # a complex component is finite only if both parts are
         raise ValidationError(f"{what} components must be finite")
     out = arr.copy()
     out.setflags(write=False)
@@ -175,7 +175,9 @@ def inner_product(x: object, y: object) -> complex:
 
 
 def validate_basis(basis: MeasurementBasis, tol: float = IDENTITY_TOL) -> BasisReport:
-    """Check that a basis is orthonormal within ``tol`` and report the deviations."""
+    """Check that a basis is orthonormal within ``tol`` (``0 < tol < inf``) and report the deviations."""
+    if not 0.0 < tol < float("inf"):
+        raise ValidationError(f"tol must be positive and finite, got {tol!r}")
     plus_err = abs(basis.plus.norm_squared() - 1.0)
     minus_err = abs(basis.minus.norm_squared() - 1.0)
     overlap = abs(complex(np.vdot(basis.plus.components, basis.minus.components)))
@@ -212,6 +214,7 @@ def born_joint_probability(
         check = validate_basis(basis, INPUT_TOL)
         if not check.passed:
             raise ValidationError(f"basis {basis.label} is not orthonormal: " + "; ".join(check.failures))
-    # Basis components are validated read-only 2-vectors; the public helpers would copy and re-check them.
-    projector = np.kron(left_basis.vector_for(left_outcome).components, right_basis.vector_for(right_outcome).components)
+    # Basis components are validated read-only 2-vectors; their flattened outer product has np.kron's bits.
+    left = left_basis.vector_for(left_outcome).components
+    projector = np.multiply.outer(left, right_basis.vector_for(right_outcome).components).ravel()
     return float(abs(complex(np.vdot(projector, psi))) ** 2)

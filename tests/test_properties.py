@@ -1,4 +1,4 @@
-"""Property tests over the whole input domain: angles, tolerances and CLI argument lists.
+"""Property tests over the whole input domain: angles, tolerances, general states and bases, and CLI argument lists.
 
 Each property states what every input must give: a correct result, or one
 of the package's own errors. An uncaught exception fails the property.
@@ -12,17 +12,25 @@ import math
 import tempfile
 from pathlib import Path
 
-from hypothesis import example, given, settings
+import numpy as np
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from hardycheck import (
+    OUTCOME_PAIRS,
     ZERO_TOL,
     ConvergenceError,
+    MeasurementBasis,
+    Setting,
+    StateVector,
     ValidationError,
+    born_joint_probability,
     build_hardy_configuration,
+    inner_product,
     joint_probability_table,
     maximize_paradox,
     no_signalling_check,
+    tensor_product,
     verify_hardy_predictions,
 )
 from hardycheck.cli import main
@@ -65,6 +73,39 @@ def test_every_tolerance_finds_the_optimum_or_raises(tol: float) -> None:
     except ConvergenceError:
         return
     assert abs(report.p4_max - P4_MAX_EXACT) <= 1e-8
+
+
+parts = st.floats(min_value=-1.0, max_value=1.0, allow_subnormal=True)
+phases = st.floats(min_value=-math.pi, max_value=math.pi)
+
+
+@st.composite
+def unit_states(draw: st.DrawFn) -> object:
+    raw = np.array([complex(draw(parts), draw(parts)) for _ in range(4)])
+    norm = np.linalg.norm(raw)
+    assume(norm > 1e-3)
+    state = raw / norm
+    return StateVector(state) if draw(st.booleans()) else state
+
+
+@st.composite
+def phased_bases(draw: st.DrawFn, label: Setting) -> MeasurementBasis:
+    """Every orthonormal qubit basis: a rotation by ``t``, a relative phase and a global phase on each vector."""
+    t = draw(st.floats(min_value=0.0, max_value=math.pi / 2))
+    relative, plus_phase, minus_phase = (np.exp(1j * draw(phases)) for _ in range(3))
+    plus = plus_phase * np.array([math.cos(t), relative * math.sin(t)])
+    minus = minus_phase * np.array([-math.sin(t) / relative, math.cos(t)])
+    return MeasurementBasis(plus=plus, minus=minus, label=label)
+
+
+@settings(max_examples=200, deadline=None)
+@given(state=unit_states(), left=phased_bases(Setting.L1), right=phased_bases(Setting.R2))
+def test_born_rule_has_the_bits_of_the_checked_public_helpers(
+    state: object, left: MeasurementBasis, right: MeasurementBasis
+) -> None:
+    for ol, orr in OUTCOME_PAIRS:
+        reference = abs(inner_product(tensor_product(left.vector_for(ol), right.vector_for(orr)), state)) ** 2
+        assert born_joint_probability(state, left, ol, right, orr).hex() == reference.hex()
 
 
 numbers = st.one_of(

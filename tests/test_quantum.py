@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 
 import numpy as np
 import pytest
@@ -34,6 +35,11 @@ KET1 = np.array([0.0, 1.0])
 def computational_basis(label: Setting, plus_is_zero: bool = True) -> MeasurementBasis:
     plus, minus = (KET0, KET1) if plus_is_zero else (KET1, KET0)
     return MeasurementBasis(plus=plus, minus=minus, label=label)
+
+
+def born_on_computational_bases(state: object) -> float:
+    left, right = computational_basis(Setting.L1), computational_basis(Setting.R1)
+    return born_joint_probability(state, left, Outcome.PLUS, right, Outcome.PLUS)
 
 
 def random_state(rng: np.random.Generator) -> StateVector:
@@ -209,6 +215,12 @@ class TestValidateBasis:
         assert not report.passed
         assert report.plus_norm_error == pytest.approx(3.0)
 
+    @pytest.mark.parametrize("tol", [math.nan, math.inf, 0.0, -1.0])
+    def test_tolerance_outside_open_positive_range_rejected(self, tol: float) -> None:
+        repeated = MeasurementBasis(plus=KET0, minus=KET0, label=Setting.L2)
+        with pytest.raises(ValidationError, match="tol must be positive and finite"):
+            validate_basis(repeated, tol=tol)
+
     def test_tolerance_controls_verdict(self) -> None:
         skewed = MeasurementBasis(plus=np.array([1.0, 1e-8]), minus=np.array([0.0, 1.0]), label=Setting.R2)
         assert not validate_basis(skewed, tol=1e-12).passed
@@ -227,6 +239,20 @@ class TestTypeInvariants:
     def test_qubit_vector_rejects_infinity(self) -> None:
         with pytest.raises(ValidationError):
             Qubit2Vector(np.array([np.inf, 0.0]))
+
+    @pytest.mark.parametrize("part", ["real", "imag"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize(
+        ("what", "size", "make"),
+        [("Qubit2Vector", 2, Qubit2Vector), ("StateVector", 4, StateVector), ("state", 4, born_on_computational_bases)],
+    )
+    def test_one_non_finite_part_of_one_component_rejected(
+        self, what: str, size: int, make: Callable[[object], object], value: float, part: str
+    ) -> None:
+        components = [complex(0.5, 0.5)] * size
+        components[1] = complex(value, 0.5) if part == "real" else complex(0.5, value)
+        with pytest.raises(ValidationError, match=f"^{what} components must be finite$"):
+            make(components)
 
     def test_qubit_vector_rejects_three_components(self) -> None:
         with pytest.raises(ValidationError, match="exactly 2 components"):
