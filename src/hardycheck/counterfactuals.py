@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Callable, ClassVar, Iterable
 
 from .quantum import LEFT_SETTINGS, OUTCOMES, RIGHT_SETTINGS, Outcome, Setting, ValidationError
@@ -38,6 +38,8 @@ _RIGHT_SLOT = {
     (Setting.L2, Setting.R1): 4,
     (Setting.L2, Setting.R2): 5,
 }
+#: The (R1, R2) right slots SR reads at each left context.
+_SR_SLOTS = {left: (_RIGHT_SLOT[left, Setting.R1], _RIGHT_SLOT[left, Setting.R2]) for left in LEFT_SETTINGS}
 
 
 def _require_side(setting: object, side: tuple[Setting, Setting]) -> Setting:
@@ -60,7 +62,7 @@ class OutcomeAssignment:
             raise ValidationError(f"{self._noun} needs exactly {self._size} Outcome entries")
         object.__setattr__(self, "outcomes", values)
 
-    @property
+    @cached_property
     def index(self) -> int:
         """Rank in the canonical enumeration ("+" < "-", leftmost slot most significant)."""
         rank = 0
@@ -110,12 +112,16 @@ class Constraint:
 
     def __post_init__(self) -> None:
         settings, outcomes = self.settings, self.outcomes
+        if not (isinstance(self.label, str) and self.label):
+            raise ValidationError(f"constraint label must be a non-empty string, got {self.label!r}")
         if not (isinstance(settings, tuple) and isinstance(outcomes, tuple) and len(settings) == len(outcomes) == 2):
             raise ValidationError(f"constraint {self.label!r} needs a (left, right) tuple of settings and of outcomes")
         if not all(isinstance(o, Outcome) for o in outcomes):
             raise ValidationError(f"constraint {self.label!r} outcomes must be Outcome members, got {outcomes!r}")
         _require_side(settings[0], LEFT_SETTINGS)
         _require_side(settings[1], RIGHT_SETTINGS)
+        # The instance slots the event reads, resolved once; not a field, so eq, hash and JSON ignore it.
+        object.__setattr__(self, "_slots", (_LEFT_SLOT[settings[0]], _RIGHT_SLOT[settings]))
 
     @property
     def event_key(self) -> tuple[tuple[Setting, Setting], tuple[Outcome, Outcome]]:
@@ -176,12 +182,8 @@ def hardy_constraint_set() -> ConstraintSet:
 
 def realizes(instance: CounterfactualInstance, constraint: Constraint) -> bool:
     """True when the instance produces exactly the constraint's outcome pair under its settings."""
-    # Constraint.__post_init__ has already checked both settings and outcomes.
-    pair, outcomes = constraint.settings, instance.outcomes
-    return (
-        outcomes[_LEFT_SLOT[pair[0]]] is constraint.outcomes[0]
-        and outcomes[_RIGHT_SLOT[pair]] is constraint.outcomes[1]
-    )
+    (left, right), outcomes = constraint._slots, instance.outcomes
+    return outcomes[left] is constraint.outcomes[0] and outcomes[right] is constraint.outcomes[1]
 
 
 def satisfies_zeros(instance: CounterfactualInstance, constraint_set: ConstraintSet) -> bool:
@@ -227,7 +229,7 @@ def propagate_zeros(
 
 
 def _instance_slots(event: Constraint) -> tuple[str, str]:
-    return INSTANCE_FIELDS[_LEFT_SLOT[event.settings[0]]], INSTANCE_FIELDS[_RIGHT_SLOT[event.settings]]
+    return INSTANCE_FIELDS[event._slots[0]], INSTANCE_FIELDS[event._slots[1]]
 
 
 @dataclass(frozen=True)
@@ -251,9 +253,9 @@ def evaluate_sr(instance: CounterfactualInstance, context: Setting) -> SRVerdict
     instance is legitimate because the left outcome at this context is one
     slot, untouched by the right-side switch.
     """
-    _require_side(context, LEFT_SETTINGS)
-    premise = instance.outcomes[_RIGHT_SLOT[(context, Setting.R2)]] is Outcome.PLUS
-    conclusion = instance.outcomes[_RIGHT_SLOT[(context, Setting.R1)]] is Outcome.MINUS
+    r1, r2 = _SR_SLOTS[_require_side(context, LEFT_SETTINGS)]
+    premise = instance.outcomes[r2] is Outcome.PLUS
+    conclusion = instance.outcomes[r1] is Outcome.MINUS
     return SRVerdict(instance.index, context, premise, (not premise) or conclusion)
 
 
@@ -278,6 +280,10 @@ class Property1Report:
         }
 
 
+def _admissible(constraint_set: ConstraintSet) -> tuple[CounterfactualInstance, ...]:
+    return tuple(inst for inst in enumerate_instances() if satisfies_zeros(inst, constraint_set))
+
+
 def check_property1(constraint_set: ConstraintSet) -> Property1Report:
     """Does "the left choice is L2" force SR across all zero-satisfying instances?
 
@@ -285,7 +291,7 @@ def check_property1(constraint_set: ConstraintSet) -> Property1Report:
     o_R(L2,R2) = + excludes o_L(L2) = - (Eq1), and o_L(L2) = + in turn
     excludes o_R(L2,R1) = + (Eq2), so the conclusion o_R(L2,R1) = - follows.
     """
-    admissible = tuple(inst for inst in enumerate_instances() if satisfies_zeros(inst, constraint_set))
+    admissible = _admissible(constraint_set)
     verdicts = tuple(evaluate_sr(inst, Setting.L2) for inst in admissible)
     counterexamples = tuple(inst for inst, v in zip(admissible, verdicts) if not v.sr_value)
     return Property1Report(not counterexamples, admissible, verdicts, counterexamples, constraint_set)
@@ -332,12 +338,14 @@ def check_property2(constraint_set: ConstraintSet) -> Property2Report:
     o_R(L1,R1) = + denies the conclusion. Returns a failure report (no
     exception) when no candidate survives.
     """
+    return _property2(constraint_set, _admissible(constraint_set))
+
+
+def _property2(constraint_set: ConstraintSet, admissible: tuple[CounterfactualInstance, ...]) -> Property2Report:
     witnesses = [
         inst
-        for inst in enumerate_instances()
-        if satisfies_zeros(inst, constraint_set)
-        and all(realizes(inst, p) for p in constraint_set.positivity)
-        and not evaluate_sr(inst, Setting.L1).sr_value
+        for inst in admissible
+        if all(realizes(inst, p) for p in constraint_set.positivity) and not evaluate_sr(inst, Setting.L1).sr_value
     ]
     if not witnesses:
         return Property2Report(False, None, None, 0, None, constraint_set)
@@ -389,7 +397,7 @@ def locality_violation_report(constraint_set: ConstraintSet) -> LocalityReport:
     context L1.
     """
     p1 = check_property1(constraint_set)
-    p2 = check_property2(constraint_set)
+    p2 = _property2(constraint_set, p1.admissible)
     forced_at_l2 = p1.holds and bool(p1.admissible)
     falsified_at_l1 = p2.witness_found
     return LocalityReport(

@@ -47,6 +47,8 @@ class Outcome(enum.Enum):
     PLUS = "+"
     MINUS = "-"
 
+    __hash__ = object.__hash__  # members compare by identity; Enum.__hash__ hashes the name in Python
+
     def __str__(self) -> str:
         return self.value
 
@@ -66,6 +68,8 @@ class Setting(enum.Enum):
     L2 = "L2"
     R1 = "R1"
     R2 = "R2"
+
+    __hash__ = object.__hash__  # members compare by identity; Enum.__hash__ hashes the name in Python
 
     def __str__(self) -> str:
         return self.value

@@ -9,8 +9,8 @@ from __future__ import annotations
 import math
 from dataclasses import fields, is_dataclass
 from enum import Enum
-from functools import cache
 from json.encoder import encode_basestring_ascii
+from typing import Callable, Collection
 
 from .counterfactuals import LocalityReport, Property1Report, Property2Report, hardy_constraint_set
 from .hardy import JointProbabilityTable, NoSignallingReport, PredictionReport
@@ -30,45 +30,61 @@ def format_float(value: float) -> str:
     return format(value, ".17g")
 
 
-@cache
-def _field_names(cls: type) -> tuple[str, ...]:
-    # One entry per dataclass type rendered; fields() is too slow to call per object.
-    return tuple(f.name for f in fields(cls))
+Emitter = Callable[[object, int, list[str]], None]
+
+
+def _emit_list(value: list | tuple, indent: int, out: list[str]) -> None:
+    pad = "\n" + "  " * indent
+    sep = "[" + pad + "  "
+    for item in value:
+        out.append(sep)
+        (_EMITTERS.get(type(item)) or _emitter(type(item)))(item, indent + 1, out)
+        sep = "," + pad + "  "
+    out.append(pad + "]" if value else "[]")
+
+
+def _emit_members(members: Collection[tuple[object, object]], indent: int, out: list[str]) -> None:
+    pad = "\n" + "  " * indent
+    sep = "{" + pad + "  "
+    for key, item in members:
+        out.append(f"{sep}{encode_basestring_ascii(str(key))}: ")
+        (_EMITTERS.get(type(item)) or _emitter(type(item)))(item, indent + 1, out)
+        sep = "," + pad + "  "
+    out.append(pad + "}" if members else "{}")
+
+
+def _emitter(cls: type) -> Emitter:
+    """Pick a type's emitter by the first base below that it has, and keep it in ``_EMITTERS``."""
+    if issubclass(cls, bool):
+        emit = lambda value, indent, out: out.append("true" if value else "false")
+    elif cls is type(None):
+        emit = lambda value, indent, out: out.append("null")
+    elif issubclass(cls, int):
+        emit = lambda value, indent, out: out.append(str(value))
+    elif issubclass(cls, float):
+        emit = lambda value, indent, out: out.append(format_float(value))
+    elif issubclass(cls, (str, Enum)):
+        emit = lambda value, indent, out: out.append(encode_basestring_ascii(str(value)))
+    elif issubclass(cls, dict):
+        emit = lambda value, indent, out: _emit_members(value.items(), indent, out)
+    elif issubclass(cls, (list, tuple)):
+        emit = _emit_list
+    elif hasattr(cls, "to_json_dict"):
+        emit = lambda value, indent, out: _emit(value.to_json_dict(), indent, out)
+    elif is_dataclass(cls):
+        names = tuple(f.name for f in fields(cls))  # fields() is too slow to call per object
+        emit = lambda value, indent, out: _emit_members([(n, getattr(value, n)) for n in names], indent, out)
+    else:
+        raise TypeError(f"cannot serialize {cls.__name__} to JSON")
+    _EMITTERS[cls] = emit
+    return emit
+
+
+_EMITTERS: dict[type, Emitter] = {}  # one entry per type, filled on first sight
 
 
 def _emit(value: object, indent: int, out: list[str]) -> None:
-    if value is True or value is False:
-        out.append("true" if value else "false")
-    elif value is None:
-        out.append("null")
-    elif isinstance(value, int):
-        out.append(str(value))
-    elif isinstance(value, float):
-        out.append(format_float(value))
-    elif isinstance(value, (str, Enum)):
-        out.append(encode_basestring_ascii(str(value)))
-    elif isinstance(value, dict):
-        pad = "\n" + "  " * indent
-        sep = "{" + pad + "  "
-        for key, item in value.items():
-            out.append(f"{sep}{encode_basestring_ascii(str(key))}: ")
-            _emit(item, indent + 1, out)
-            sep = "," + pad + "  "
-        out.append(pad + "}" if value else "{}")
-    elif isinstance(value, (list, tuple)):
-        pad = "\n" + "  " * indent
-        sep = "[" + pad + "  "
-        for item in value:
-            out.append(sep)
-            _emit(item, indent + 1, out)
-            sep = "," + pad + "  "
-        out.append(pad + "]" if value else "[]")
-    elif hasattr(value, "to_json_dict"):
-        _emit(value.to_json_dict(), indent, out)
-    elif is_dataclass(value):
-        _emit({name: getattr(value, name) for name in _field_names(type(value))}, indent, out)
-    else:
-        raise TypeError(f"cannot serialize {type(value).__name__} to JSON")
+    (_EMITTERS.get(type(value)) or _emitter(type(value)))(value, indent, out)
 
 
 def to_json_text(payload: object) -> str:

@@ -208,7 +208,7 @@ class TestDeterminismAndOutput:
         assert rendered in out
 
 
-@pytest.mark.parametrize("golden", sorted(p.name for p in GOLDEN.iterdir()))
+@pytest.mark.parametrize("golden", sorted(p.name for p in GOLDEN.iterdir() if p.is_file()))
 def test_stdout_matches_golden_bytes(capsys, golden: str) -> None:
     stem, fmt = golden.rsplit(".", 1)
     command, _, theta = stem.partition("-theta")
@@ -216,6 +216,16 @@ def test_stdout_matches_golden_bytes(capsys, golden: str) -> None:
     code, out, err = run(capsys, *argv)
     assert (code, err) == (0, "")
     assert out.encode("utf-8") == (GOLDEN / golden).read_bytes()
+
+
+@pytest.mark.parametrize("golden", sorted(p.name for p in (GOLDEN / "drop_one").iterdir()))
+def test_drop_one_reports_match_golden_bytes(golden: str) -> None:
+    # The full Hardy set never reaches the counterexample or feasible branches; its drop-one variants do.
+    stem, fmt = golden.rsplit(".", 1)
+    command, _, label = stem.partition("-without-")
+    check = {"counterfactual": locality_violation_report, "lhv": hardy_lhv_feasibility}[command]
+    report = check(hardy_constraint_set().without(label))
+    assert render_report(report, fmt) == (GOLDEN / "drop_one" / golden).read_bytes()
 
 
 _SKEWED_BASIS = MeasurementBasis(plus=[1.0, 0.0], minus=[0.6, 0.8], label=Setting.R1)

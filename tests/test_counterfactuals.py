@@ -291,6 +291,18 @@ class TestConstraintSet:
             with pytest.raises(ValidationError):
                 Constraint("bad", settings, outcomes)  # type: ignore[arg-type]
 
+    @pytest.mark.parametrize("label", [["x"], None, 3, "", b"Eq1"], ids=repr)
+    def test_constraint_label_must_be_nonempty_string(self, label: object) -> None:
+        with pytest.raises(ValidationError, match="label must be a non-empty string"):
+            ConstraintSet(zeros=(Constraint(label, (Setting.L1, Setting.R1), (MINUS, PLUS)),))  # type: ignore[arg-type]
+
+    def test_resolved_slots_stay_out_of_eq_hash_and_repr(self) -> None:
+        a = Constraint("Eq3", (Setting.L1, Setting.R2), (MINUS, MINUS))
+        b = Constraint("Eq3", (Setting.L1, Setting.R2), (MINUS, MINUS))
+        assert a == b and hash(a) == hash(b)
+        assert repr(a) == f"Constraint(label='Eq3', settings={a.settings!r}, outcomes={a.outcomes!r})"
+        assert a != Constraint("Eq3", (Setting.L2, Setting.R2), (MINUS, MINUS))
+
     def test_constraint_set_rejects_non_constraint_entries(self) -> None:
         eq4 = hardy_constraint_set().constraint("Eq4")
         with pytest.raises(ValidationError, match="Constraint"):

@@ -8,8 +8,10 @@ from __future__ import annotations
 
 import contextlib
 import io
+import json
 import math
 import tempfile
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -17,8 +19,13 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from hardycheck import (
+    LEFT_SETTINGS,
     OUTCOME_PAIRS,
+    OUTCOMES,
+    RIGHT_SETTINGS,
     ZERO_TOL,
+    Constraint,
+    ConstraintSet,
     ConvergenceError,
     MeasurementBasis,
     Setting,
@@ -26,10 +33,16 @@ from hardycheck import (
     ValidationError,
     born_joint_probability,
     build_hardy_configuration,
+    check_property1,
+    check_property2,
+    hardy_constraint_set,
+    hardy_lhv_feasibility,
     inner_product,
     joint_probability_table,
+    locality_violation_report,
     maximize_paradox,
     no_signalling_check,
+    render_report,
     tensor_product,
     verify_hardy_predictions,
 )
@@ -148,3 +161,61 @@ def test_cli_exits_0_1_or_2_without_a_traceback(argv: list[str]) -> None:
                 code = exc.code
     assert code in (0, 1, 2)
     assert "Traceback" not in stderr.getvalue()
+
+
+JOINT_EVENTS = [((sl, sr), (ol, orr)) for sl in LEFT_SETTINGS for sr in RIGHT_SETTINGS for ol in OUTCOMES for orr in OUTCOMES]
+
+
+@st.composite
+def constraint_sets(draw: st.DrawFn) -> ConstraintSet:
+    """0-3 zeros and 0-2 positivity events, distinct, from the 16 joint events."""
+    n_zeros, n_positive = draw(st.integers(0, 3)), draw(st.integers(0, 2))
+    events = draw(st.permutations(JOINT_EVENTS))[: n_zeros + n_positive]
+    constraints = [Constraint(f"Eq{i + 1}", *event) for i, event in enumerate(events)]
+    return ConstraintSet(zeros=tuple(constraints[:n_zeros]), positivity=tuple(constraints[n_zeros:]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(cs=constraint_sets())
+@example(cs=hardy_constraint_set())
+@example(cs=ConstraintSet())
+def test_logic_json_is_what_stdlib_json_prints(cs: ConstraintSet) -> None:
+    # Exact for these float-free payloads: stdlib json is an independent emitter of the same layout.
+    for report in (locality_violation_report(cs), check_property1(cs), check_property2(cs), hardy_lhv_feasibility(cs)):
+        rendered = render_report(report, "json")
+        assert rendered == (json.dumps(json.loads(rendered), indent=2) + "\n").encode()
+
+
+def _float_fields_read_back(report: object) -> None:
+    """Every float field of the report parses back from its JSON to the same bits."""
+    payload = json.loads(render_report(report, "json"), parse_int=float)  # ".17g" prints 0.0 as "0"
+    names = [f.name for f in fields(report) if "float" in str(f.type)]
+    assert names
+    for name in names:
+        got, want = payload[name], getattr(report, name)
+        pairs = zip(got, want, strict=True) if isinstance(want, tuple) else [(got, want)]
+        assert all(g.hex() == float(w).hex() for g, w in pairs), name
+
+
+@settings(max_examples=100, deadline=None)
+@given(theta=angles)
+@example(theta=1e-200)
+@example(theta=HALF_PI_BELOW)
+def test_table_and_verify_json_floats_read_back_bit_for_bit(theta: float) -> None:
+    try:
+        table = joint_probability_table(build_hardy_configuration(theta))
+    except ValidationError:
+        return
+    records = json.loads(render_report(table, "json"), parse_int=float)
+    assert [r["probability"].hex() for r in records] == [float(r["probability"]).hex() for r in table.records()]
+    _float_fields_read_back(verify_hardy_predictions(table))
+
+
+@settings(max_examples=20, deadline=None)
+@given(lo=st.floats(0.01, 0.7), width=st.floats(0.05, 0.8), tol=st.sampled_from([1e-6, 1e-8, 1e-10]))
+def test_optimize_json_floats_read_back_bit_for_bit(lo: float, width: float, tol: float) -> None:
+    try:
+        report = maximize_paradox(lo, lo + width, tol)
+    except (ConvergenceError, ValidationError):
+        return
+    _float_fields_read_back(report)
