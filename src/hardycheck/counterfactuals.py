@@ -140,8 +140,10 @@ class ConstraintSet:
     positivity: tuple[Constraint, ...] = ()
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "zeros", tuple(self.zeros))
-        object.__setattr__(self, "positivity", tuple(self.positivity))
+        for name in ("zeros", "positivity"):
+            if not isinstance(value := getattr(self, name), Iterable):
+                raise ValidationError(f"constraint set {name} must be an iterable of Constraint objects, got {value!r}")
+            object.__setattr__(self, name, tuple(value))
         if not all(isinstance(c, Constraint) for c in self.zeros + self.positivity):
             raise ValidationError("constraint set entries must be Constraint objects")
         zero_events = {c.event_key for c in self.zeros}
@@ -178,6 +180,12 @@ def hardy_constraint_set() -> ConstraintSet:
         ),
         positivity=(Constraint("Eq4", (Setting.L1, Setting.R1), (Outcome.MINUS, Outcome.PLUS)),),
     )
+
+
+def _require_constraint_set(constraint_set: object) -> ConstraintSet:
+    if not isinstance(constraint_set, ConstraintSet):
+        raise ValidationError(f"constraint_set must be a ConstraintSet, got {constraint_set!r}")
+    return constraint_set
 
 
 def realizes(instance: CounterfactualInstance, constraint: Constraint) -> bool:
@@ -281,6 +289,7 @@ class Property1Report:
 
 
 def _admissible(constraint_set: ConstraintSet) -> tuple[CounterfactualInstance, ...]:
+    _require_constraint_set(constraint_set)
     return tuple(inst for inst in enumerate_instances() if satisfies_zeros(inst, constraint_set))
 
 
@@ -422,6 +431,7 @@ def ensemble_admissible(support: Iterable[CounterfactualInstance], constraint_se
     left event (L1, -), which the SR falsification needs, must occur in some
     instance. Only the support matters, so the ensemble carries no weights.
     """
+    _require_constraint_set(constraint_set)
     support = tuple(support)
     failures: list[str] = []
     for inst in support:

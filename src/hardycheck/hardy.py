@@ -26,11 +26,8 @@ from .quantum import (
     Setting,
     StateVector,
     ValidationError,
-    _LazyNumpy,
     born_joint_probability,
 )
-
-np = _LazyNumpy(globals())
 
 #: Default tolerance for the three zero constraints; looser than IDENTITY_TOL
 #: to absorb the constructor's floating-point solve.
@@ -116,8 +113,8 @@ def build_hardy_configuration(theta: float) -> HardyConfiguration:
     n1 = math.hypot(1.0, g)
     n3 = math.hypot(1.0, g3)
 
-    def vec(x: float, y: float, norm: float) -> np.ndarray:
-        return np.array([x / norm, y / norm], dtype=complex)
+    def vec(x: float, y: float, norm: float) -> tuple[float, float]:
+        return (x / norm, y / norm)  # float division, before the constructor's one complex coercion
 
     bases = (
         MeasurementBasis(plus=vec(g3, 1.0, n3), minus=vec(1.0, -g3, n3), label=Setting.L1),
@@ -125,7 +122,7 @@ def build_hardy_configuration(theta: float) -> HardyConfiguration:
         MeasurementBasis(plus=vec(1.0, g3, n3), minus=vec(g3, -1.0, n3), label=Setting.R1),
         MeasurementBasis(plus=vec(1.0, -g, n1), minus=vec(g, 1.0, n1), label=Setting.R2),
     )
-    state = StateVector(np.array([a, 0.0, 0.0, b], dtype=complex))
+    state = StateVector((a, 0.0, 0.0, b))
     return HardyConfiguration(state=state, bases=bases, theta=theta)
 
 

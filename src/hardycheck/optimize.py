@@ -27,6 +27,7 @@ DEFAULT_TOL = 1e-10
 REFERENCE_GRID_STEP = 1e-5
 ORACLE_GAP_TOL = 1e-8
 _PRESCAN_POINTS = 65
+_GRID_BLOCK = 8192  # reference-grid points per reference_curve call; its temporaries stay cache-sized
 
 
 class ConvergenceError(RuntimeError):
@@ -73,10 +74,15 @@ def _check_bracket(lo: float, hi: float) -> tuple[float, float]:
 def reference_grid_maximum(lo: float = DEFAULT_BRACKET[0], hi: float = DEFAULT_BRACKET[1]) -> tuple[float, float]:
     """(angle, value) of the reference-curve maximum on a ``REFERENCE_GRID_STEP`` grid over [lo, hi]."""
     lo, hi = _check_bracket(lo, hi)
-    grid = np.append(np.arange(lo, hi, REFERENCE_GRID_STEP), hi)
-    values = reference_curve(grid)
-    best = int(np.argmax(values))
-    return float(grid[best]), float(values[best])
+    grid = np.arange(lo, hi, REFERENCE_GRID_STEP)
+    blocks = [grid[start : start + _GRID_BLOCK] for start in range(0, grid.size, _GRID_BLOCK)]
+    best = (lo, -math.inf)
+    for block in (*blocks, np.array([hi])):
+        values = reference_curve(block)
+        k = int(np.argmax(values))
+        if values[k] > best[1]:  # strict, so the first maximum wins as in one argmax over the whole grid
+            best = (float(block[k]), float(values[k]))
+    return best
 
 
 @dataclass(frozen=True)

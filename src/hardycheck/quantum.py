@@ -13,6 +13,7 @@ Tolerances: algebraic identities (norms, orthogonality, row sums) are held to
 
 from __future__ import annotations
 
+import cmath
 import enum
 from dataclasses import dataclass
 
@@ -81,16 +82,18 @@ RIGHT_SETTINGS = (Setting.R1, Setting.R2)
 
 def _as_vector(value: object, size: int | None, what: str) -> np.ndarray:
     """Coerce a wrapper type or array-like to a read-only finite complex vector."""
-    arr = np.asarray(getattr(value, "components", value), dtype=complex)
+    src = getattr(value, "components", value)
+    arr = np.asarray(src, dtype=complex)
     if size is not None and arr.shape != (size,):
         raise ValidationError(f"{what} must have exactly {size} components, got shape {arr.shape}")
     if arr.ndim != 1:
         raise ValidationError(f"{what} must be one-dimensional, got shape {arr.shape}")
-    if not np.isfinite(arr).all():  # a complex component is finite only if both parts are
+    if not all(map(cmath.isfinite, arr.tolist())):  # a complex component is finite only if both parts are
         raise ValidationError(f"{what} components must be finite")
-    out = arr.copy()
-    out.setflags(write=False)
-    return out
+    if type(src) not in (list, tuple):  # numpy builds a fresh array from a plain list or tuple; anything else may alias
+        arr = arr.copy()
+    arr.setflags(write=False)
+    return arr
 
 
 @dataclass(frozen=True, eq=False)

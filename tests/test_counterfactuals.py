@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 import json
+from collections.abc import Callable
 
 import pytest
 
@@ -20,6 +21,7 @@ from hardycheck import (
     enumerate_instances,
     evaluate_sr,
     hardy_constraint_set,
+    hardy_lhv_feasibility,
     locality_violation_report,
     realizes,
     render_report,
@@ -309,6 +311,26 @@ class TestConstraintSet:
             ConstraintSet(zeros=(eq4.event_key,))  # type: ignore[arg-type]
         with pytest.raises(ValidationError, match="Constraint"):
             ConstraintSet(positivity=(eq4, "Eq1"))  # type: ignore[arg-type]
+
+    @pytest.mark.parametrize(("field", "value"), [("zeros", None), ("positivity", 5)])
+    def test_constraint_lists_must_be_iterable(self, field: str, value: object) -> None:
+        with pytest.raises(ValidationError, match=f"^constraint set {field} must be an iterable of Constraint"):
+            ConstraintSet(**{field: value})
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda: locality_violation_report(None),  # type: ignore[arg-type]
+            lambda: check_property1(3),  # type: ignore[arg-type]
+            lambda: check_property2(hardy_constraint_set().zeros),  # type: ignore[arg-type]
+            lambda: hardy_lhv_feasibility("x"),  # type: ignore[arg-type]
+            lambda: ensemble_admissible(enumerate_instances(), None),  # type: ignore[arg-type]
+        ],
+        ids=["locality_report", "property1", "property2", "lhv_feasibility", "ensemble_admissible"],
+    )
+    def test_reports_reject_a_non_constraint_set(self, call: Callable[[], object]) -> None:
+        with pytest.raises(ValidationError, match="^constraint_set must be a ConstraintSet, got "):
+            call()
 
     def test_hardy_constraint_set_is_one_shared_object(self) -> None:
         assert hardy_constraint_set() is hardy_constraint_set()

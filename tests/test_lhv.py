@@ -100,6 +100,10 @@ class TestFeasibility:
         assert result.trace[1].assignment == "forces o_R(R2) = +"
         assert result.assumed == ("Eq4: o_L(L1) = -, o_R(R1) = +",)
 
+    def test_none_means_the_hardy_set(self) -> None:
+        hardy = render_report(hardy_lhv_feasibility(hardy_constraint_set()), "json")
+        assert render_report(hardy_lhv_feasibility(None), "json") == hardy
+
     def test_zeros_only_is_feasible_with_expected_witness(self) -> None:
         result = hardy_lhv_feasibility(hardy_constraint_set().without("Eq4"))
         assert result.feasible

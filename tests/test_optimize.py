@@ -8,6 +8,7 @@ than imported, so that a defect in either route shows up as a disagreement.
 from __future__ import annotations
 
 import math
+import random
 
 import numpy as np
 import pytest
@@ -24,6 +25,7 @@ from hardycheck import (
     reference_grid_maximum,
     render_report,
 )
+from hardycheck.optimize import _GRID_BLOCK, REFERENCE_GRID_STEP
 
 # Exact extremal values of the curve (a*b*(b-a)/(1-a*b))**2: the maximum is
 # (5*sqrt(5)-11)/2, attained at theta = asin(3-sqrt(5))/2 and its mirror.
@@ -115,6 +117,37 @@ class TestGridOracle:
         assert type(got) is type(expected)
         assert np.shape(got) == th.shape
         assert np.asarray(got).tobytes() == np.asarray(expected).tobytes()
+
+    def test_blocked_reference_grid_matches_one_unblocked_scan(self) -> None:
+        """The block-by-block scan returns the bits of one argmax over the whole appended grid."""
+        step = REFERENCE_GRID_STEP
+        # (1e-300, 1e-200) is narrower than a step and its two values underflow to 0, so lo must win the tie.
+        brackets = [(DEFAULT_LO, DEFAULT_HI), (0.05, 0.2), (1.3, 1.5), (0.4, 0.4 + step / 3), (1e-300, 1e-200)]
+        for size in (1, _GRID_BLOCK - 1, _GRID_BLOCK, _GRID_BLOCK + 1, 2 * _GRID_BLOCK):
+            brackets.append((0.3, 0.3 + (size - 0.5) * step))
+            assert np.arange(*brackets[-1], step).size == size
+        peaks = {}  # brackets whose peak lies on the grid point at either side of a block boundary
+        for index in (_GRID_BLOCK - 1, _GRID_BLOCK, 2 * _GRID_BLOCK - 1):
+            lo = THETA_STAR_LEFT - index * step
+            brackets.append((lo, lo + 3 * _GRID_BLOCK * step))
+            peaks[brackets[-1]] = index
+        rng = random.Random(1993)
+        for _ in range(200):
+            lo = rng.uniform(1e-3, 1.5)
+            brackets.append((lo, rng.uniform(lo, min(lo + rng.choice((1e-4, 0.01, 0.3)), DEFAULT_HI))))
+        argmax = {}
+        for lo, hi in brackets:
+            grid = np.append(np.arange(lo, hi, step), hi)
+            a, b = np.cos(grid), np.sin(grid)
+            values = (a * b * (b - a) / (1.0 - a * b)) ** 2
+            best = argmax[lo, hi] = int(np.argmax(values))
+            expected = (float(grid[best]).hex(), float(values[best]).hex())
+            assert tuple(map(float.hex, reference_grid_maximum(lo, hi))) == expected, (lo, hi)
+        # The curve rises through (0.05, 0.2), so the maximum sits at the top of the grid (arange's last point
+        # lands a rounding error past 0.2, above the appended hi), and it falls through (1.3, 1.5).
+        assert argmax[0.05, 0.2] == np.arange(0.05, 0.2, step).size - 1
+        assert argmax[1.3, 1.5] == argmax[1e-300, 1e-200] == 0
+        assert {bracket: argmax[bracket] for bracket in peaks} == peaks
 
     def test_oracle_scan_of_the_pipeline_itself(self) -> None:
         """Coarser scan driving the real objective, refined near its best point."""

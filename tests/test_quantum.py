@@ -267,6 +267,37 @@ class TestTypeInvariants:
         with pytest.raises(ValueError):
             state.components[0] = 0.0
 
+    @pytest.mark.parametrize("container", [list, tuple])
+    @pytest.mark.parametrize(("make", "components"), [(StateVector, [1, 0, 0, 0]), (Qubit2Vector, [0.6, 0.8j])])
+    def test_components_from_list_or_tuple_are_read_only(
+        self, make: Callable[[object], object], components: list, container: type
+    ) -> None:
+        built = make(container(components))
+        assert not built.components.flags.writeable
+        with pytest.raises(ValueError):
+            built.components[0] = 0.0
+
+    @pytest.mark.parametrize("source", ["ndarray", "strided_view", "array_protocol"])
+    @pytest.mark.parametrize(("make", "size"), [(StateVector, 4), (Qubit2Vector, 2)])
+    def test_components_never_alias_the_callers_buffer(
+        self, make: Callable[[object], object], size: int, source: str
+    ) -> None:
+        caller = np.zeros(3 * size, dtype=complex)[::3] if source == "strided_view" else np.zeros(size, dtype=complex)
+        caller[0] = 1.0
+        argument: object = caller
+        if source == "array_protocol":
+
+            class OwnBuffer:
+                def __array__(self, dtype: object = None, copy: object = None) -> np.ndarray:
+                    return caller
+
+            argument = OwnBuffer()
+        built = make(argument)
+        expected = caller.copy()
+        caller[:] = 0.5j
+        assert built.components.tobytes() == expected.tobytes()
+        assert caller.flags.writeable
+
     def test_basis_vector_lookup(self) -> None:
         basis = computational_basis(Setting.L1)
         assert np.allclose(basis.vector_for(Outcome.PLUS).components, KET0)
