@@ -4,7 +4,7 @@ The objective is P(L1-, R1+) under settings (L1,R1) for the configuration at
 angle theta. On (0, pi/2) the curve has two equal peaks placed symmetrically
 about pi/4, where it vanishes, so the search seeds a golden-section bracket
 from a deterministic coarse scan instead of trusting unimodality of the whole
-interval. A vectorized closed-form grid reference, independent of the
+interval. The closed-form maximum over the bracket, independent of the
 state/basis pipeline, supplies the gap reported alongside the result.
 """
 
@@ -24,14 +24,15 @@ INV_PHI_SQ = (3 - math.sqrt(5)) / 2  # 1/phi^2
 
 DEFAULT_BRACKET = (0.01, math.pi / 2 - 0.01)
 DEFAULT_TOL = 1e-10
-REFERENCE_GRID_STEP = 1e-5
 ORACLE_GAP_TOL = 1e-8
 _PRESCAN_POINTS = 65
-_GRID_BLOCK = 8192  # reference-grid points per reference_curve call; its temporaries stay cache-sized
+# The curve's maximum (5*sqrt(5)-11)/2 and the two angles that attain it (Hardy, PRL 71, 1665 (1993)).
+_P4_STAR = (5 * math.sqrt(5) - 11) / 2
+_PEAKS = (0.5 * math.asin(3 - math.sqrt(5)), math.pi / 2 - 0.5 * math.asin(3 - math.sqrt(5)))
 
 
 class ConvergenceError(RuntimeError):
-    """The search result missed the grid reference value."""
+    """The search result missed the reference maximum of the closed-form curve."""
 
 
 def paradox_probability(theta: float) -> float:
@@ -51,14 +52,11 @@ def reference_curve(thetas: object) -> np.ndarray:
 
     This is the analytic value of :func:`paradox_probability` for the
     construction used by ``build_hardy_configuration``, computed without
-    states or bases; it serves as the independent grid reference.
+    states or bases; it gives the endpoint values of the reference maximum.
     """
     th = np.asarray(thetas, dtype=float)
-    a = np.cos(th.reshape(-1))  # 1-D, so the out= steps also work for scalar input
-    b = np.sin(th.reshape(-1))
-    ab = a * b  # then ab * (b - a) / (1 - ab) in the formula's operation order, written into b
-    np.divide(np.multiply(ab, np.subtract(b, a, out=b), out=b), np.subtract(1.0, ab, out=ab), out=b)
-    return b.reshape(th.shape)[()] ** 2  # a 0-d input squares a numpy scalar, as the formula did
+    a, b = np.cos(th), np.sin(th)
+    return (a * b * (b - a) / (1.0 - a * b)) ** 2
 
 
 def _check_bracket(lo: float, hi: float) -> tuple[float, float]:
@@ -72,22 +70,22 @@ def _check_bracket(lo: float, hi: float) -> tuple[float, float]:
 
 
 def reference_grid_maximum(lo: float = DEFAULT_BRACKET[0], hi: float = DEFAULT_BRACKET[1]) -> tuple[float, float]:
-    """(angle, value) of the reference-curve maximum on a ``REFERENCE_GRID_STEP`` grid over [lo, hi]."""
+    """(angle, value) of the reference-curve maximum over [lo, hi], in closed form.
+
+    The curve is monotone between each peak and pi/4, so without a peak inside
+    the maximum is at an endpoint. The name is kept for the benchmark tracer.
+    """
     lo, hi = _check_bracket(lo, hi)
-    grid = np.arange(lo, hi, REFERENCE_GRID_STEP)
-    blocks = [grid[start : start + _GRID_BLOCK] for start in range(0, grid.size, _GRID_BLOCK)]
-    best = (lo, -math.inf)
-    for block in (*blocks, np.array([hi])):
-        values = reference_curve(block)
-        k = int(np.argmax(values))
-        if values[k] > best[1]:  # strict, so the first maximum wins as in one argmax over the whole grid
-            best = (float(block[k]), float(values[k]))
-    return best
+    for peak in _PEAKS:
+        if lo <= peak <= hi:
+            return peak, _P4_STAR
+    values = reference_curve((lo, hi))
+    return (hi, float(values[1])) if values[1] > values[0] else (lo, float(values[0]))
 
 
 @dataclass(frozen=True)
 class ObjectiveReport:
-    """Search result; ``oracle_gap`` is |p4_max - grid reference maximum|."""
+    """Search result; ``oracle_gap`` is |p4_max - the curve's true maximum over ``bracket``|."""
 
     theta_star: float
     p4_max: float
@@ -108,8 +106,8 @@ def maximize_paradox(
     every pass strictly shrinks the bracket and the loop always ends. The
     reported ``iterations`` counts golden-section contractions only.
 
-    Raises ``ConvergenceError`` if the result misses the grid reference
-    maximum by more than ``ORACLE_GAP_TOL``, whatever ``tol`` is.
+    Raises ``ConvergenceError`` if the result misses the closed-form maximum
+    over [lo, hi] by more than ``ORACLE_GAP_TOL``, whatever ``tol`` is.
     """
     lo, hi = _check_bracket(lo, hi)
     if not tol > 0.0:
@@ -155,7 +153,7 @@ def maximize_paradox(
     _, reference_value = reference_grid_maximum(lo, hi)
     gap = abs(best_value - reference_value)
     if gap > ORACLE_GAP_TOL:
-        raise ConvergenceError(f"result misses the grid reference maximum by {gap:.3e}")
+        raise ConvergenceError(f"result misses the closed-form maximum by {gap:.3e}")
     return ObjectiveReport(
         theta_star=best_theta,
         p4_max=best_value,

@@ -25,7 +25,6 @@ from hardycheck import (
     reference_grid_maximum,
     render_report,
 )
-from hardycheck.optimize import _GRID_BLOCK, REFERENCE_GRID_STEP
 
 # Exact extremal values of the curve (a*b*(b-a)/(1-a*b))**2: the maximum is
 # (5*sqrt(5)-11)/2, attained at theta = asin(3-sqrt(5))/2 and its mirror.
@@ -118,36 +117,28 @@ class TestGridOracle:
         assert np.shape(got) == th.shape
         assert np.asarray(got).tobytes() == np.asarray(expected).tobytes()
 
-    def test_blocked_reference_grid_matches_one_unblocked_scan(self) -> None:
-        """The block-by-block scan returns the bits of one argmax over the whole appended grid."""
-        step = REFERENCE_GRID_STEP
-        # (1e-300, 1e-200) is narrower than a step and its two values underflow to 0, so lo must win the tie.
-        brackets = [(DEFAULT_LO, DEFAULT_HI), (0.05, 0.2), (1.3, 1.5), (0.4, 0.4 + step / 3), (1e-300, 1e-200)]
-        for size in (1, _GRID_BLOCK - 1, _GRID_BLOCK, _GRID_BLOCK + 1, 2 * _GRID_BLOCK):
-            brackets.append((0.3, 0.3 + (size - 0.5) * step))
-            assert np.arange(*brackets[-1], step).size == size
-        peaks = {}  # brackets whose peak lies on the grid point at either side of a block boundary
-        for index in (_GRID_BLOCK - 1, _GRID_BLOCK, 2 * _GRID_BLOCK - 1):
-            lo = THETA_STAR_LEFT - index * step
-            brackets.append((lo, lo + 3 * _GRID_BLOCK * step))
-            peaks[brackets[-1]] = index
+    def test_reference_maximum_stays_in_the_bracket_and_is_never_below_a_grid(self) -> None:
+        """Closed-form (angle, value) against a 1e-5 grid over [lo, hi], refined within the bracket."""
+        # A peak inside, peakless stretches on either side of pi/4, one straddling pi/4, an underflowing one,
+        # and ones narrower than the grid step; np.arange(0.05, 0.2, 1e-5) ends at 0.20000000000004592.
+        brackets = [(DEFAULT_LO, DEFAULT_HI), (0.2, 0.7), (THETA_STAR_LEFT, 0.7), (0.9, THETA_STAR_RIGHT)]
+        brackets += [(0.5, 0.75), (0.9, 1.1), (0.6, 1.0), (0.05, 0.2), (1.3, 1.5), (1e-300, 1e-200)]
+        brackets += [(0.4, 0.4 + 3e-6), (THETA_STAR_RIGHT - 1e-6, THETA_STAR_RIGHT + 1e-6)]
         rng = random.Random(1993)
         for _ in range(200):
             lo = rng.uniform(1e-3, 1.5)
             brackets.append((lo, rng.uniform(lo, min(lo + rng.choice((1e-4, 0.01, 0.3)), DEFAULT_HI))))
-        argmax = {}
         for lo, hi in brackets:
-            grid = np.append(np.arange(lo, hi, step), hi)
+            grid = np.clip(np.append(np.arange(lo, hi, 1e-5), hi), lo, hi)  # arange can step past hi
             a, b = np.cos(grid), np.sin(grid)
-            values = (a * b * (b - a) / (1.0 - a * b)) ** 2
-            best = argmax[lo, hi] = int(np.argmax(values))
-            expected = (float(grid[best]).hex(), float(values[best]).hex())
-            assert tuple(map(float.hex, reference_grid_maximum(lo, hi))) == expected, (lo, hi)
-        # The curve rises through (0.05, 0.2), so the maximum sits at the top of the grid (arange's last point
-        # lands a rounding error past 0.2, above the appended hi), and it falls through (1.3, 1.5).
-        assert argmax[0.05, 0.2] == np.arange(0.05, 0.2, step).size - 1
-        assert argmax[1.3, 1.5] == argmax[1e-300, 1e-200] == 0
-        assert {bracket: argmax[bracket] for bracket in peaks} == peaks
+            k = int(np.argmax((a * b * (b - a) / (1.0 - a * b)) ** 2))
+            fine = np.linspace(max(lo, grid[k] - 1e-5), min(hi, grid[k] + 1e-5), 20001)
+            fa, fb = np.cos(fine), np.sin(fine)
+            oracle_value = float(np.max((fa * fb * (fb - fa) / (1.0 - fa * fb)) ** 2))
+            theta, value = reference_grid_maximum(lo, hi)
+            assert lo <= theta <= hi, (lo, hi, theta)
+            assert oracle_value <= value <= oracle_value + 1e-10, (lo, hi)
+            assert abs(closed_form_p4(theta) - value) <= 1e-15, (lo, hi)
 
     def test_oracle_scan_of_the_pipeline_itself(self) -> None:
         """Coarser scan driving the real objective, refined near its best point."""

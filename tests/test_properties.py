@@ -50,6 +50,7 @@ from hardycheck.cli import main
 
 P4_MAX_EXACT = (5.0 * math.sqrt(5.0) - 11.0) / 2.0
 HALF_PI_BELOW = math.nextafter(math.pi / 2, 0.0)
+PEAKS = (0.5 * math.asin(3.0 - math.sqrt(5.0)), math.pi / 2 - 0.5 * math.asin(3.0 - math.sqrt(5.0)))
 
 angles = st.floats(min_value=0.0, max_value=math.pi / 2, exclude_min=True, exclude_max=True, allow_subnormal=True)
 
@@ -86,6 +87,21 @@ def test_every_tolerance_finds_the_optimum_or_raises(tol: float) -> None:
     except ConvergenceError:
         return
     assert abs(report.p4_max - P4_MAX_EXACT) <= 1e-8
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    peak=st.sampled_from(PEAKS),
+    below=st.floats(0.0, 0.4),
+    above=st.floats(0.0, 0.4),
+    tol=st.sampled_from([1e-6, 1e-8, 1e-10]),
+)
+def test_oracle_gap_is_the_distance_to_the_true_maximum(peak: float, below: float, above: float, tol: float) -> None:
+    lo, hi = peak - below, peak + above
+    assume(lo < hi)
+    report = maximize_paradox(lo, hi, tol)
+    assert report.oracle_gap == abs(report.p4_max - P4_MAX_EXACT)
+    assert report.p4_max <= P4_MAX_EXACT + 1e-15
 
 
 parts = st.floats(min_value=-1.0, max_value=1.0, allow_subnormal=True)
