@@ -1,10 +1,20 @@
 """Two-qubit pure states, local two-outcome measurement bases, Born probabilities.
 
-Vectors are dense complex numpy arrays; numpy is imported on first use, so
-the logic modules run without it. A two-qubit state is a 4-vector laid out
-row-major over (left, right) basis indices, i.e. components (00, 01, 10, 11)
-with the left system as the slow index. The dimension is fixed at 2 x 2; there
-is deliberately no general tensor machinery here.
+Vectors are tuples of Python ``complex``, in pure Python: no array library is
+imported, and an ndarray input is read through its ``tolist()``. A two-qubit
+state is a 4-vector laid out row-major over (left, right) basis indices, i.e.
+components (00, 01, 10, 11) with the left system as the slow index. The
+dimension is fixed at 2 x 2; there is deliberately no general tensor machinery
+here.
+
+Amplitudes ``<x|y> = sum_k conj(x_k) * y_k`` have their rounding defined here,
+not by a BLAS kernel. The real part sums the products ``re(x_k)*re(y_k)`` and
+``im(x_k)*im(y_k)``, the imaginary part ``re(x_k)*im(y_k)`` and
+``-im(x_k)*re(y_k)``, each in index order: a product with an exactly zero
+factor is skipped, the first other one is rounded once, and each later one is
+added with a correctly rounded fused multiply-add, computed in exact integer
+arithmetic. Norms and overlaps, which are only compared to a tolerance, use
+plain complex arithmetic.
 
 Tolerances: algebraic identities (norms, orthogonality, row sums) are held to
 ``IDENTITY_TOL``; caller-supplied inputs are rejected at the looser
@@ -15,27 +25,12 @@ from __future__ import annotations
 
 import cmath
 import enum
+import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 IDENTITY_TOL = 1e-12
 INPUT_TOL = 1e-9
-
-
-class _LazyNumpy:
-    """Stand-in for ``np`` in an array module: the first attribute read imports
-    numpy and rebinds that module's ``np`` to it, so later calls use numpy itself."""
-
-    def __init__(self, namespace: dict[str, object]) -> None:
-        self._namespace = namespace
-
-    def __getattr__(self, name: str) -> object:
-        import numpy
-
-        self._namespace["np"] = numpy
-        return getattr(numpy, name)
-
-
-np = _LazyNumpy(globals())
 
 
 class ValidationError(ValueError):
@@ -80,47 +75,86 @@ LEFT_SETTINGS = (Setting.L1, Setting.L2)
 RIGHT_SETTINGS = (Setting.R1, Setting.R2)
 
 
-def _as_vector(value: object, size: int | None, what: str) -> np.ndarray:
-    """Coerce a wrapper type or array-like to a read-only finite complex vector."""
+def _as_vector(value: object, size: int | None, what: str) -> tuple[complex, ...]:
+    """Coerce a wrapper type, sequence or array-like to a finite complex vector, a fresh tuple."""
     src = getattr(value, "components", value)
-    arr = np.asarray(src, dtype=complex)
-    if size is not None and arr.shape != (size,):
-        raise ValidationError(f"{what} must have exactly {size} components, got shape {arr.shape}")
-    if arr.ndim != 1:
-        raise ValidationError(f"{what} must be one-dimensional, got shape {arr.shape}")
-    if not all(map(cmath.isfinite, arr.tolist())):  # a complex component is finite only if both parts are
+    if type(src) not in (list, tuple):
+        if not isinstance(src, Sequence) and hasattr(src, "__array__"):  # an array, read without importing numpy
+            src = src.__array__().tolist()
+        if isinstance(src, (str, bytes)) or not isinstance(src, Sequence):
+            raise ValidationError(f"{what} must be a sequence or array of numbers, got {type(src).__name__}")
+    shape = (len(src),) + ((len(src[0]),) if src and isinstance(src[0], (list, tuple)) else ())
+    if size is not None and shape != (size,):
+        raise ValidationError(f"{what} must have exactly {size} components, got shape {shape}")
+    if len(shape) != 1:
+        raise ValidationError(f"{what} must be one-dimensional, got shape {shape}")
+    if any(isinstance(c, str) for c in src):  # complex() would parse it
+        raise ValidationError(f"{what} components must be numbers")
+    try:
+        vec = tuple(map(complex, src))
+    except (TypeError, ValueError, OverflowError):
+        raise ValidationError(f"{what} components must be numbers") from None
+    if not all(map(cmath.isfinite, vec)):  # a complex component is finite only if both parts are
         raise ValidationError(f"{what} components must be finite")
-    if type(src) not in (list, tuple):  # numpy builds a fresh array from a plain list or tuple; anything else may alias
-        arr = arr.copy()
-    arr.setflags(write=False)
-    return arr
+    return vec
+
+
+def _norm_squared(vec: tuple[complex, ...]) -> float:
+    return sum([c * c.conjugate() for c in vec]).real
+
+
+def _fma(a: float, b: float, c: float) -> float:
+    """``a*b + c`` computed exactly, then rounded once to the nearest float (ties to even)."""
+    if not (a and b):  # a product with an exactly zero factor is skipped
+        return c
+    if not c:  # a lone product: the float multiply rounds it once, correctly
+        return a * b
+    if math.isinf(c):  # a sum that overflowed stays infinite, as in IEEE arithmetic
+        return c
+    (an, ad), (bn, bd), (cn, cd) = a.as_integer_ratio(), b.as_integer_ratio(), c.as_integer_ratio()
+    pd = ad * bd  # denominators are powers of two, so the larger one is a multiple of the other
+    num, den = (an * bn + cn * (pd // cd), pd) if pd > cd else (an * bn * (cd // pd) + cn, cd)
+    try:
+        return num / den  # int / int rounds correctly in CPython
+    except OverflowError:
+        return math.inf if num > 0 else -math.inf
+
+
+def _amplitude(xs: tuple[complex, ...], ys: tuple[complex, ...]) -> complex:
+    """``sum_k conj(x_k) * y_k``: each part is an fma chain over its real products, in index order."""
+    re = im = 0.0
+    for x, y in zip(xs, ys):
+        if x and y:  # otherwise every real product below has a zero factor
+            re = _fma(x.imag, y.imag, _fma(x.real, y.real, re))
+            im = _fma(-x.imag, y.real, _fma(x.real, y.imag, im))
+    return complex(re, im)
 
 
 @dataclass(frozen=True, eq=False)
 class Qubit2Vector:
     """Single-system vector with finite complex components (not necessarily unit)."""
 
-    components: np.ndarray
+    components: tuple[complex, ...]
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "components", _as_vector(self.components, 2, "Qubit2Vector"))
 
     def norm_squared(self) -> float:
-        return float(np.vdot(self.components, self.components).real)
+        return _norm_squared(self.components)
 
 
 @dataclass(frozen=True, eq=False)
 class StateVector:
     """Two-qubit pure state; squared norm must equal 1 within ``IDENTITY_TOL``."""
 
-    components: np.ndarray
+    components: tuple[complex, ...]
 
     def __post_init__(self) -> None:
-        arr = _as_vector(self.components, 4, "StateVector")
-        norm_sq = float(np.vdot(arr, arr).real)
+        vec = _as_vector(self.components, 4, "StateVector")
+        norm_sq = _norm_squared(vec)
         if abs(norm_sq - 1.0) > IDENTITY_TOL:
             raise ValidationError(f"StateVector squared norm {norm_sq!r} differs from 1 beyond {IDENTITY_TOL}")
-        object.__setattr__(self, "components", arr)
+        object.__setattr__(self, "components", vec)
 
 
 @dataclass(frozen=True, eq=False)
@@ -161,7 +195,7 @@ class BasisReport:
     failures: tuple[str, ...]
 
 
-def tensor_product(a: object, b: object) -> np.ndarray:
+def tensor_product(a: object, b: object) -> tuple[complex, ...]:
     """Kronecker product of two single-system vectors.
 
     Component (i, j) of the result is ``a_i * b_j`` at flat index ``2*i + j``
@@ -169,16 +203,16 @@ def tensor_product(a: object, b: object) -> np.ndarray:
     """
     left = _as_vector(a, 2, "tensor_product left factor")
     right = _as_vector(b, 2, "tensor_product right factor")
-    return np.kron(left, right)
+    return tuple(x * y for x in left for y in right)
 
 
 def inner_product(x: object, y: object) -> complex:
-    """Hermitian inner product <x|y>, conjugate-linear in the first argument."""
+    """Hermitian inner product <x|y>, conjugate-linear in the first argument, rounded as the module docstring says."""
     xv = _as_vector(x, None, "inner_product first argument")
     yv = _as_vector(y, None, "inner_product second argument")
-    if xv.shape != yv.shape:
-        raise ValidationError(f"inner_product arguments must match in length, got {xv.shape} and {yv.shape}")
-    return complex(np.vdot(xv, yv))
+    if len(xv) != len(yv):
+        raise ValidationError(f"inner_product arguments must match in length, got {(len(xv),)} and {(len(yv),)}")
+    return _amplitude(xv, yv)
 
 
 def validate_basis(basis: MeasurementBasis, tol: float = IDENTITY_TOL) -> BasisReport:
@@ -187,7 +221,8 @@ def validate_basis(basis: MeasurementBasis, tol: float = IDENTITY_TOL) -> BasisR
         raise ValidationError(f"tol must be positive and finite, got {tol!r}")
     plus_err = abs(basis.plus.norm_squared() - 1.0)
     minus_err = abs(basis.minus.norm_squared() - 1.0)
-    overlap = abs(complex(np.vdot(basis.plus.components, basis.minus.components)))
+    (p0, p1), (m0, m1) = basis.plus.components, basis.minus.components
+    overlap = abs(p0.conjugate() * m0 + p1.conjugate() * m1)
     failures: list[str] = []
     if plus_err > tol:
         failures.append(f"plus vector squared norm off by {plus_err:.3e}")
@@ -214,14 +249,13 @@ def born_joint_probability(
     probabilities sum to 1 within ``IDENTITY_TOL``.
     """
     psi = _as_vector(state, 4, "state")
-    norm_sq = float(np.vdot(psi, psi).real)
+    norm_sq = _norm_squared(psi)
     if abs(norm_sq - 1.0) > INPUT_TOL:
         raise ValidationError(f"state squared norm {norm_sq!r} differs from 1 beyond {INPUT_TOL}")
     for basis in (left_basis, right_basis):
         check = validate_basis(basis, INPUT_TOL)
         if not check.passed:
             raise ValidationError(f"basis {basis.label} is not orthonormal: " + "; ".join(check.failures))
-    # Basis components are validated read-only 2-vectors; their flattened outer product has np.kron's bits.
     left = left_basis.vector_for(left_outcome).components
-    projector = np.multiply.outer(left, right_basis.vector_for(right_outcome).components).ravel()
-    return float(abs(complex(np.vdot(projector, psi))) ** 2)
+    right = right_basis.vector_for(right_outcome).components
+    return abs(_amplitude([x * y for x in left for y in right], psi)) ** 2

@@ -4,6 +4,7 @@ no-signalling, and the ket-label map."""
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -118,6 +119,35 @@ class TestJointProbabilityTable:
     def test_rejects_missing_entries(self) -> None:
         with pytest.raises(ValidationError, match="16"):
             JointProbabilityTable({})
+
+    def test_every_entry_is_the_fraction_rounded_fma_at_2400_angles(self) -> None:
+        """Each entry is ``abs(fma(l1*r1, b, (l0*r0)*a))**2``, the fma evaluated through ``Fraction``.
+
+        The state is ``(a, 0, 0, b)`` and every basis vector ``(x0, x1)`` is real, so the amplitude
+        has two nonzero terms: the first product rounded once, the second fused into it. The
+        angles run log-spaced from 1e-200, uniformly across (0, pi/2), and log-spaced up to
+        ``nextafter(pi/2, 0)``.
+        """
+        n = 800
+        thetas = {1e-200, math.pi / 4, math.nextafter(math.pi / 2, 0.0)}
+        for i in range(n):
+            thetas.add(10 ** (-200 + 199 * i / (n - 1)))
+            thetas.add((i + 0.5) * (math.pi / 2) / n)
+            thetas.add(math.pi / 2 - 10 ** (-15.6 + 14.6 * i / (n - 1)))
+        thetas = {t for t in thetas if 0.0 < t < math.pi / 2}
+        assert len(thetas) >= 2000
+        for theta in thetas:
+            config = build_hardy_configuration(theta)
+            table = joint_probability_table(config)
+            a, _, _, b = (c.real for c in config.state.components)
+            for sp in SETTING_PAIRS:
+                for op in OUTCOME_PAIRS:
+                    left = config.basis(sp[0]).vector_for(op[0]).components
+                    right = config.basis(sp[1]).vector_for(op[1]).components
+                    assert not any(c.imag for c in left + right + config.state.components)
+                    (l0, l1), (r0, r1) = (c.real for c in left), (c.real for c in right)
+                    amplitude = float(Fraction(l1 * r1) * Fraction(b) + Fraction((l0 * r0) * a))
+                    assert table.probability(*sp, *op).hex() == (abs(amplitude) ** 2).hex(), (theta, sp, op)
 
     def test_serialization_order_is_fixed(self) -> None:
         table = joint_probability_table(build_hardy_configuration(0.5))

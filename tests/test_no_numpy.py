@@ -1,4 +1,4 @@
-"""numpy loads on first array use: the logic commands and usage errors run without it.
+"""No command and no library call loads numpy: the package computes in pure Python.
 
 Each test runs in a fresh interpreter, since this pytest process has numpy loaded.
 """
@@ -10,13 +10,14 @@ import subprocess
 import sys
 from pathlib import Path
 
+from hardycheck.cli import _COMMANDS
+
 SRC = Path(__file__).resolve().parent.parent / "src"
 GOLDEN = Path(__file__).parent / "golden"
 
 SUBMODULES = ("quantum", "hardy", "counterfactuals", "lhv", "optimize", "render")
 
-#: At least one argv per usage class the cli benchmark draws from; csv for a
-#: report is rejected at parse time, before any array work.
+#: At least one argv per usage class the cli benchmark draws from.
 USAGE_ARGVS = (
     ["frobnicate"],
     [],
@@ -48,13 +49,9 @@ import json, sys
 sys.path.insert(0, sys.argv[1])
 import hardycheck
 loaded = sorted(name for name in sys.modules if name.startswith("hardycheck."))
-numpy_on_import = "numpy" in sys.modules
 hardycheck.joint_probability_table(hardycheck.build_hardy_configuration(0.7))
 hardycheck.maximize_paradox()
-import numpy
-from hardycheck import hardy, optimize, quantum
-bound = [module.np is numpy for module in (quantum, optimize)]
-print(json.dumps({"loaded": loaded, "numpy_on_import": numpy_on_import, "bound": bound, "hardy_np": hasattr(hardy, "np")}))
+print(json.dumps({"loaded": loaded, "numpy": "numpy" in sys.modules}))
 """
 
 
@@ -65,24 +62,20 @@ def run_fresh(code: str, *args: str) -> object:
     return json.loads(proc.stdout)
 
 
-def test_logic_commands_and_usage_errors_run_without_numpy() -> None:
-    logic = [[command, "--format", fmt] for command in ("lhv", "counterfactual") for fmt in ("text", "json")]
-    argvs = logic + list(USAGE_ARGVS) + [["verify"]]
-    results = run_fresh(_RUN_CLI, json.dumps(argvs))
-    for argv, result in zip(logic, results):
+def test_no_command_or_usage_error_loads_numpy() -> None:
+    commands = [[name, "--format", fmt] for name, formats, _ in _COMMANDS for fmt in formats]
+    assert len(commands) == 11
+    results = run_fresh(_RUN_CLI, json.dumps(commands + list(USAGE_ARGVS)))
+    for argv, result in zip(commands, results):
         assert result["numpy"] is False, argv
+        assert (result["code"], result["err"]) == (0, ""), argv
         assert result["out"] == (GOLDEN / f"{argv[0]}.{argv[2]}").read_text(), argv
-    for argv, result in zip(USAGE_ARGVS, results[len(logic) :]):
+    for argv, result in zip(USAGE_ARGVS, results[len(commands) :]):
         assert (result["code"], result["out"], result["numpy"]) == (2, "", False), argv
         assert result["err"].startswith("error:") and result["err"].count("\n") == 1, argv
-    verify = results[-1]
-    assert verify["numpy"] is True
-    assert (verify["code"], verify["out"]) == (0, (GOLDEN / "verify.text").read_text())
 
 
-def test_import_loads_every_submodule_and_first_use_binds_numpy() -> None:
+def test_import_loads_every_library_submodule_and_no_call_loads_numpy() -> None:
     result = run_fresh(_IMPORT_THEN_COMPUTE)
-    assert result["loaded"] == sorted(f"hardycheck.{name}" for name in SUBMODULES)
-    assert result["numpy_on_import"] is False
-    assert result["bound"] == [True, True]
-    assert result["hardy_np"] is False  # the construction hands its constructors plain floats
+    assert result["loaded"] == sorted(f"hardycheck.{name}" for name in SUBMODULES)  # and not cli
+    assert result["numpy"] is False

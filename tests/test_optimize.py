@@ -13,7 +13,9 @@ import random
 import numpy as np
 import pytest
 
+import hardycheck.optimize as optimize_module
 from hardycheck import (
+    DEFAULT_BRACKET,
     Setting,
     Outcome,
     ValidationError,
@@ -104,18 +106,24 @@ class TestGridOracle:
         assert package_value == pytest.approx(oracle_value, abs=1e-10)
 
     @pytest.mark.parametrize(
-        "thetas",
-        [0.3, np.float64(1e-200), np.array(math.nextafter(math.pi / 2, 0.0)), [0.3, math.pi / 4], np.full((2, 3), 0.7)],
+        "theta", [0.3, 1e-200, math.nextafter(math.pi / 2, 0.0), math.pi / 4, THETA_STAR_LEFT, np.float64(0.7)]
     )
-    def test_reference_curve_keeps_shape_type_and_formula_bits(self, thetas: object) -> None:
-        """Scalars and 0-d arrays give a numpy scalar, arrays keep their shape; bits match the formula."""
-        th = np.asarray(thetas, dtype=float)
-        a, b = np.cos(th), np.sin(th)
+    def test_reference_curve_is_the_scalar_formula_bit_for_bit(self, theta: float) -> None:
+        a, b = math.cos(theta), math.sin(theta)
         expected = (a * b * (b - a) / (1.0 - a * b)) ** 2
-        got = reference_curve(thetas)
-        assert type(got) is type(expected)
-        assert np.shape(got) == th.shape
-        assert np.asarray(got).tobytes() == np.asarray(expected).tobytes()
+        got = reference_curve(theta)
+        assert type(got) is float
+        assert got.hex() == expected.hex()
+
+    def test_package_code_never_calls_the_public_curve(self, monkeypatch: pytest.MonkeyPatch) -> None:
+        """The benchmark tracer wraps ``reference_curve`` expecting an array, so a peakless bracket must not call it."""
+
+        def array_only(theta: object) -> object:
+            raise AssertionError("reference_curve called from package code")
+
+        monkeypatch.setattr(optimize_module, "reference_curve", array_only)
+        assert reference_grid_maximum(0.05, 0.3) == (0.3, closed_form_p4(0.3))
+        assert maximize_paradox(0.05, 0.3).oracle_gap <= 1e-8
 
     def test_reference_maximum_stays_in_the_bracket_and_is_never_below_a_grid(self) -> None:
         """Closed-form (angle, value) against a 1e-5 grid over [lo, hi], refined within the bracket."""
@@ -182,6 +190,43 @@ class TestMaximizeParadox:
         report = maximize_paradox(lo=0.2, hi=0.7)
         assert report.theta_star == pytest.approx(THETA_STAR_LEFT, abs=1e-6)
         assert report.p4_max == pytest.approx(P4_MAX_EXACT, abs=1e-10)
+
+    def test_prescan_points_have_the_bits_of_numpy_linspace(self, monkeypatch: pytest.MonkeyPatch) -> None:
+        """The 63 scan angles equal ``np.linspace(lo, hi, 65)[1:-1]`` by ``float.hex``.
+
+        numpy computes ``i*step + lo`` too, except when ``step`` underflows to zero, which takes a
+        bracket narrower than 64 subnormal spacings; every scan angle of such a bracket is rejected
+        as too small for the construction, so those brackets are left out here.
+        """
+        seen: list[float] = []
+
+        class ScanDone(Exception):
+            pass
+
+        def objective(theta: float) -> float:
+            seen.append(theta)
+            if len(seen) == 63:
+                raise ScanDone
+            return 0.0
+
+        monkeypatch.setattr(optimize_module, "paradox_probability", objective)
+        rng = random.Random(65)
+        brackets = [DEFAULT_BRACKET, (5e-324, 1e-300), (1e-300, math.nextafter(math.pi / 2, 0.0))]
+        brackets += [(0.7, math.nextafter(0.7, 1.0)), (1.5, 1.5 + 64 * math.ulp(1.5)), (0.3, 0.3 + 1e-15)]
+        for _ in range(3000):
+            lo = rng.choice((rng.uniform(0.0, 1.5), 10 ** rng.uniform(-320, 0)))
+            width = rng.choice((rng.uniform(0.0, math.pi / 2 - lo), 10 ** rng.uniform(-17, 0) * lo))
+            brackets.append((lo, min(lo + width, math.nextafter(math.pi / 2, 0.0))))
+        checked = 0
+        for lo, hi in brackets:
+            if not 0.0 < lo < hi < math.pi / 2 or (hi - lo) / 64 == 0.0:
+                continue
+            seen.clear()
+            with pytest.raises(ScanDone):
+                maximize_paradox(lo, hi)
+            assert [t.hex() for t in seen] == [float(t).hex() for t in np.linspace(lo, hi, 65)[1:-1]], (lo, hi)
+            checked += 1
+        assert checked > 2500
 
     @pytest.mark.parametrize(
         "kwargs",

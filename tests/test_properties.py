@@ -12,6 +12,7 @@ import json
 import math
 import tempfile
 from dataclasses import fields
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -135,6 +136,52 @@ def test_born_rule_has_the_bits_of_the_checked_public_helpers(
     for ol, orr in OUTCOME_PAIRS:
         reference = abs(inner_product(tensor_product(left.vector_for(ol), right.vector_for(orr)), state)) ** 2
         assert born_joint_probability(state, left, ol, right, orr).hex() == reference.hex()
+
+
+def fraction_chain(xs: object, ys: object) -> complex:
+    """``sum_k conj(x_k) * y_k`` as the kernel defines it, evaluated through ``Fraction``.
+
+    Each part runs over its real products in index order: the real part over
+    ``re(x)*re(y)`` and ``im(x)*im(y)``, the imaginary part over ``re(x)*im(y)`` and
+    ``-im(x)*re(y)``. A product with a zero factor is skipped; every other one is added
+    to the running sum exactly and the sum rounded (``float(Fraction)`` rounds
+    correctly), so the first product is rounded once and each later one is fused.
+    """
+    parts = [0.0, 0.0]
+    for x, y in zip(xs, ys):
+        products = ((x.real, y.real), (x.imag, y.imag)), ((x.real, y.imag), (-x.imag, y.real))
+        for i, pairs in enumerate(products):
+            for a, b in pairs:
+                if a != 0 and b != 0:
+                    parts[i] = float(Fraction(parts[i]) + Fraction(a) * Fraction(b))
+    return complex(*parts)
+
+
+edge_parts = st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, -1e-310, 1.0, -1.0])
+vector_parts = st.one_of(parts, edge_parts)
+complexes = st.builds(complex, vector_parts, vector_parts)
+
+
+@settings(max_examples=300, deadline=None)
+@given(pairs=st.lists(st.tuples(complexes, complexes), max_size=6))
+@example(pairs=[(complex(5e-324, 0.0), complex(5e-324, 0.0)), (complex(1.0, -0.0), complex(-1e-310, 0.0))])
+@example(pairs=[(complex(-0.0, 1.0), complex(1.0, -0.0)), (complex(0.0, -0.0), complex(1.0, 1.0))])
+def test_inner_product_is_the_fraction_chain_bit_for_bit(pairs: list[tuple[complex, complex]]) -> None:
+    xs, ys = [x for x, _ in pairs], [y for _, y in pairs]
+    got, expected = inner_product(xs, ys), fraction_chain(xs, ys)
+    assert (got.real.hex(), got.imag.hex()) == (expected.real.hex(), expected.imag.hex())
+
+
+@settings(max_examples=150, deadline=None)
+@given(state=unit_states(), left=phased_bases(Setting.L1), right=phased_bases(Setting.R2))
+def test_born_rule_is_the_fraction_chain_bit_for_bit(
+    state: object, left: MeasurementBasis, right: MeasurementBasis
+) -> None:
+    psi = [complex(c) for c in getattr(state, "components", state)]
+    for ol, orr in OUTCOME_PAIRS:
+        projector = [x * y for x in left.vector_for(ol).components for y in right.vector_for(orr).components]
+        expected = abs(fraction_chain(projector, psi)) ** 2
+        assert born_joint_probability(state, left, ol, right, orr).hex() == expected.hex()
 
 
 numbers = st.one_of(

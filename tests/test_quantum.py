@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import array
+import collections
 import math
 from collections.abc import Callable
 
@@ -102,6 +104,11 @@ class TestInnerProduct:
         assert value.imag == pytest.approx(0.0, abs=1e-12)
         assert value.real >= 0.0
 
+    def test_a_sum_beyond_the_float_range_is_infinite(self) -> None:
+        """Like an IEEE fused multiply-add, an overflowed part stays infinite as finite products are added."""
+        assert inner_product([1e300, 1e300], [1e300, 1e300]) == complex(math.inf, 0.0)
+        assert inner_product([1e300, 1e300], [-1e300, 1e300]) == complex(-math.inf, 0.0)
+
     def test_length_mismatch_rejected(self) -> None:
         with pytest.raises(ValidationError):
             inner_product(np.zeros(2), np.zeros(4))
@@ -154,7 +161,7 @@ class TestBornRule:
         left = random_basis(rng, Setting.L1)
         right = random_basis(rng, Setting.R1)
         for phase in (0.3, 1.7, -2.2):
-            rotated = StateVector(np.exp(1j * phase) * state.components)
+            rotated = StateVector(np.exp(1j * phase) * np.asarray(state.components))
             for ol in (Outcome.PLUS, Outcome.MINUS):
                 for orr in (Outcome.PLUS, Outcome.MINUS):
                     p0 = born_joint_probability(state, left, ol, right, orr)
@@ -262,20 +269,17 @@ class TestTypeInvariants:
         with pytest.raises(ValidationError, match="label"):
             MeasurementBasis(plus=KET0, minus=KET1, label="L1")  # type: ignore[arg-type]
 
-    def test_components_are_read_only(self) -> None:
-        state = StateVector(np.array([1, 0, 0, 0], dtype=complex))
-        with pytest.raises(ValueError):
-            state.components[0] = 0.0
-
     @pytest.mark.parametrize("container", [list, tuple])
     @pytest.mark.parametrize(("make", "components"), [(StateVector, [1, 0, 0, 0]), (Qubit2Vector, [0.6, 0.8j])])
-    def test_components_from_list_or_tuple_are_read_only(
+    def test_components_are_an_immutable_tuple_of_complex(
         self, make: Callable[[object], object], components: list, container: type
     ) -> None:
         built = make(container(components))
-        assert not built.components.flags.writeable
-        with pytest.raises(ValueError):
-            built.components[0] = 0.0
+        assert type(built.components) is tuple
+        assert all(type(c) is complex for c in built.components)
+        assert built.components == tuple(complex(c) for c in components)
+        with pytest.raises(TypeError):
+            built.components[0] = 0.0  # type: ignore[index]
 
     @pytest.mark.parametrize("source", ["ndarray", "strided_view", "array_protocol"])
     @pytest.mark.parametrize(("make", "size"), [(StateVector, 4), (Qubit2Vector, 2)])
@@ -293,10 +297,54 @@ class TestTypeInvariants:
 
             argument = OwnBuffer()
         built = make(argument)
-        expected = caller.copy()
+        expected = tuple(caller.tolist())
         caller[:] = 0.5j
-        assert built.components.tobytes() == expected.tobytes()
+        assert type(built.components) is tuple
+        assert built.components == expected
         assert caller.flags.writeable
+
+    @pytest.mark.parametrize(
+        "source",
+        [range(2), collections.deque([0, 1]), array.array("d", [0.0, 1.0]), bytearray(b"\x00\x01")],
+        ids=["range", "deque", "array_module", "bytearray"],
+    )
+    def test_any_sequence_of_numbers_is_accepted(self, source: object) -> None:
+        assert Qubit2Vector(source).components == (0j, 1 + 0j)
+        assert tensor_product(source, source) == (0j, 0j, 0j, 1 + 0j)
+
+    @pytest.mark.parametrize(("make", "size"), [(StateVector, 4), (Qubit2Vector, 2)])
+    def test_two_dimensional_array_rejected(self, make: Callable[[object], object], size: int) -> None:
+        with pytest.raises(ValidationError, match=f"exactly {size} components, got shape \\(2, {size}\\)$"):
+            make(np.zeros((2, size)))
+
+    @pytest.mark.parametrize(
+        "malformed",
+        [
+            pytest.param(lambda n: dict(enumerate([1.0] + [0.0] * (n - 1))), id="dict"),
+            pytest.param(lambda n: "ab" * (n // 2), id="string"),
+            pytest.param(lambda n: b"ab" * (n // 2), id="bytes"),
+            pytest.param(lambda n: [1.0, "x"] + [0.0] * (n - 2), id="string_component"),
+            pytest.param(lambda n: ["1"] + ["0"] * (n - 1), id="numeric_strings"),
+            pytest.param(lambda n: [None] * n, id="none_components"),
+            pytest.param(lambda n: [1.0, [0.0]] + [0.0] * (n - 2), id="ragged"),
+            pytest.param(lambda n: [object()] * n, id="objects"),
+            pytest.param(lambda n: [10**400] + [0] * (n - 1), id="int_beyond_float"),
+            pytest.param(lambda n: iter([1.0] + [0.0] * (n - 1)), id="iterator"),
+            pytest.param(lambda n: {1.0, 0.0}, id="set"),
+            pytest.param(lambda n: 1.0, id="scalar"),
+            pytest.param(lambda n: None, id="none"),
+            pytest.param(lambda n: np.float64(1.0), id="numpy_scalar"),
+        ],
+    )
+    @pytest.mark.parametrize(
+        ("what", "size", "make"),
+        [("Qubit2Vector", 2, Qubit2Vector), ("StateVector", 4, StateVector), ("state", 4, born_on_computational_bases)],
+    )
+    def test_malformed_input_raises_validation_error_naming_the_vector(
+        self, what: str, size: int, make: Callable[[object], object], malformed: Callable[[int], object]
+    ) -> None:
+        with pytest.raises(ValidationError, match=f"^{what} "):
+            make(malformed(size))
 
     def test_basis_vector_lookup(self) -> None:
         basis = computational_basis(Setting.L1)
