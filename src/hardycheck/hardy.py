@@ -20,12 +20,15 @@ from dataclasses import dataclass
 from .counterfactuals import hardy_constraint_set
 from .quantum import (
     IDENTITY_TOL,
+    LEFT_SETTINGS,
     OUTCOMES,
+    RIGHT_SETTINGS,
     MeasurementBasis,
     Outcome,
     Setting,
     StateVector,
     ValidationError,
+    _as_float,
     born_joint_probability,
 )
 
@@ -50,6 +53,7 @@ OUTCOME_PAIRS: tuple[OutcomePair, ...] = tuple((ol, orr) for ol in OUTCOMES for 
 _TABLE_KEYS = frozenset((sp, op) for sp in SETTING_PAIRS for op in OUTCOME_PAIRS)
 
 _BASIS_ORDER = (Setting.L1, Setting.L2, Setting.R1, Setting.R2)
+_BASIS_INDEX = {setting: i for i, setting in enumerate(_BASIS_ORDER)}
 
 
 def setting_pair_label(pair: SettingPair) -> str:
@@ -74,7 +78,41 @@ class HardyConfiguration:
             raise ValidationError(f"bases must be labelled {_BASIS_ORDER}, got {labels}")
 
     def basis(self, setting: Setting) -> MeasurementBasis:
-        return self.bases[_BASIS_ORDER.index(setting)]
+        try:
+            return self.bases[_BASIS_INDEX[setting]]
+        except (KeyError, TypeError):
+            raise ValidationError(f"setting must be a Setting, got {setting!r}") from None
+
+
+def _hardy_vectors(theta: object) -> tuple[float, tuple[float, float, float, float], tuple]:
+    """Check ``theta``; return it with the state components and the (plus, minus) pairs in ``_BASIS_ORDER``.
+
+    ``build_hardy_configuration`` and the optimizer's objective wrap these floats in their validated objects.
+    """
+    theta = _as_float(theta, "theta")
+    if not math.isfinite(theta) or not 0.0 < theta < math.pi / 2:
+        raise ValidationError(f"theta must lie strictly inside (0, pi/2), got {theta!r}")
+    a = math.cos(theta)
+    b = math.sin(theta)
+    g = math.sqrt(a / b)
+    try:
+        g3 = g**3
+    except OverflowError:
+        g3 = math.inf
+    # Below theta of about 2.5e-206 g**3 overflows; a subnormal theta already overflows a / b to inf, which
+    # raises nothing. g is finite whenever g3 is, so this one check covers all four bases.
+    if math.isinf(g3):
+        raise ValidationError(f"theta={theta!r} is too small for the basis construction in double precision")
+    n1 = math.hypot(1.0, g)
+    n3 = math.hypot(1.0, g3)
+    # Float divisions, before the constructors' one complex coercion.
+    pairs = (
+        ((g3 / n3, 1.0 / n3), (1.0 / n3, -g3 / n3)),
+        ((-g / n1, 1.0 / n1), (1.0 / n1, g / n1)),
+        ((1.0 / n3, g3 / n3), (g3 / n3, -1.0 / n3)),
+        ((1.0 / n1, -g / n1), (g / n1, 1.0 / n1)),
+    )
+    return theta, (a, 0.0, 0.0, b), pairs
 
 
 def build_hardy_configuration(theta: float) -> HardyConfiguration:
@@ -94,36 +132,18 @@ def build_hardy_configuration(theta: float) -> HardyConfiguration:
     probability, which comes out as ``(a*b*(b-a)/(1 - a*b))**2``. That value
     vanishes at ``theta = pi/4`` and in the product-state limits.
 
-    Raises ``ValidationError`` unless ``theta`` lies strictly inside
+    Raises ``ValidationError`` unless ``theta`` is a real number strictly inside
     ``(0, pi/2)``; at the endpoints the state is a product state and the basis
     construction degenerates, and below theta of about 2.5e-206 ``g**3`` overflows.
     """
-    theta = float(theta)
-    if not math.isfinite(theta) or not 0.0 < theta < math.pi / 2:
-        raise ValidationError(f"theta must lie strictly inside (0, pi/2), got {theta!r}")
-    a = math.cos(theta)
-    b = math.sin(theta)
-    g = math.sqrt(a / b)
-    try:
-        g3 = g**3
-    except OverflowError:
-        g3 = math.inf
-    if math.isinf(g3):  # subnormal theta already overflows a / b to inf, which raises nothing
-        raise ValidationError(f"theta={theta!r} is too small for the basis construction in double precision")
-    n1 = math.hypot(1.0, g)
-    n3 = math.hypot(1.0, g3)
-
-    def vec(x: float, y: float, norm: float) -> tuple[float, float]:
-        return (x / norm, y / norm)  # float division, before the constructor's one complex coercion
-
+    theta, state, (l1, l2, r1, r2) = _hardy_vectors(theta)
     bases = (
-        MeasurementBasis(plus=vec(g3, 1.0, n3), minus=vec(1.0, -g3, n3), label=Setting.L1),
-        MeasurementBasis(plus=vec(-g, 1.0, n1), minus=vec(1.0, g, n1), label=Setting.L2),
-        MeasurementBasis(plus=vec(1.0, g3, n3), minus=vec(g3, -1.0, n3), label=Setting.R1),
-        MeasurementBasis(plus=vec(1.0, -g, n1), minus=vec(g, 1.0, n1), label=Setting.R2),
+        MeasurementBasis(*l1, label=Setting.L1),
+        MeasurementBasis(*l2, label=Setting.L2),
+        MeasurementBasis(*r1, label=Setting.R1),
+        MeasurementBasis(*r2, label=Setting.R2),
     )
-    state = StateVector((a, 0.0, 0.0, b))
-    return HardyConfiguration(state=state, bases=bases, theta=theta)
+    return HardyConfiguration(state=StateVector(state), bases=bases, theta=theta)
 
 
 @dataclass(frozen=True, eq=False)
@@ -165,12 +185,6 @@ class JointProbabilityTable:
         """P(left outcome | settings), summed over the right outcome."""
         return sum(
             self.entries[((left_setting, right_setting), (left_outcome, orr))] for orr in OUTCOMES
-        )
-
-    def right_marginal(self, right_setting: Setting, right_outcome: Outcome, left_setting: Setting) -> float:
-        """P(right outcome | settings), summed over the left outcome."""
-        return sum(
-            self.entries[((left_setting, right_setting), (ol, right_outcome))] for ol in OUTCOMES
         )
 
     def records(self) -> list[dict[str, object]]:
@@ -235,6 +249,7 @@ class PredictionReport:
 
 def verify_hardy_predictions(table: JointProbabilityTable, tol: float = ZERO_TOL) -> PredictionReport:
     """Check the three zeros and the positivity of the paradox event of ``hardy_constraint_set()`` at ``tol``."""
+    tol = _as_float(tol, "tol")
     if not 0.0 < tol < math.inf:
         raise ValidationError(f"tol must be positive and finite, got {tol!r}")
     events = hardy_constraint_set()
@@ -242,7 +257,7 @@ def verify_hardy_predictions(table: JointProbabilityTable, tol: float = ZERO_TOL
     (left, right), (left_outcome, _) = events.positivity[0].event_key
     marginal = table.left_marginal(left, left_outcome, right)
     verdicts = (p1 < tol, p2 < tol, p3 < tol, p4 > tol)
-    return PredictionReport(p1, p2, p3, p4, marginal, verdicts, float(tol))
+    return PredictionReport(p1, p2, p3, p4, marginal, verdicts, tol)
 
 
 @dataclass(frozen=True)
@@ -255,23 +270,27 @@ class NoSignallingReport:
     deviations: dict[str, float]
 
 
+#: The eight no-signalling comparisons: a label, then the table keys of the two marginals it compares,
+#: the own outcome summed with each remote outcome, under the first and then the second remote setting.
+_NO_SIGNALLING_TERMS = tuple(
+    (f"P({ls}{o}) R1 vs R2", *(((ls, rs), (o, x)) for rs in RIGHT_SETTINGS for x in OUTCOMES))
+    for ls in LEFT_SETTINGS
+    for o in OUTCOMES
+) + tuple(
+    (f"P({rs}{o}) L1 vs L2", *(((ls, rs), (x, o)) for ls in LEFT_SETTINGS for x in OUTCOMES))
+    for rs in RIGHT_SETTINGS
+    for o in OUTCOMES
+)
+
+
 def no_signalling_check(table: JointProbabilityTable) -> NoSignallingReport:
     """Check that each side's outcome marginals ignore the remote setting choice.
 
     Eight comparisons: for every (own setting, own outcome) on each side, the
     marginal under the two remote settings must agree within ``NO_SIGNALLING_TOL``.
     """
-    deviations: dict[str, float] = {}
-    for left_setting in (Setting.L1, Setting.L2):
-        for outcome in OUTCOMES:
-            m_r1 = table.left_marginal(left_setting, outcome, Setting.R1)
-            m_r2 = table.left_marginal(left_setting, outcome, Setting.R2)
-            deviations[f"P({left_setting}{outcome}) R1 vs R2"] = abs(m_r1 - m_r2)
-    for right_setting in (Setting.R1, Setting.R2):
-        for outcome in OUTCOMES:
-            m_l1 = table.right_marginal(right_setting, outcome, Setting.L1)
-            m_l2 = table.right_marginal(right_setting, outcome, Setting.L2)
-            deviations[f"P({right_setting}{outcome}) L1 vs L2"] = abs(m_l1 - m_l2)
+    e = table.entries
+    deviations = {label: abs((e[k0] + e[k1]) - (e[k2] + e[k3])) for label, k0, k1, k2, k3 in _NO_SIGNALLING_TERMS}
     worst = max(deviations.values())
     return NoSignallingReport(worst <= NO_SIGNALLING_TOL, worst, NO_SIGNALLING_TOL, deviations)
 

@@ -14,8 +14,8 @@ import math
 from dataclasses import dataclass
 
 from .counterfactuals import hardy_constraint_set
-from .hardy import build_hardy_configuration
-from .quantum import ValidationError, born_joint_probability
+from .hardy import _BASIS_INDEX, _hardy_vectors
+from .quantum import MeasurementBasis, StateVector, ValidationError, _as_float, born_joint_probability
 
 INV_PHI = (math.sqrt(5) - 1) / 2  # 1/phi
 INV_PHI_SQ = (3 - math.sqrt(5)) / 2  # 1/phi^2
@@ -36,13 +36,17 @@ class ConvergenceError(RuntimeError):
 def paradox_probability(theta: float) -> float:
     """P(left -, right +) when both sides pick their first alternative (L1, R1).
 
-    Evaluated through the full state/basis pipeline for Eq4 of
-    ``hardy_constraint_set()``, the ((L1,R1), (-,+)) entry of the table.
-    Raises ``ValidationError`` outside the open interval (0, pi/2).
+    The event is Eq4 of ``hardy_constraint_set()``. The objective builds the
+    state and that event's two bases with the constructors and vectors of
+    ``build_hardy_configuration`` and makes the validated Born call, so it is
+    the ((L1,R1), (-,+)) table entry bit for bit. Raises ``ValidationError``
+    unless ``theta`` is a real number strictly inside (0, pi/2).
     """
-    config = build_hardy_configuration(theta)
+    _, state, pairs = _hardy_vectors(theta)
     (left, right), (left_outcome, right_outcome) = hardy_constraint_set().positivity[0].event_key
-    return born_joint_probability(config.state, config.basis(left), left_outcome, config.basis(right), right_outcome)
+    left_basis = MeasurementBasis(*pairs[_BASIS_INDEX[left]], label=left)
+    right_basis = MeasurementBasis(*pairs[_BASIS_INDEX[right]], label=right)
+    return born_joint_probability(StateVector(state), left_basis, left_outcome, right_basis, right_outcome)
 
 
 def _curve(theta: float) -> float:
@@ -63,8 +67,8 @@ def reference_curve(theta: float) -> float:
 
 
 def _check_bracket(lo: float, hi: float) -> tuple[float, float]:
-    lo = float(lo)
-    hi = float(hi)
+    lo = _as_float(lo, "lo")
+    hi = _as_float(hi, "hi")
     if not (math.isfinite(lo) and math.isfinite(hi)):
         raise ValidationError("bracket endpoints must be finite")
     if not (0.0 < lo < hi < math.pi / 2):
@@ -113,6 +117,7 @@ def maximize_paradox(
     over [lo, hi] by more than ``ORACLE_GAP_TOL``, whatever ``tol`` is.
     """
     lo, hi = _check_bracket(lo, hi)
+    tol = _as_float(tol, "tol")
     if not tol > 0.0:
         raise ValidationError(f"tol must be positive, got {tol!r}")
 

@@ -99,6 +99,19 @@ def _as_vector(value: object, size: int | None, what: str) -> tuple[complex, ...
     return vec
 
 
+def _as_float(value: object, what: str) -> float:
+    """``float(value)`` for a real number in float range, else a ``ValidationError`` naming ``what``.
+
+    Text is not parsed: ``float()`` would read a ``str`` or any buffer, which has neither conversion hook.
+    """
+    if hasattr(type(value), "__float__") or hasattr(type(value), "__index__"):
+        try:
+            return float(value)
+        except (TypeError, ValueError, OverflowError):
+            pass
+    raise ValidationError(f"{what} must be a real number in float range, got {value!r}")
+
+
 def _norm_squared(vec: tuple[complex, ...]) -> float:
     return sum([c * c.conjugate() for c in vec]).real
 
@@ -217,7 +230,8 @@ def inner_product(x: object, y: object) -> complex:
 
 def validate_basis(basis: MeasurementBasis, tol: float = IDENTITY_TOL) -> BasisReport:
     """Check that a basis is orthonormal within ``tol`` (``0 < tol < inf``) and report the deviations."""
-    if not 0.0 < tol < float("inf"):
+    tol = _as_float(tol, "tol")
+    if not 0.0 < tol < math.inf:
         raise ValidationError(f"tol must be positive and finite, got {tol!r}")
     plus_err = abs(basis.plus.norm_squared() - 1.0)
     minus_err = abs(basis.minus.norm_squared() - 1.0)

@@ -253,6 +253,29 @@ class TestNoSignalling:
         report = no_signalling_check(joint_probability_table(build_hardy_configuration(0.6)))
         assert len(report.deviations) == 8
 
+    @pytest.mark.parametrize("seed", range(5))
+    def test_deviations_are_the_marginal_differences_bit_for_bit(self, seed: int) -> None:
+        """Labels, their order and every deviation, against marginals summed in a loop.
+
+        Every entry of the table differs, so a comparison that reads a wrong key shows.
+        """
+        rng = np.random.default_rng(seed)
+        table = table_from_rows({pair: tuple(rng.dirichlet(np.ones(4)).tolist()) for pair in SETTING_PAIRS})
+        e = table.entries
+        expected = {}
+        for own in (Setting.L1, Setting.L2):
+            for o in (PLUS, MINUS):
+                m1, m2 = (sum(e[((own, rem), (o, x))] for x in (PLUS, MINUS)) for rem in (Setting.R1, Setting.R2))
+                expected[f"P({own.value}{o.value}) R1 vs R2"] = abs(m1 - m2)
+        for own in (Setting.R1, Setting.R2):
+            for o in (PLUS, MINUS):
+                m1, m2 = (sum(e[((rem, own), (x, o))] for x in (PLUS, MINUS)) for rem in (Setting.L1, Setting.L2))
+                expected[f"P({own.value}{o.value}) L1 vs L2"] = abs(m1 - m2)
+        report = no_signalling_check(table)
+        assert list(report.deviations) == list(expected)
+        assert [v.hex() for v in report.deviations.values()] == [v.hex() for v in expected.values()]
+        assert report.max_deviation == max(expected.values())
+
 
 class TestHardyNotation:
     EXPECTED = {

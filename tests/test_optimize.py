@@ -9,9 +9,12 @@ from __future__ import annotations
 
 import math
 import random
+import re
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import hardycheck.optimize as optimize_module
 from hardycheck import (
@@ -36,6 +39,62 @@ THETA_STAR_RIGHT = math.pi / 2.0 - THETA_STAR_LEFT
 
 DEFAULT_LO = 0.01
 DEFAULT_HI = math.pi / 2 - 0.01
+
+
+# maximize_paradox results as float.hex: (theta_star, p4_max, iterations, oracle_gap). The default call, then
+# (lo, hi, tol) triples drawn like the benchmark's optimize workload: a peak, lo uniform on (0.01, peak - 0.05),
+# hi uniform on (peak + 0.05, pi/2 - 0.01) and tol from (1e-6, 1e-8, 1e-10, 1e-12), from random.Random(1993).
+DEFAULT_RESULT = ("0x1.22d7b5d2ac09dp+0", "0x1.715609f7c746bp-4", 42, "0x1.5000000000000p-52")
+PINNED_RESULTS = [
+    (
+        ("0x1.5abaf345656b6p-1", "0x1.86ff21b7ce04fp+0", "0x1.0c6f7a0b5ed8dp-20"),
+        ("0x1.22d7b4e9787c4p+0", "0x1.715609f7c72e3p-4", 22, "0x1.9d00000000000p-48"),
+    ),
+    (
+        ("0x1.5fc893b1add21p-2", "0x1.afa6dc1e94544p-1", "0x1.b7cdfd9d7bdbbp-34"),
+        ("0x1.bd1ffdcc62cb2p-2", "0x1.715609f7c746dp-4", 40, "0x1.3000000000000p-52"),
+    ),
+    (
+        ("0x1.475fd4765f069p-3", "0x1.bb264f8205caep-1", "0x1.b7cdfd9d7bdbbp-34"),
+        ("0x1.bd1ffd636f4b2p-2", "0x1.715609f7c746dp-4", 40, "0x1.3000000000000p-52"),
+    ),
+    (
+        ("0x1.bc4aca62df027p-1", "0x1.4d74e063bd6bbp+0", "0x1.19799812dea11p-40"),
+        ("0x1.22d7b5de93619p+0", "0x1.715609f7c746dp-4", 49, "0x1.3000000000000p-52"),
+    ),
+    (
+        ("0x1.4bbf64508f541p-4", "0x1.0890824d362bdp+0", "0x1.0c6f7a0b5ed8dp-20"),
+        ("0x1.bd1ffcceebbc4p-2", "0x1.715609f7c7463p-4", 22, "0x1.d000000000000p-52"),
+    ),
+    (
+        ("0x1.6ab2e032f4d3cp-2", "0x1.09fae8ae16c69p-1", "0x1.5798ee2308c3ap-27"),
+        ("0x1.bd1ffd46f92fcp-2", "0x1.715609f7c746fp-4", 28, "0x1.1000000000000p-52"),
+    ),
+    (
+        ("0x1.22c30f496ef1fp-2", "0x1.643af93614a57p+0", "0x1.19799812dea11p-40"),
+        ("0x1.22d7b5f18110bp+0", "0x1.715609f7c746fp-4", 51, "0x1.1000000000000p-52"),
+    ),
+    (
+        ("0x1.8663342862320p-3", "0x1.04a3293928613p+0", "0x1.0c6f7a0b5ed8dp-20"),
+        ("0x1.bd1ff681946c5p-2", "0x1.715609f7c6ff8p-4", 22, "0x1.2200000000000p-46"),
+    ),
+    (
+        ("0x1.a342c8bbe4dcdp-2", "0x1.7d00b6a61d806p+0", "0x1.19799812dea11p-40"),
+        ("0x1.22d7b601713f6p+0", "0x1.715609f7c746dp-4", 51, "0x1.3000000000000p-52"),
+    ),
+    (
+        ("0x1.1c2c05fea540bp-2", "0x1.6fd8064fc7d72p+0", "0x1.0c6f7a0b5ed8dp-20"),
+        ("0x1.bd20031445a23p-2", "0x1.715609f7c715cp-4", 22, "0x1.9200000000000p-47"),
+    ),
+    (
+        ("0x1.371ec82a468f5p-1", "0x1.5024848559259p+0", "0x1.b7cdfd9d7bdbbp-34"),
+        ("0x1.22d7b608689c0p+0", "0x1.715609f7c746fp-4", 40, "0x1.1000000000000p-52"),
+    ),
+    (
+        ("0x1.e6cc7b5fff09ap-1", "0x1.4258879dfb653p+0", "0x1.19799812dea11p-40"),
+        ("0x1.22d7b5d8a7e3cp+0", "0x1.715609f7c746fp-4", 48, "0x1.1000000000000p-52"),
+    ),
+]
 
 
 def closed_form_p4(theta: float) -> float:
@@ -65,11 +124,22 @@ class TestObjective:
         for theta in np.linspace(0.02, math.pi / 2 - 0.02, 101):
             assert paradox_probability(float(theta)) == pytest.approx(closed_form_p4(float(theta)), abs=1e-12)
 
-    def test_equals_the_table_entry(self) -> None:
-        theta = 0.9
-        table = joint_probability_table(build_hardy_configuration(theta))
+    @settings(max_examples=300, deadline=None)
+    @given(theta=st.floats(0.0, math.pi / 2, exclude_min=True, exclude_max=True, allow_subnormal=True))
+    @example(theta=0.9)
+    @example(theta=1e-200)
+    @example(theta=1e-250)
+    @example(theta=math.nextafter(math.pi / 2, 0.0))
+    def test_equals_the_table_entry(self, theta: float) -> None:
+        """The objective builds only Eq4's two bases, yet gives the table's entry bit for bit, or the same rejection."""
+        try:
+            table = joint_probability_table(build_hardy_configuration(theta))
+        except ValidationError as exc:
+            with pytest.raises(ValidationError, match=re.escape(str(exc))):
+                paradox_probability(theta)
+            return
         expected = table.probability(Setting.L1, Setting.R1, Outcome.MINUS, Outcome.PLUS)
-        assert paradox_probability(theta) == expected
+        assert paradox_probability(theta).hex() == expected.hex()
 
     def test_vanishes_at_pi_over_4(self) -> None:
         assert paradox_probability(math.pi / 4) < 1e-10
@@ -78,7 +148,7 @@ class TestObjective:
         assert paradox_probability(1e-3) < 1.1e-6
         assert paradox_probability(1e-3) > 0.0
 
-    @pytest.mark.parametrize("theta", [0.0, math.pi / 2, -1.0])
+    @pytest.mark.parametrize("theta", [0.0, math.pi / 2, -1.0, 1e-250, 5e-324, math.nan, math.inf])
     def test_domain_error_at_endpoints(self, theta: float) -> None:
         with pytest.raises(ValidationError):
             paradox_probability(theta)
@@ -168,6 +238,28 @@ class TestMaximizeParadox:
         assert report.bracket == (DEFAULT_LO, DEFAULT_HI)
         assert DEFAULT_LO < report.theta_star < DEFAULT_HI
         assert 0 < report.iterations <= 200
+
+    def test_default_result_has_the_pinned_bits(self) -> None:
+        r = maximize_paradox()
+        assert (r.theta_star.hex(), r.p4_max.hex(), r.iterations, r.oracle_gap.hex()) == DEFAULT_RESULT
+
+    @pytest.mark.parametrize("triple, expected", PINNED_RESULTS)
+    def test_seeded_results_have_the_pinned_bits(self, triple: tuple[str, str, str], expected: tuple) -> None:
+        r = maximize_paradox(*map(float.fromhex, triple))
+        assert (r.theta_star.hex(), r.p4_max.hex(), r.iterations, r.oracle_gap.hex()) == expected
+
+    def test_default_solve_makes_107_objective_calls(self, monkeypatch: pytest.MonkeyPatch) -> None:
+        """63 scan points, 2 bracket seeds and one call per golden-section step (42)."""
+        calls = []
+        objective = optimize_module.paradox_probability
+
+        def counted(theta: float) -> float:
+            calls.append(theta)
+            return objective(theta)
+
+        monkeypatch.setattr(optimize_module, "paradox_probability", counted)
+        assert maximize_paradox().iterations == 42
+        assert len(calls) == 107
 
     def test_result_is_reproducible_bit_for_bit(self) -> None:
         first = maximize_paradox()

@@ -1,10 +1,26 @@
-"""The package's export list matches what ``import hardycheck`` binds."""
+"""The package's export list matches what ``import hardycheck`` binds, and its entry points name bad arguments."""
 
 from __future__ import annotations
 
 import types
+from collections.abc import Callable
+
+import pytest
 
 import hardycheck
+from hardycheck import (
+    ValidationError,
+    build_hardy_configuration,
+    joint_probability_table,
+    maximize_paradox,
+    paradox_probability,
+    reference_grid_maximum,
+    validate_basis,
+    verify_hardy_predictions,
+)
+
+CONFIG = build_hardy_configuration(0.7)
+TABLE = joint_probability_table(CONFIG)
 
 
 def test_all_lists_exactly_the_public_names_bound_in_the_package() -> None:
@@ -16,3 +32,28 @@ def test_all_lists_exactly_the_public_names_bound_in_the_package() -> None:
     assert len(set(hardycheck.__all__)) == len(hardycheck.__all__)
     assert set(hardycheck.__all__) == bound
     assert all(hasattr(hardycheck, name) for name in hardycheck.__all__)
+
+
+@pytest.mark.parametrize(
+    "call, argument",
+    [
+        pytest.param(lambda: build_hardy_configuration(None), "theta", id="build_none"),
+        pytest.param(lambda: build_hardy_configuration(10**400), "theta", id="build_huge_int"),
+        pytest.param(lambda: build_hardy_configuration("0.7"), "theta", id="build_numeric_str"),
+        pytest.param(lambda: paradox_probability(None), "theta", id="objective_none"),
+        pytest.param(lambda: paradox_probability("x"), "theta", id="objective_str"),
+        pytest.param(lambda: paradox_probability(1j), "theta", id="objective_complex"),
+        pytest.param(lambda: maximize_paradox("abc", 1.0), "lo", id="maximize_lo_str"),
+        pytest.param(lambda: maximize_paradox(0.1, None), "hi", id="maximize_hi_none"),
+        pytest.param(lambda: maximize_paradox(tol="x"), "tol", id="maximize_tol_str"),
+        pytest.param(lambda: reference_grid_maximum("a", 1.0), "lo", id="reference_lo_str"),
+        pytest.param(lambda: verify_hardy_predictions(TABLE, tol="x"), "tol", id="verify_tol_str"),
+        pytest.param(lambda: validate_basis(CONFIG.bases[0], "x"), "tol", id="validate_basis_tol_str"),
+        pytest.param(lambda: validate_basis(CONFIG.bases[0], b"1e-9"), "tol", id="validate_basis_tol_bytes"),
+        pytest.param(lambda: CONFIG.basis("L1"), "setting", id="basis_str"),
+        pytest.param(lambda: CONFIG.basis([]), "setting", id="basis_unhashable"),
+    ],
+)
+def test_a_non_numeric_argument_raises_validation_error_naming_it(call: Callable[[], object], argument: str) -> None:
+    with pytest.raises(ValidationError, match=rf"^{argument} "):
+        call()
