@@ -1,8 +1,11 @@
 """Command-line interface: verify, counterfactual, lhv, optimize, table.
 
+Each command takes only the flags it reads (``--theta``: verify, table;
+``--tol``: verify, optimize), and the library checks each value.
+
 Exit codes: 0 when the command's checks pass, 1 when a check fails (for
 example a prediction verdict coming out false), 2 on usage errors such as an
-unknown flag or an out-of-range angle.
+unknown flag, a flag the command does not take, or an out-of-range angle.
 """
 
 from __future__ import annotations
@@ -28,28 +31,27 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-#: (command, its --format choices, help line); csv applies only to the probability table.
+#: (flag, default, help line) of each value flag.
+_THETA = ("--theta", DEFAULT_THETA, "configuration angle in radians, strictly inside (0, pi/2) [default: pi/6]")
+_TOL = ("--tol", 1e-10, "check tolerance [default: 1e-10]")
+
+#: (command, its --format choices, the value flags it reads, help line); csv applies only to the probability table.
 _COMMANDS = (
-    ("verify", ("json", "text"), "check the three zeros and the paradox positivity"),
-    ("counterfactual", ("json", "text"), "machine-check Property 1, Property 2, and the locality flag"),
-    ("lhv", ("json", "text"), "scan the 16 deterministic local strategies for feasibility"),
-    ("optimize", ("json", "text"), "maximize the paradox probability over the angle"),
-    ("table", ("json", "csv", "text"), "emit the full joint probability table"),
+    ("verify", ("json", "text"), (_THETA, _TOL), "check the three zeros and the paradox positivity"),
+    ("counterfactual", ("json", "text"), (), "machine-check Property 1, Property 2, and the locality flag"),
+    ("lhv", ("json", "text"), (), "scan the 16 deterministic local strategies for feasibility"),
+    ("optimize", ("json", "text"), (_TOL,), "maximize the paradox probability over the angle"),
+    ("table", ("json", "csv", "text"), (_THETA,), "emit the full joint probability table"),
 )
 
 
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="hardycheck", description="Hardy-type nonlocality verification toolkit")
     sub = parser.add_subparsers(dest="command", metavar="command", required=True, parser_class=_Parser)
-    for name, formats, summary in _COMMANDS:
+    for name, formats, flags, summary in _COMMANDS:
         command = sub.add_parser(name, help=summary)
-        command.add_argument(
-            "--theta",
-            type=float,
-            default=DEFAULT_THETA,
-            help="configuration angle in radians, strictly inside (0, pi/2) [default: pi/6]",
-        )
-        command.add_argument("--tol", type=float, default=1e-10, help="check tolerance [default: 1e-10]")
+        for flag, default, text in flags:
+            command.add_argument(flag, type=float, default=default, help=text)
         command.add_argument("--format", choices=formats, default="text", help="output format [default: text]")
         command.add_argument("--out", type=Path, default=None, help="write the report to this file instead of stdout")
     return parser
@@ -75,10 +77,6 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        if not args.tol > 0.0:
-            raise UsageError(f"--tol must be positive, got {args.tol!r}")
-        if not (math.isfinite(args.theta) and 0.0 < args.theta < math.pi / 2):
-            raise UsageError(f"--theta must lie strictly inside (0, pi/2), got {args.theta!r}")
         report, passed = _run_command(args)
         data = render_report(report, args.format)
     except (UsageError, ValidationError) as exc:

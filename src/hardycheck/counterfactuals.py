@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import Callable, ClassVar, Iterable
 
-from .quantum import LEFT_SETTINGS, OUTCOMES, RIGHT_SETTINGS, Outcome, Setting, ValidationError
+from .quantum import LEFT_SETTINGS, OUTCOMES, RIGHT_SETTINGS, Outcome, Setting, ValidationError, _require
 
 #: Field order of the canonical 6-tuple encoding of an instance.
 INSTANCE_FIELDS = ("o_L(L1)", "o_L(L2)", "o_R(L1,R1)", "o_R(L1,R2)", "o_R(L2,R1)", "o_R(L2,R2)")
@@ -182,12 +182,6 @@ def hardy_constraint_set() -> ConstraintSet:
     )
 
 
-def _require_constraint_set(constraint_set: object) -> ConstraintSet:
-    if not isinstance(constraint_set, ConstraintSet):
-        raise ValidationError(f"constraint_set must be a ConstraintSet, got {constraint_set!r}")
-    return constraint_set
-
-
 def realizes(instance: CounterfactualInstance, constraint: Constraint) -> bool:
     """True when the instance produces exactly the constraint's outcome pair under its settings."""
     (left, right), outcomes = constraint._slots, instance.outcomes
@@ -289,7 +283,7 @@ class Property1Report:
 
 
 def _admissible(constraint_set: ConstraintSet) -> tuple[CounterfactualInstance, ...]:
-    _require_constraint_set(constraint_set)
+    _require(constraint_set, ConstraintSet, "constraint_set")
     return tuple(inst for inst in enumerate_instances() if satisfies_zeros(inst, constraint_set))
 
 
@@ -431,7 +425,7 @@ def ensemble_admissible(support: Iterable[CounterfactualInstance], constraint_se
     left event (L1, -), which the SR falsification needs, must occur in some
     instance. Only the support matters, so the ensemble carries no weights.
     """
-    _require_constraint_set(constraint_set)
+    _require(constraint_set, ConstraintSet, "constraint_set")
     support = tuple(support)
     failures: list[str] = []
     for inst in support:

@@ -27,13 +27,12 @@ from .counterfactuals import (
     CounterfactualInstance,
     OutcomeAssignment,
     TraceStep,
-    _require_constraint_set,
     hardy_constraint_set,
     propagate_zeros,
     realizes,
     satisfies_zeros,
 )
-from .quantum import OUTCOMES, Outcome
+from .quantum import OUTCOMES, Outcome, _require
 
 
 @dataclass(frozen=True)
@@ -135,7 +134,7 @@ def hardy_lhv_feasibility(constraint_set: ConstraintSet | None = None) -> Feasib
     the zero on (L1,R2) forces o_R(R2) = +, and the zero on (L2,R2) is then
     realized outright. Dropping any single constraint reopens feasibility.
     """
-    cs = hardy_constraint_set() if constraint_set is None else _require_constraint_set(constraint_set)
+    cs = hardy_constraint_set() if constraint_set is None else _require(constraint_set, ConstraintSet, "constraint_set")
     witnesses = tuple(
         strategy
         for strategy in enumerate_strategies()

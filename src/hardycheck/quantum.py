@@ -17,8 +17,9 @@ arithmetic. Norms and overlaps, which are only compared to a tolerance, use
 plain complex arithmetic.
 
 Tolerances: algebraic identities (norms, orthogonality, row sums) are held to
-``IDENTITY_TOL``; caller-supplied inputs are rejected at the looser
-``INPUT_TOL``.
+``IDENTITY_TOL``, where a ``StateVector``'s norm is checked once, when built.
+The Born rule takes the state only as a ``StateVector``; it checks both bases,
+which do not enforce orthonormality, on each call at the looser ``INPUT_TOL``.
 """
 
 from __future__ import annotations
@@ -97,6 +98,13 @@ def _as_vector(value: object, size: int | None, what: str) -> tuple[complex, ...
     if not all(map(cmath.isfinite, vec)):  # a complex component is finite only if both parts are
         raise ValidationError(f"{what} components must be finite")
     return vec
+
+
+def _require(value: object, cls: type, what: str) -> object:
+    """``value`` if it is a ``cls``, else a ``ValidationError`` naming ``what`` and the type it got."""
+    if not isinstance(value, cls):
+        raise ValidationError(f"{what} must be a {cls.__name__}, got {type(value).__name__}")
+    return value
 
 
 def _as_float(value: object, what: str) -> float:
@@ -193,6 +201,8 @@ class MeasurementBasis:
             raise ValidationError(f"basis label must be a Setting, got {self.label!r}")
 
     def vector_for(self, outcome: Outcome) -> Qubit2Vector:
+        if outcome is not Outcome.PLUS and outcome is not Outcome.MINUS:  # identity: no __eq__ of the argument runs
+            raise ValidationError(f"outcome must be an Outcome, got {outcome!r}")
         return self.plus if outcome is Outcome.PLUS else self.minus
 
 
@@ -230,6 +240,7 @@ def inner_product(x: object, y: object) -> complex:
 
 def validate_basis(basis: MeasurementBasis, tol: float = IDENTITY_TOL) -> BasisReport:
     """Check that a basis is orthonormal within ``tol`` (``0 < tol < inf``) and report the deviations."""
+    _require(basis, MeasurementBasis, "basis")
     tol = _as_float(tol, "tol")
     if not 0.0 < tol < math.inf:
         raise ValidationError(f"tol must be positive and finite, got {tol!r}")
@@ -248,7 +259,7 @@ def validate_basis(basis: MeasurementBasis, tol: float = IDENTITY_TOL) -> BasisR
 
 
 def born_joint_probability(
-    state: object,
+    state: StateVector,
     left_basis: MeasurementBasis,
     left_outcome: Outcome,
     right_basis: MeasurementBasis,
@@ -257,15 +268,13 @@ def born_joint_probability(
     """Born-rule joint probability for one setting pair and one outcome pair.
 
     Returns ``|<v_L (x) v_R | state>|**2`` where ``v_L``/``v_R`` are the basis
-    vectors assigned to the requested outcomes. The state must be unit within
-    ``INPUT_TOL`` and both bases orthonormal within ``INPUT_TOL``; otherwise a
+    vectors assigned to the requested outcomes. The state must be a
+    ``StateVector`` (its norm was checked once, when it was built) and both bases
+    orthonormal within ``INPUT_TOL``, checked per call; otherwise a
     ``ValidationError`` is raised. For a fixed setting pair the four outcome
     probabilities sum to 1 within ``IDENTITY_TOL``.
     """
-    psi = _as_vector(state, 4, "state")
-    norm_sq = _norm_squared(psi)
-    if abs(norm_sq - 1.0) > INPUT_TOL:
-        raise ValidationError(f"state squared norm {norm_sq!r} differs from 1 beyond {INPUT_TOL}")
+    psi = _require(state, StateVector, "state").components
     for basis in (left_basis, right_basis):
         check = validate_basis(basis, INPUT_TOL)
         if not check.passed:

@@ -69,10 +69,31 @@ class TestExitCodes:
         assert code == 2
         assert "theta" in err
 
-    def test_nonpositive_tol_is_usage_error(self, capsys) -> None:
-        code, _, err = run(capsys, "table", "--tol", "-1e-9")
-        assert code == 2
-        assert "tol" in err
+    @pytest.mark.parametrize("tol", [["--tol", "-1e-9"], ["--tol=-1e-9"], ["--tol", "0"]], ids=["-1e-9", "=-1e-9", "0"])
+    @pytest.mark.parametrize("command", ["verify", "optimize"])
+    def test_nonpositive_tol_is_usage_error(self, capsys, command: str, tol: list[str]) -> None:
+        code, out, err = run(capsys, command, *tol)
+        assert (code, out) == (2, "")
+        assert err.count("\n") == 1
+        # argparse reads a separate "-1e-9" as an option, so only the other two spellings reach the library check.
+        assert err.startswith("error: argument --tol: expected one argument" if tol[1:] == ["-1e-9"] else "error: tol ")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["lhv", "--theta", "0.5"],
+            ["counterfactual", "--theta", "0.5"],
+            ["optimize", "--theta", "0.3"],
+            ["table", "--tol", "1e-3"],
+            ["lhv", "--tol", "1e-3"],
+            ["counterfactual", "--tol", "1e-3"],
+        ],
+    )
+    def test_flag_the_command_does_not_read_is_usage_error(self, capsys, argv: list[str]) -> None:
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: unrecognized arguments: {argv[1]}")
+        assert err.count("\n") == 1
 
     def test_csv_for_non_table_report_is_usage_error(self, capsys) -> None:
         code, _, err = run(capsys, "verify", "--format", "csv")

@@ -17,13 +17,15 @@ GOLDEN = Path(__file__).parent / "golden"
 
 SUBMODULES = ("quantum", "hardy", "counterfactuals", "lhv", "optimize", "render")
 
-#: At least one argv per usage class the cli benchmark draws from.
+#: At least one argv per usage class the cli benchmark draws from, and two that pass a flag the command does not take.
 USAGE_ARGVS = (
     ["frobnicate"],
     [],
     ["verify", "--theta", "2"],
     ["table", "--theta", "abc"],
     ["verify", "--tol", "0"],
+    ["lhv", "--theta", "0.5"],
+    ["table", "--tol", "1e-3"],
     ["lhv", "--format", "csv"],
     ["optimize", "--format", "csv"],
     ["verify", "--format", "csv"],
@@ -63,7 +65,7 @@ def run_fresh(code: str, *args: str) -> object:
 
 
 def test_no_command_or_usage_error_loads_numpy() -> None:
-    commands = [[name, "--format", fmt] for name, formats, _ in _COMMANDS for fmt in formats]
+    commands = [[name, "--format", fmt] for name, formats, _, _ in _COMMANDS for fmt in formats]
     assert len(commands) == 11
     results = run_fresh(_RUN_CLI, json.dumps(commands + list(USAGE_ARGVS)))
     for argv, result in zip(commands, results):

@@ -9,7 +9,9 @@ import pytest
 
 import hardycheck
 from hardycheck import (
+    Outcome,
     ValidationError,
+    born_joint_probability,
     build_hardy_configuration,
     joint_probability_table,
     maximize_paradox,
@@ -50,6 +52,12 @@ def test_all_lists_exactly_the_public_names_bound_in_the_package() -> None:
         pytest.param(lambda: verify_hardy_predictions(TABLE, tol="x"), "tol", id="verify_tol_str"),
         pytest.param(lambda: validate_basis(CONFIG.bases[0], "x"), "tol", id="validate_basis_tol_str"),
         pytest.param(lambda: validate_basis(CONFIG.bases[0], b"1e-9"), "tol", id="validate_basis_tol_bytes"),
+        pytest.param(lambda: validate_basis("x"), "basis", id="validate_basis_str"),
+        pytest.param(
+            lambda: born_joint_probability(CONFIG.state, "L1", Outcome.PLUS, CONFIG.bases[2], Outcome.PLUS),
+            "basis",
+            id="born_basis_str",
+        ),
         pytest.param(lambda: CONFIG.basis("L1"), "setting", id="basis_str"),
         pytest.param(lambda: CONFIG.basis([]), "setting", id="basis_unhashable"),
     ],

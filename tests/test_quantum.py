@@ -12,7 +12,6 @@ import pytest
 
 from hardycheck import (
     IDENTITY_TOL,
-    INPUT_TOL,
     OUTCOME_PAIRS,
     SETTING_PAIRS,
     MeasurementBasis,
@@ -168,36 +167,36 @@ class TestBornRule:
                     p1 = born_joint_probability(rotated, left, ol, right, orr)
                     assert p1 == pytest.approx(p0, abs=IDENTITY_TOL)
 
-    @pytest.mark.parametrize(
-        ("theta", "raw_state"),
-        [
-            (1e-200, False),
-            (0.3, False),
-            (math.pi / 4, False),
-            (1.2, False),
-            (math.nextafter(math.pi / 2, 0.0), False),
-            (0.3, True),
-        ],
-    )
-    def test_matches_checked_public_helpers_bit_for_bit(self, theta: float, raw_state: bool) -> None:
-        """The Born rule reads basis components directly; the checked helpers give the same bits."""
+    @pytest.mark.parametrize("theta", [1e-200, 0.3, math.pi / 4, 1.2, math.nextafter(math.pi / 2, 0.0)])
+    def test_matches_checked_public_helpers_bit_for_bit(self, theta: float) -> None:
+        """The Born rule reads state and basis components directly; the checked helpers give the same bits."""
         config = build_hardy_configuration(theta)
-        state: object = config.state
-        if raw_state:
-            # A plain list whose squared norm is off by 1e-11: inside INPUT_TOL, so it is accepted.
-            state = [complex(c) * math.sqrt(1.0 + 1e-11) for c in config.state.components]
-            assert IDENTITY_TOL < abs(sum(abs(c) ** 2 for c in state) - 1.0) < INPUT_TOL
         for left_setting, right_setting in SETTING_PAIRS:
             left, right = config.basis(left_setting), config.basis(right_setting)
             for ol, orr in OUTCOME_PAIRS:
-                reference = abs(inner_product(tensor_product(left.vector_for(ol), right.vector_for(orr)), state)) ** 2
-                assert born_joint_probability(state, left, ol, right, orr).hex() == reference.hex()
+                projector = tensor_product(left.vector_for(ol), right.vector_for(orr))
+                reference = abs(inner_product(projector, config.state)) ** 2
+                assert born_joint_probability(config.state, left, ol, right, orr).hex() == reference.hex()
 
-    def test_rejects_non_normalized_state(self) -> None:
-        bad = np.array([1.001, 0, 0, 0], dtype=complex)
+    @pytest.mark.parametrize("container", [list, tuple, np.array], ids=["list", "tuple", "ndarray"])
+    def test_state_must_be_a_state_vector(self, container: Callable[[list], object]) -> None:
+        """A raw vector, even a unit one, is not read: a state is checked once, when its StateVector is built."""
         basis = computational_basis(Setting.L1)
-        with pytest.raises(ValidationError, match="norm"):
-            born_joint_probability(bad, basis, Outcome.PLUS, computational_basis(Setting.R1), Outcome.PLUS)
+        raw = container([1.0, 0.0, 0.0, 0.0])
+        with pytest.raises(ValidationError, match="^state must be a StateVector, got "):
+            born_joint_probability(raw, basis, Outcome.PLUS, computational_basis(Setting.R1), Outcome.PLUS)
+
+    @pytest.mark.parametrize("outcome", ["+", "-", None, 1])
+    def test_outcome_must_be_an_outcome(self, outcome: object) -> None:
+        """Only an Outcome member picks a basis vector; a "+" or "-" string, None or an int raises."""
+        config = build_hardy_configuration(0.5)
+        left, right = config.basis(Setting.L1), config.basis(Setting.R1)
+        with pytest.raises(ValidationError, match="^outcome must be an Outcome, got "):
+            left.vector_for(outcome)  # type: ignore[arg-type]
+        with pytest.raises(ValidationError, match="^outcome must be an Outcome, got "):
+            born_joint_probability(config.state, left, outcome, right, Outcome.PLUS)  # type: ignore[arg-type]
+        with pytest.raises(ValidationError, match="^outcome must be an Outcome, got "):
+            born_joint_probability(config.state, left, Outcome.MINUS, right, outcome)  # type: ignore[arg-type]
 
     def test_rejects_non_orthonormal_basis(self) -> None:
         state = StateVector(np.array([1, 0, 0, 0], dtype=complex))
@@ -250,8 +249,7 @@ class TestTypeInvariants:
     @pytest.mark.parametrize("part", ["real", "imag"])
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
     @pytest.mark.parametrize(
-        ("what", "size", "make"),
-        [("Qubit2Vector", 2, Qubit2Vector), ("StateVector", 4, StateVector), ("state", 4, born_on_computational_bases)],
+        ("what", "size", "make"), [("Qubit2Vector", 2, Qubit2Vector), ("StateVector", 4, StateVector)]
     )
     def test_one_non_finite_part_of_one_component_rejected(
         self, what: str, size: int, make: Callable[[object], object], value: float, part: str
