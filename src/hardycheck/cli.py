@@ -5,7 +5,7 @@ Each command takes only the flags it reads (``--theta``: verify, table;
 
 Exit codes: 0 when the command's checks pass, 1 when a check fails (for
 example a prediction verdict coming out false), 2 on usage errors such as an
-unknown flag, a flag the command does not take, or an out-of-range angle.
+unknown or abbreviated flag, a flag the command does not take, or an out-of-range angle.
 """
 
 from __future__ import annotations
@@ -46,10 +46,10 @@ _COMMANDS = (
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(prog="hardycheck", description="Hardy-type nonlocality verification toolkit")
+    parser = _Parser(prog="hardycheck", description="Hardy-type nonlocality verification toolkit", allow_abbrev=False)
     sub = parser.add_subparsers(dest="command", metavar="command", required=True, parser_class=_Parser)
     for name, formats, flags, summary in _COMMANDS:
-        command = sub.add_parser(name, help=summary)
+        command = sub.add_parser(name, help=summary, allow_abbrev=False)
         for flag, default, text in flags:
             command.add_argument(flag, type=float, default=default, help=text)
         command.add_argument("--format", choices=formats, default="text", help="output format [default: text]")

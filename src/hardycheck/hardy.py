@@ -322,8 +322,8 @@ def to_hardy_notation(setting: Setting, outcome: Outcome) -> str:
 
 
 def from_hardy_notation(label: str) -> tuple[Setting, Outcome]:
-    """Inverse of :func:`to_hardy_notation`; raises ``ValueError`` on unknown labels."""
+    """Inverse of :func:`to_hardy_notation`; raises ``ValidationError`` unless ``label`` is one of the eight."""
     try:
         return _HARDY_LABELS_INVERSE[label]
-    except KeyError:
-        raise ValueError(f"unknown ket label: {label!r}") from None
+    except (KeyError, TypeError):
+        raise ValidationError(f"label must be one of the eight ket labels, got {label!r}") from None

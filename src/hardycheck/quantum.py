@@ -18,8 +18,9 @@ plain complex arithmetic.
 
 Tolerances: algebraic identities (norms, orthogonality, row sums) are held to
 ``IDENTITY_TOL``, where a ``StateVector``'s norm is checked once, when built.
-The Born rule takes the state only as a ``StateVector``; it checks both bases,
-which do not enforce orthonormality, on each call at the looser ``INPUT_TOL``.
+The Born rule takes the state only as a ``StateVector``. Bases do not enforce
+orthonormality: a basis computes its deviations once, when built, and each
+Born call compares both bases' deviations to the looser ``INPUT_TOL``.
 """
 
 from __future__ import annotations
@@ -184,7 +185,8 @@ class MeasurementBasis:
 
     Orthonormality is an invariant of valid bases but is not enforced by the
     constructor, so that :func:`validate_basis` can be used to report exactly
-    which requirement a candidate basis breaks. Operations that assume
+    which requirement a candidate basis breaks. The deviations are computed once, when
+    built (an overlap beyond the float range reads as ``inf``). Operations that assume
     orthonormality check it at ``INPUT_TOL`` and raise ``ValidationError``.
     """
 
@@ -199,6 +201,14 @@ class MeasurementBasis:
             object.__setattr__(self, "minus", Qubit2Vector(self.minus))
         if not isinstance(self.label, Setting):
             raise ValidationError(f"basis label must be a Setting, got {self.label!r}")
+        plus_err, minus_err = abs(self.plus.norm_squared() - 1.0), abs(self.minus.norm_squared() - 1.0)
+        (p0, p1), (m0, m1) = self.plus.components, self.minus.components
+        try:
+            overlap = abs(p0.conjugate() * m0 + p1.conjugate() * m1)
+        except OverflowError:  # finite components whose overlap magnitude exceeds the float range
+            overlap = math.inf
+        # The orthonormality deviations validate_basis reports, computed once; not a field, so repr ignores them.
+        object.__setattr__(self, "_deviations", (plus_err, minus_err, overlap))
 
     def vector_for(self, outcome: Outcome) -> Qubit2Vector:
         if outcome is not Outcome.PLUS and outcome is not Outcome.MINUS:  # identity: no __eq__ of the argument runs
@@ -239,15 +249,12 @@ def inner_product(x: object, y: object) -> complex:
 
 
 def validate_basis(basis: MeasurementBasis, tol: float = IDENTITY_TOL) -> BasisReport:
-    """Check that a basis is orthonormal within ``tol`` (``0 < tol < inf``) and report the deviations."""
+    """Check that a basis is orthonormal within ``tol`` (``0 < tol < inf``): compare the deviations it was built with."""
     _require(basis, MeasurementBasis, "basis")
     tol = _as_float(tol, "tol")
     if not 0.0 < tol < math.inf:
         raise ValidationError(f"tol must be positive and finite, got {tol!r}")
-    plus_err = abs(basis.plus.norm_squared() - 1.0)
-    minus_err = abs(basis.minus.norm_squared() - 1.0)
-    (p0, p1), (m0, m1) = basis.plus.components, basis.minus.components
-    overlap = abs(p0.conjugate() * m0 + p1.conjugate() * m1)
+    plus_err, minus_err, overlap = basis._deviations
     failures: list[str] = []
     if plus_err > tol:
         failures.append(f"plus vector squared norm off by {plus_err:.3e}")

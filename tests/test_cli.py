@@ -95,6 +95,18 @@ class TestExitCodes:
         assert err.startswith(f"error: unrecognized arguments: {argv[1]}")
         assert err.count("\n") == 1
 
+    @pytest.mark.parametrize(
+        "argv",
+        [["table", "--t", "0.3"], ["optimize", "--t", "1e-3"], ["verify", "--th", "0.3"], ["lhv", "--f", "json"]],
+        ids=["table--t", "optimize--t", "verify--th", "lhv--f"],
+    )
+    def test_flag_prefix_is_usage_error(self, capsys, argv: list[str]) -> None:
+        # A prefix is never expanded, so its meaning cannot depend on which other flags the command has.
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: unrecognized arguments: {argv[1]}")
+        assert err.count("\n") == 1
+
     def test_csv_for_non_table_report_is_usage_error(self, capsys) -> None:
         code, _, err = run(capsys, "verify", "--format", "csv")
         assert code == 2

@@ -306,6 +306,13 @@ class TestHardyNotation:
         with pytest.raises(ValueError):
             from_hardy_notation("z9")
 
+    @pytest.mark.parametrize("label", ["z9", ["c1"], None, 3], ids=["unknown_str", "list", "none", "int"])
+    def test_bad_label_raises_validation_error_naming_label(self, label: object) -> None:
+        with pytest.raises(ValidationError) as info:
+            from_hardy_notation(label)
+        assert isinstance(info.value, ValueError)  # the documented contract
+        assert str(info.value) == f"label must be one of the eight ket labels, got {label!r}"
+
     @pytest.mark.parametrize(
         "setting, outcome", [(Setting.L1, "+"), ("L1", PLUS), ([], PLUS)], ids=["str_outcome", "str_setting", "unhashable"]
     )

@@ -20,6 +20,8 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from hardycheck import (
+    IDENTITY_TOL,
+    INPUT_TOL,
     LEFT_SETTINGS,
     OUTCOME_PAIRS,
     OUTCOMES,
@@ -45,6 +47,7 @@ from hardycheck import (
     no_signalling_check,
     render_report,
     tensor_product,
+    validate_basis,
     verify_hardy_predictions,
 )
 from hardycheck.cli import main
@@ -180,6 +183,51 @@ def test_born_rule_is_the_fraction_chain_bit_for_bit(
         projector = [x * y for x in left.vector_for(ol).components for y in right.vector_for(orr).components]
         expected = abs(fraction_chain(projector, state.components)) ** 2
         assert born_joint_probability(state, left, ol, right, orr).hex() == expected.hex()
+
+
+def deviations_as_formerly_computed(basis: MeasurementBasis) -> tuple[float, float, float]:
+    """The orthonormality deviations as ``validate_basis`` computed them on each call, before bases stored them."""
+    plus, minus = basis.plus.components, basis.minus.components
+    plus_err = abs(sum([c * c.conjugate() for c in plus]).real - 1.0)
+    minus_err = abs(sum([c * c.conjugate() for c in minus]).real - 1.0)
+    (p0, p1), (m0, m1) = plus, minus
+    try:
+        overlap = abs(p0.conjugate() * m0 + p1.conjugate() * m1)
+    except OverflowError:  # that formula raised here; a basis now reads the overlap as infinite
+        overlap = math.inf
+    return plus_err, minus_err, overlap
+
+
+huge_parts = st.sampled_from([1.3e154, -1.3e154, 1e200, 1.7976931348623157e308, -1e300])
+basis_parts = st.one_of(parts, edge_parts, huge_parts, st.floats(allow_nan=False, allow_infinity=False))
+basis_complexes = st.builds(complex, basis_parts, basis_parts)
+
+
+@st.composite
+def general_bases(draw: st.DrawFn) -> MeasurementBasis:
+    """Unit and non-unit vectors, orthonormal and skewed pairs, subnormal and huge finite parts."""
+    kind = draw(st.sampled_from(["orthonormal", "skewed", "arbitrary"]))
+    if kind == "arbitrary":
+        plus, minus = [draw(basis_complexes) for _ in range(2)], [draw(basis_complexes) for _ in range(2)]
+        return MeasurementBasis(plus=plus, minus=minus, label=Setting.R1)
+    basis = draw(phased_bases(Setting.R1))
+    if kind == "orthonormal":
+        return basis
+    (m0, m1), skew = basis.minus.components, draw(basis_complexes)
+    return MeasurementBasis(plus=basis.plus, minus=[m0 + skew, m1], label=Setting.R1)
+
+
+@settings(max_examples=400, deadline=None)
+@given(basis=general_bases())
+@example(basis=MeasurementBasis(plus=[1.3e154, 0], minus=[1.3e154 * (1 + 1j), 0], label=Setting.L1))
+@example(basis=MeasurementBasis(plus=[5e-324, 1.0], minus=[1.0, -5e-324], label=Setting.L2))
+def test_basis_report_has_the_bits_of_the_per_call_formula(basis: MeasurementBasis) -> None:
+    expected = deviations_as_formerly_computed(basis)
+    for tol in (1e-300, IDENTITY_TOL, INPUT_TOL, 1e-3, 1.0, 1e300):
+        report = validate_basis(basis, tol)
+        got = (report.plus_norm_error, report.minus_norm_error, report.overlap)
+        assert [x.hex() for x in got] == [x.hex() for x in expected]
+        assert report.passed == (not any(x > tol for x in expected))
 
 
 numbers = st.one_of(

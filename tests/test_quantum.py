@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import array
 import collections
+import dataclasses
 import math
 from collections.abc import Callable
 
@@ -204,6 +205,17 @@ class TestBornRule:
         with pytest.raises(ValidationError, match="orthonormal"):
             born_joint_probability(state, degenerate, Outcome.PLUS, computational_basis(Setting.R1), Outcome.PLUS)
 
+    @pytest.mark.parametrize("side", ["left", "right"])
+    def test_non_orthonormal_basis_rejected_on_every_call(self, side: str) -> None:
+        state = StateVector(np.array([1, 0, 0, 0], dtype=complex))
+        skewed = MeasurementBasis(plus=np.array([1.0, 1e-8]), minus=KET1, label=Setting.L2)
+        other = computational_basis(Setting.R1 if side == "left" else Setting.L1)
+        left, right = (skewed, other) if side == "left" else (other, skewed)
+        message = "^basis L2 is not orthonormal: plus/minus overlap magnitude 1.000e-08$"
+        for _ in range(2):  # no call may count as having validated the basis for the next one
+            with pytest.raises(ValidationError, match=message):
+                born_joint_probability(state, left, Outcome.PLUS, right, Outcome.PLUS)
+
 
 class TestValidateBasis:
     def test_computational_basis_passes(self) -> None:
@@ -231,6 +243,32 @@ class TestValidateBasis:
         skewed = MeasurementBasis(plus=np.array([1.0, 1e-8]), minus=np.array([0.0, 1.0]), label=Setting.R2)
         assert not validate_basis(skewed, tol=1e-12).passed
         assert validate_basis(skewed, tol=1e-6).passed
+
+    def test_overlap_beyond_float_range_reads_as_infinite(self) -> None:
+        # Finite components whose overlap magnitude, 1.69e308 * sqrt(2), exceeds the largest float.
+        huge = MeasurementBasis(plus=[1.3e154, 0], minus=[1.3e154 * (1 + 1j), 0], label=Setting.L1)
+        report = validate_basis(huge)
+        assert report.overlap == math.inf
+        assert not report.passed
+        assert "plus/minus overlap magnitude inf" in report.failures
+        state = StateVector(np.array([1, 0, 0, 0], dtype=complex))
+        with pytest.raises(ValidationError, match="^basis L1 is not orthonormal: "):
+            born_joint_probability(state, huge, Outcome.PLUS, computational_basis(Setting.R1), Outcome.PLUS)
+
+    def test_deviations_are_not_a_field(self) -> None:
+        basis = MeasurementBasis(plus=2 * KET0, minus=KET1, label=Setting.R1)
+        assert "_deviations" in vars(basis)
+        assert [f.name for f in dataclasses.fields(basis)] == ["plus", "minus", "label"]
+        assert "_deviations" not in repr(basis)
+        assert type(basis).__eq__ is object.__eq__  # identity, so no stored value takes part in eq
+
+    def test_replaced_vector_reports_its_own_deviations(self) -> None:
+        basis = computational_basis(Setting.L1)
+        unnormalized = dataclasses.replace(basis, plus=2 * KET0)
+        report = validate_basis(unnormalized)
+        assert (report.plus_norm_error, report.minus_norm_error, report.overlap) == (3.0, 0.0, 0.0)
+        assert validate_basis(basis).passed
+        assert validate_basis(dataclasses.replace(unnormalized, plus=KET0)).passed
 
 
 class TestTypeInvariants:
