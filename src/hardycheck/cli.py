@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import math
+import re
 import sys
 from pathlib import Path
 
@@ -26,6 +27,10 @@ DEFAULT_THETA = math.pi / 6
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"-\.?\d")  # argparse hook: -1e-9 and -.5 are values, not flags
+
     # argparse hook; raising keeps library callers away from SystemExit
     def error(self, message: str) -> None:
         raise UsageError(message)

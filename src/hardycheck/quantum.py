@@ -48,7 +48,7 @@ class Outcome(enum.Enum):
     __hash__ = object.__hash__  # members compare by identity; Enum.__hash__ hashes the name in Python
 
     def __str__(self) -> str:
-        return self.value
+        return self._value_  # the member attribute; .value goes through the Enum descriptor
 
     @property
     def opposite(self) -> Outcome:
@@ -70,7 +70,7 @@ class Setting(enum.Enum):
     __hash__ = object.__hash__  # members compare by identity; Enum.__hash__ hashes the name in Python
 
     def __str__(self) -> str:
-        return self.value
+        return self._value_
 
 
 LEFT_SETTINGS = (Setting.L1, Setting.L2)
@@ -186,7 +186,7 @@ class MeasurementBasis:
     Orthonormality is an invariant of valid bases but is not enforced by the
     constructor, so that :func:`validate_basis` can be used to report exactly
     which requirement a candidate basis breaks. The deviations are computed once, when
-    built (an overlap beyond the float range reads as ``inf``). Operations that assume
+    built (an overlap whose terms exceed the float range reads as ``inf``). Operations that assume
     orthonormality check it at ``INPUT_TOL`` and raise ``ValidationError``.
     """
 
@@ -207,6 +207,7 @@ class MeasurementBasis:
             overlap = abs(p0.conjugate() * m0 + p1.conjugate() * m1)
         except OverflowError:  # finite components whose overlap magnitude exceeds the float range
             overlap = math.inf
+        overlap = math.inf if math.isnan(overlap) else overlap  # terms that overflow to opposite infinities
         # The orthonormality deviations validate_basis reports, computed once; not a field, so repr ignores them.
         object.__setattr__(self, "_deviations", (plus_err, minus_err, overlap))
 

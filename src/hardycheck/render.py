@@ -2,6 +2,8 @@
 
 In JSON a dataclass renders as its fields in declaration order, or as its
 ``to_json_dict()`` where keys are renamed or derived; an enum as its string.
+Each type gets one emitter, built on first sight; a dataclass's holds its ``"name": ``
+field heads encoded once. Each indent depth's brackets and separator are built once.
 """
 
 from __future__ import annotations
@@ -9,6 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import fields, is_dataclass
 from enum import Enum
+from functools import partial
 from json.encoder import encode_basestring_ascii
 from typing import Callable, Collection
 
@@ -33,24 +36,39 @@ def format_float(value: float) -> str:
 Emitter = Callable[[object, int, list[str]], None]
 
 
+class _Pads(dict):
+    """Per indent depth: the list and dict openers, the separator, the list and dict closers; built on first use."""
+
+    def __missing__(self, indent: int) -> tuple[str, str, str, str, str]:
+        pad = "\n" + "  " * indent
+        return self.setdefault(indent, ("[" + pad + "  ", "{" + pad + "  ", "," + pad + "  ", pad + "]", pad + "}"))
+
+
+_PADS = _Pads()
+
+
 def _emit_list(value: list | tuple, indent: int, out: list[str]) -> None:
-    pad = "\n" + "  " * indent
-    sep = "[" + pad + "  "
+    head, _, sep, closer, _ = _PADS[indent]
     for item in value:
-        out.append(sep)
+        out.append(head)
         (_EMITTERS.get(type(item)) or _emitter(type(item)))(item, indent + 1, out)
-        sep = "," + pad + "  "
-    out.append(pad + "]" if value else "[]")
+        head = sep
+    out.append(closer if value else "[]")
 
 
-def _emit_members(members: Collection[tuple[object, object]], indent: int, out: list[str]) -> None:
-    pad = "\n" + "  " * indent
-    sep = "{" + pad + "  "
-    for key, item in members:
-        out.append(f"{sep}{encode_basestring_ascii(str(key))}: ")
+def _emit_members(heads: Collection[tuple[str, object]], get: Callable, value: object, indent: int, out: list[str]) -> None:
+    """Emit ``get(value, key)`` under each encoded ``"key": `` head."""
+    _, opener, sep, _, closer = _PADS[indent]
+    for head, key in heads:
+        out.append(opener + head)
+        item = get(value, key)
         (_EMITTERS.get(type(item)) or _emitter(type(item)))(item, indent + 1, out)
-        sep = "," + pad + "  "
-    out.append(pad + "}" if members else "{}")
+        opener = sep
+    out.append(closer if heads else "{}")
+
+
+def _emit_dict(value: dict, indent: int, out: list[str]) -> None:
+    _emit_members([(encode_basestring_ascii(str(key)) + ": ", key) for key in value], dict.__getitem__, value, indent, out)
 
 
 def _emitter(cls: type) -> Emitter:
@@ -66,14 +84,14 @@ def _emitter(cls: type) -> Emitter:
     elif issubclass(cls, (str, Enum)):
         emit = lambda value, indent, out: out.append(encode_basestring_ascii(str(value)))
     elif issubclass(cls, dict):
-        emit = lambda value, indent, out: _emit_members(value.items(), indent, out)
+        emit = _emit_dict
     elif issubclass(cls, (list, tuple)):
         emit = _emit_list
     elif hasattr(cls, "to_json_dict"):
-        emit = lambda value, indent, out: _emit(value.to_json_dict(), indent, out)
+        emit = lambda value, indent, out: _emit_dict(value.to_json_dict(), indent, out)
     elif is_dataclass(cls):
-        names = tuple(f.name for f in fields(cls))  # fields() is too slow to call per object
-        emit = lambda value, indent, out: _emit_members([(n, getattr(value, n)) for n in names], indent, out)
+        heads = tuple((encode_basestring_ascii(f.name) + ": ", f.name) for f in fields(cls))  # encoded once per type
+        emit = partial(_emit_members, heads, getattr)
     else:
         raise TypeError(f"cannot serialize {cls.__name__} to JSON")
     _EMITTERS[cls] = emit
@@ -83,14 +101,10 @@ def _emitter(cls: type) -> Emitter:
 _EMITTERS: dict[type, Emitter] = {}  # one entry per type, filled on first sight
 
 
-def _emit(value: object, indent: int, out: list[str]) -> None:
-    (_EMITTERS.get(type(value)) or _emitter(type(value)))(value, indent, out)
-
-
 def to_json_text(payload: object) -> str:
     """Stable JSON: insertion key order, 17-significant-digit decimal floats."""
     out: list[str] = []
-    _emit(payload, 0, out)
+    (_EMITTERS.get(type(payload)) or _emitter(type(payload)))(payload, 0, out)
     out.append("\n")
     return "".join(out)
 

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import json
 import math
+from dataclasses import dataclass
+from enum import Enum
 from pathlib import Path
 
 import pytest
@@ -63,20 +65,27 @@ class TestExitCodes:
         assert code == 2
         assert "command" in err
 
-    @pytest.mark.parametrize("theta", ["0", "1.5707963267948966", "2.5", "-0.3", "nan"])
+    @pytest.mark.parametrize("theta", ["0", "1.5707963267948966", "2.5", "-0.3", "nan", "-1e-3"])
     def test_out_of_range_theta_is_usage_error(self, capsys, theta: str) -> None:
-        code, _, err = run(capsys, "verify", "--theta", theta)
-        assert code == 2
-        assert "theta" in err
+        code, out, err = run(capsys, "verify", "--theta", theta)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: theta ")
 
-    @pytest.mark.parametrize("tol", [["--tol", "-1e-9"], ["--tol=-1e-9"], ["--tol", "0"]], ids=["-1e-9", "=-1e-9", "0"])
+    def test_negative_exponent_theta_reaches_the_library_check(self, capsys) -> None:
+        code, out, err = run(capsys, "table", "--theta", "-1e-3")
+        assert (code, out) == (2, "")
+        assert err == "error: theta must lie strictly inside (0, pi/2), got -0.001\n"
+
+    @pytest.mark.parametrize(
+        "tol", [["--tol", "-1e-9"], ["--tol=-1e-9"], ["--tol", "0"], ["--tol", "-.5"]], ids=["-1e-9", "=-1e-9", "0", "-.5"]
+    )
     @pytest.mark.parametrize("command", ["verify", "optimize"])
     def test_nonpositive_tol_is_usage_error(self, capsys, command: str, tol: list[str]) -> None:
         code, out, err = run(capsys, command, *tol)
         assert (code, out) == (2, "")
         assert err.count("\n") == 1
-        # argparse reads a separate "-1e-9" as an option, so only the other two spellings reach the library check.
-        assert err.startswith("error: argument --tol: expected one argument" if tol[1:] == ["-1e-9"] else "error: tol ")
+        # A separate negative value in exponent or leading-dot form is a value, so every spelling reaches the library check.
+        assert err.startswith("error: tol ")
 
     @pytest.mark.parametrize(
         "argv",
@@ -318,6 +327,20 @@ def test_unrenderable_values_raise() -> None:
         to_json_text(object())
     with pytest.raises(TypeError, match="no text renderer"):
         render_report(object(), "text")
+
+
+def test_json_emitters_by_type() -> None:
+    @dataclass
+    class NoFields:
+        pass
+
+    class Colour(Enum):
+        RED = 1
+
+    assert to_json_text(NoFields()) == "{}\n"
+    assert to_json_text([NoFields(), {"k": NoFields()}]) == '[\n  {},\n  {\n    "k": {}\n  }\n]\n'
+    assert to_json_text(Colour.RED) == '"Colour.RED"\n'
+    assert to_json_text((True, 1, False, 0)) == "[\n  true,\n  1,\n  false,\n  0\n]\n"  # bool before its base, int
 
 
 class TestRenderReport:

@@ -47,6 +47,7 @@ from hardycheck import (
     no_signalling_check,
     render_report,
     tensor_product,
+    to_json_text,
     validate_basis,
     verify_hardy_predictions,
 )
@@ -195,7 +196,8 @@ def deviations_as_formerly_computed(basis: MeasurementBasis) -> tuple[float, flo
         overlap = abs(p0.conjugate() * m0 + p1.conjugate() * m1)
     except OverflowError:  # that formula raised here; a basis now reads the overlap as infinite
         overlap = math.inf
-    return plus_err, minus_err, overlap
+    # That formula gave nan when the two terms overflow to opposite infinities; a basis reads that as infinite too.
+    return plus_err, minus_err, math.inf if math.isnan(overlap) else overlap
 
 
 huge_parts = st.sampled_from([1.3e154, -1.3e154, 1e200, 1.7976931348623157e308, -1e300])
@@ -293,6 +295,35 @@ def test_logic_json_is_what_stdlib_json_prints(cs: ConstraintSet) -> None:
     for report in (locality_violation_report(cs), check_property1(cs), check_property2(cs), hardy_lhv_feasibility(cs)):
         rendered = render_report(report, "json")
         assert rendered == (json.dumps(json.loads(rendered), indent=2) + "\n").encode()
+
+
+json_keys = st.text()  # every code point, so non-ASCII and control characters too
+json_trees = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.text(),
+    lambda children: st.lists(children, max_size=3) | st.dictionaries(json_keys, children, max_size=3),
+    max_leaves=12,
+)
+
+
+@st.composite
+def deep_json_values(draw: st.DrawFn) -> object:
+    """A float-free JSON value nested 10-14 levels deeper than a drawn tree, with an empty list and dict at each level."""
+    value = draw(json_trees)
+    for _ in range(draw(st.integers(10, 14))):
+        if draw(st.booleans()):
+            value = [[], value, {}]
+        else:  # a drawn key may repeat an earlier one; the later entry wins, as in any dict
+            value = dict([(draw(json_keys), {}), (draw(json_keys), value), (draw(json_keys), [])])
+    return value
+
+
+@settings(max_examples=200, deadline=None)
+@given(value=json_trees | deep_json_values())
+@example(value=[])
+@example(value={})
+@example(value={"\x00\n\u00e9\U0001f600": [[], {}, "\x7f"]})
+def test_json_text_is_what_stdlib_json_prints(value: object) -> None:
+    assert to_json_text(value) == json.dumps(value, indent=2) + "\n"
 
 
 def _float_fields_read_back(report: object) -> None:

@@ -255,6 +255,13 @@ class TestValidateBasis:
         with pytest.raises(ValidationError, match="^basis L1 is not orthonormal: "):
             born_joint_probability(state, huge, Outcome.PLUS, computational_basis(Setting.R1), Outcome.PLUS)
 
+    def test_overlap_terms_overflowing_to_opposite_infinities_read_as_infinite(self) -> None:
+        # Each term, 1e300 * 1e300, overflows, and their inf - inf would be a nan that no failure lists.
+        huge = MeasurementBasis(plus=[1e300, 1e300], minus=[1e300, -1e300], label=Setting.L1)
+        report = validate_basis(huge)
+        assert report.overlap == math.inf
+        assert "plus/minus overlap magnitude inf" in report.failures
+
     def test_deviations_are_not_a_field(self) -> None:
         basis = MeasurementBasis(plus=2 * KET0, minus=KET1, label=Setting.R1)
         assert "_deviations" in vars(basis)
@@ -389,3 +396,8 @@ class TestTypeInvariants:
 
     def test_setting_values_in_declared_order(self) -> None:
         assert [s.value for s in Setting] == ["L1", "L2", "R1", "R2"]
+
+    def test_members_print_as_their_values(self) -> None:
+        members = [*Setting, *Outcome]
+        assert [(str(m), f"{m}", format(m)) for m in members] == [(m.value,) * 3 for m in members]
+        assert [m.value for m in members] == ["L1", "L2", "R1", "R2", "+", "-"]
