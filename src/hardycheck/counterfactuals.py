@@ -17,13 +17,19 @@ The statement SR reads: "if the second right alternative (R2) is performed
 and gives +, then the first (R1), performed instead, would have given -".
 Its truth conditions refer only to right-side events, which is what makes
 the dependence of its truth value on the left choice a locality violation.
+
+The checks decide with instance sets, ints whose bit i stands for the
+instance of index i: constraints and constraint sets resolve theirs when
+built, SR's verdicts are tabulated once, and ``realizes``, ``satisfies_zeros``
+and ``evaluate_sr`` are the per-instance definitions the sets are made from.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, reduce
+from operator import and_, or_
 from typing import Callable, ClassVar, Iterable
 
 from .quantum import LEFT_SETTINGS, OUTCOMES, RIGHT_SETTINGS, Outcome, Setting, ValidationError, _require
@@ -38,6 +44,8 @@ _RIGHT_SLOT = {
     (Setting.L2, Setting.R1): 4,
     (Setting.L2, Setting.R2): 5,
 }
+#: Every instance, as an instance set.
+_ALL_INSTANCES = (1 << 2 ** len(INSTANCE_FIELDS)) - 1
 #: The (R1, R2) right slots SR reads at each left context.
 _SR_SLOTS = {left: (_RIGHT_SLOT[left, Setting.R1], _RIGHT_SLOT[left, Setting.R2]) for left in LEFT_SETTINGS}
 
@@ -102,6 +110,21 @@ def enumerate_instances() -> tuple[CounterfactualInstance, ...]:
     return tuple(CounterfactualInstance(combo) for combo in itertools.product(OUTCOMES, repeat=6))
 
 
+@lru_cache(maxsize=1)
+def _slot_masks() -> tuple[dict[Outcome, int], ...]:
+    """Per slot, the set of instances taking each outcome there, read off the order of ``enumerate_instances``."""
+    masks = tuple(dict.fromkeys(OUTCOMES, 0) for _ in INSTANCE_FIELDS)
+    for index, outcomes in enumerate(itertools.product(OUTCOMES, repeat=len(INSTANCE_FIELDS))):
+        for mask, outcome in zip(masks, outcomes):
+            mask[outcome] |= 1 << index
+    return masks
+
+
+def _select(instances: int, items: tuple) -> tuple:
+    """The entries of ``items``, listed by instance index, whose instance is in the set ``instances``."""
+    return tuple(item for i, item in enumerate(items) if instances >> i & 1)
+
+
 @dataclass(frozen=True)
 class Constraint:
     """One joint event, used either as a zero (forbidden) or positivity (must occur) constraint."""
@@ -120,8 +143,10 @@ class Constraint:
             raise ValidationError(f"constraint {self.label!r} outcomes must be Outcome members, got {outcomes!r}")
         _require_side(settings[0], LEFT_SETTINGS)
         _require_side(settings[1], RIGHT_SETTINGS)
-        # The instance slots the event reads, resolved once; not a field, so eq, hash and JSON ignore it.
-        object.__setattr__(self, "_slots", (_LEFT_SLOT[settings[0]], _RIGHT_SLOT[settings]))
+        # Not fields, so eq, hash and JSON ignore them: the slots the event reads and the instances realizing it.
+        left, right = _LEFT_SLOT[settings[0]], _RIGHT_SLOT[settings]
+        object.__setattr__(self, "_slots", (left, right))
+        object.__setattr__(self, "_instances", _slot_masks()[left][outcomes[0]] & _slot_masks()[right][outcomes[1]])
 
     @property
     def event_key(self) -> tuple[tuple[Setting, Setting], tuple[Outcome, Outcome]]:
@@ -153,6 +178,9 @@ class ConstraintSet:
         labels = [c.label for c in self.zeros + self.positivity]
         if len(labels) != len(set(labels)):
             raise ValidationError("constraint labels must be unique")
+        # The instances realizing no zero event, and those realizing every positivity event.
+        object.__setattr__(self, "_allowed", _ALL_INSTANCES & ~reduce(or_, (c._instances for c in self.zeros), 0))
+        object.__setattr__(self, "_realized", reduce(and_, (c._instances for c in self.positivity), _ALL_INSTANCES))
 
     def constraint(self, label: str) -> Constraint:
         for c in self.zeros + self.positivity:
@@ -261,6 +289,13 @@ def evaluate_sr(instance: CounterfactualInstance, context: Setting) -> SRVerdict
     return SRVerdict(instance.index, context, premise, (not premise) or conclusion)
 
 
+@lru_cache(maxsize=1)
+def _sr_table() -> dict[Setting, tuple[tuple[SRVerdict, ...], int]]:
+    """Per left context, SR's verdict on every instance, by index, and the set of instances where SR is false."""
+    verdicts = {ctx: tuple(evaluate_sr(inst, ctx) for inst in enumerate_instances()) for ctx in LEFT_SETTINGS}
+    return {ctx: (v, sum(1 << s.instance_index for s in v if not s.sr_value)) for ctx, v in verdicts.items()}
+
+
 @dataclass(frozen=True)
 class Property1Report:
     """Exhaustive check that SR holds at context L2 in every zero-satisfying instance."""
@@ -282,11 +317,6 @@ class Property1Report:
         }
 
 
-def _admissible(constraint_set: ConstraintSet) -> tuple[CounterfactualInstance, ...]:
-    _require(constraint_set, ConstraintSet, "constraint_set")
-    return tuple(inst for inst in enumerate_instances() if satisfies_zeros(inst, constraint_set))
-
-
 def check_property1(constraint_set: ConstraintSet) -> Property1Report:
     """Does "the left choice is L2" force SR across all zero-satisfying instances?
 
@@ -294,10 +324,11 @@ def check_property1(constraint_set: ConstraintSet) -> Property1Report:
     o_R(L2,R2) = + excludes o_L(L2) = - (Eq1), and o_L(L2) = + in turn
     excludes o_R(L2,R1) = + (Eq2), so the conclusion o_R(L2,R1) = - follows.
     """
-    admissible = _admissible(constraint_set)
-    verdicts = tuple(evaluate_sr(inst, Setting.L2) for inst in admissible)
-    counterexamples = tuple(inst for inst, v in zip(admissible, verdicts) if not v.sr_value)
-    return Property1Report(not counterexamples, admissible, verdicts, counterexamples, constraint_set)
+    allowed = _require(constraint_set, ConstraintSet, "constraint_set")._allowed
+    verdicts, sr_false = _sr_table()[Setting.L2]
+    instances = enumerate_instances()
+    admissible, counterexamples = _select(allowed, instances), _select(allowed & sr_false, instances)
+    return Property1Report(not counterexamples, admissible, _select(allowed, verdicts), counterexamples, constraint_set)
 
 
 @dataclass(frozen=True)
@@ -334,33 +365,24 @@ def _forced_premise_step(witness: CounterfactualInstance, constraint_set: Constr
 
 
 def check_property2(constraint_set: ConstraintSet) -> Property2Report:
-    """Search for a zero-satisfying instance that realizes every positivity event and falsifies SR at L1.
+    """Find a zero-satisfying instance that realizes every positivity event and falsifies SR at L1.
 
-    For the Hardy constraints any instance realizing (L1-, R1+) works: the
-    zero on (L1,R2) forces o_R(L1,R2) = +, so the SR premise holds, while
+    The witnesses are the instances in the allowed set, the realized set and
+    SR's false set at L1 at once; the report names the lowest-index one. For
+    the Hardy constraints any instance realizing (L1-, R1+) works: the zero
+    on (L1,R2) forces o_R(L1,R2) = +, so the SR premise holds, while
     o_R(L1,R1) = + denies the conclusion. Returns a failure report (no
-    exception) when no candidate survives.
+    exception) when the intersection is empty.
     """
-    return _property2(constraint_set, _admissible(constraint_set))
-
-
-def _property2(constraint_set: ConstraintSet, admissible: tuple[CounterfactualInstance, ...]) -> Property2Report:
-    witnesses = [
-        inst
-        for inst in admissible
-        if all(realizes(inst, p) for p in constraint_set.positivity) and not evaluate_sr(inst, Setting.L1).sr_value
-    ]
+    _require(constraint_set, ConstraintSet, "constraint_set")
+    verdicts, sr_false = _sr_table()[Setting.L1]
+    witnesses = constraint_set._allowed & constraint_set._realized & sr_false
     if not witnesses:
         return Property2Report(False, None, None, 0, None, constraint_set)
-    witness = witnesses[0]
-    return Property2Report(
-        True,
-        witness,
-        evaluate_sr(witness, Setting.L1),
-        len(witnesses),
-        _forced_premise_step(witness, constraint_set),
-        constraint_set,
-    )
+    first = (witnesses & -witnesses).bit_length() - 1
+    witness = enumerate_instances()[first]
+    step = _forced_premise_step(witness, constraint_set)
+    return Property2Report(True, witness, verdicts[first], witnesses.bit_count(), step, constraint_set)
 
 
 LOCALITY_NOTE = (
@@ -400,7 +422,7 @@ def locality_violation_report(constraint_set: ConstraintSet) -> LocalityReport:
     context L1.
     """
     p1 = check_property1(constraint_set)
-    p2 = _property2(constraint_set, p1.admissible)
+    p2 = check_property2(constraint_set)
     forced_at_l2 = p1.holds and bool(p1.admissible)
     falsified_at_l1 = p2.witness_found
     return LocalityReport(

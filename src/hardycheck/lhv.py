@@ -7,9 +7,9 @@ each side reading only its own setting:
 
 so every one of the four measurements carries a pre-assigned value at once
 and the right side cannot see the left choice. There are 2**4 = 16 strategies.
-The scan looks for one strategy that satisfies every zero and realizes every
-positivity event. A mixture must keep each zero in every supported strategy
-but needs each positivity event in only one of them, so the scan settles
+A strategy is feasible when its embedded instance is in the constraint
+set's allowed and realized instance sets. A mixture must keep each zero in every supported strategy
+but needs each positivity event in only one of them, so this settles
 mixture feasibility when there is at most one positivity event, as in the
 Hardy set and its drop-one variants; with two or more, a mixture can pass
 where no single strategy does.
@@ -77,7 +77,7 @@ def strategy_satisfies(strategy: LocalStrategy, constraint_set: ConstraintSet) -
 
 @dataclass(frozen=True)
 class FeasibilityResult:
-    """Witness scan over the 16 strategies, plus a deduction trace when empty.
+    """The witnesses among the 16 strategies, plus a deduction trace when there are none.
 
     ``feasible`` is true exactly when ``witnesses`` is nonempty, that is when
     one strategy realizes every positivity event (see the module note). For an
@@ -124,22 +124,20 @@ def _deduction_trace(constraint_set: ConstraintSet) -> tuple[tuple[str, ...], tu
 
 
 def hardy_lhv_feasibility(constraint_set: ConstraintSet | None = None) -> FeasibilityResult:
-    """Scan all 16 strategies for one satisfying every zero and realizing every positivity event.
+    """The strategies satisfying every zero and realizing every positivity event.
 
-    This equals mixture feasibility when there is at most one positivity
-    event; with more, a mixture can pass where this scan finds no strategy
+    A strategy passes when its embedded instance is in the allowed and the
+    realized instance set. With at most one positivity event this equals
+    mixture feasibility; with more, a mixture can pass where no strategy does
     (``ensemble_admissible`` checks a given mixture). For the full Hardy set
-    the scan comes back empty and the deduction trace closes in three steps:
-    assuming the (L1-, R1+) event, the zero on (L2,R1) forces o_L(L2) = -,
-    the zero on (L1,R2) forces o_R(R2) = +, and the zero on (L2,R2) is then
-    realized outright. Dropping any single constraint reopens feasibility.
+    none passes and the deduction trace closes in three steps: assuming the
+    (L1-, R1+) event, the zero on (L2,R1) forces o_L(L2) = -, the zero on
+    (L1,R2) forces o_R(R2) = +, and the zero on (L2,R2) is then realized
+    outright. Dropping any single constraint reopens feasibility.
     """
     cs = hardy_constraint_set() if constraint_set is None else _require(constraint_set, ConstraintSet, "constraint_set")
-    witnesses = tuple(
-        strategy
-        for strategy in enumerate_strategies()
-        if strategy_satisfies(strategy, cs) and all(strategy_realizes(strategy, p) for p in cs.positivity)
-    )
+    feasible = cs._allowed & cs._realized
+    witnesses = tuple(strategy for strategy in enumerate_strategies() if feasible >> strategy.as_instance().index & 1)
     if witnesses:
         return FeasibilityResult(True, witnesses, (), (), cs)
     assumed, trace = _deduction_trace(cs)

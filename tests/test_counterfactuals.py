@@ -9,6 +9,9 @@ from collections.abc import Callable
 import pytest
 
 from hardycheck import (
+    LEFT_SETTINGS,
+    OUTCOMES,
+    RIGHT_SETTINGS,
     Constraint,
     ConstraintSet,
     CounterfactualInstance,
@@ -29,6 +32,7 @@ from hardycheck import (
 )
 
 PLUS, MINUS = Outcome.PLUS, Outcome.MINUS
+JOINT_EVENTS = [((sl, sr), (ol, orr)) for sl in LEFT_SETTINGS for sr in RIGHT_SETTINGS for ol in OUTCOMES for orr in OUTCOMES]
 
 # Brute-force regression values, frozen from an independent enumeration of the
 # 64 sign tuples against the three exclusion rules (see _oracle_* below).
@@ -304,6 +308,23 @@ class TestConstraintSet:
         assert a == b and hash(a) == hash(b)
         assert repr(a) == f"Constraint(label='Eq3', settings={a.settings!r}, outcomes={a.outcomes!r})"
         assert a != Constraint("Eq3", (Setting.L2, Setting.R2), (MINUS, MINUS))
+
+    def test_each_event_resolves_the_set_of_instances_realizing_it(self) -> None:
+        # Bit i of the set stands for the instance of index i; ``realizes`` is the definition.
+        for event in JOINT_EVENTS:
+            constraint = Constraint("E", *event)
+            assert 0 <= constraint._instances < 1 << 64
+            for inst in enumerate_instances():
+                assert bool(constraint._instances >> inst.index & 1) is realizes(inst, constraint)
+
+    def test_constraint_set_folds_its_events_into_instance_sets(self) -> None:
+        full = hardy_constraint_set()
+        for cs in [full, ConstraintSet()] + [full.without(c.label) for c in full.zeros + full.positivity]:
+            assert 0 <= cs._allowed < 1 << 64 and 0 <= cs._realized < 1 << 64
+            for inst in enumerate_instances():
+                assert bool(cs._allowed >> inst.index & 1) is satisfies_zeros(inst, cs)
+                assert bool(cs._realized >> inst.index & 1) is all(realizes(inst, p) for p in cs.positivity)
+        assert repr(ConstraintSet()) == "ConstraintSet(zeros=(), positivity=())"
 
     def test_constraint_set_rejects_non_constraint_entries(self) -> None:
         eq4 = hardy_constraint_set().constraint("Eq4")

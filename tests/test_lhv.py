@@ -8,6 +8,9 @@ import json
 import pytest
 
 from hardycheck import (
+    LEFT_SETTINGS,
+    OUTCOMES,
+    RIGHT_SETTINGS,
     Constraint,
     ConstraintSet,
     Outcome,
@@ -61,6 +64,17 @@ class TestEnumeration:
     def test_embedding_is_injective(self) -> None:
         images = {s.as_instance() for s in enumerate_strategies()}
         assert len(images) == 16
+
+    def test_embedded_index_agrees_with_the_strategy_checks(self) -> None:
+        # The feasibility check tests each strategy's embedded instance index against instance sets.
+        events = [((sl, sr), (ol, orr)) for sl in LEFT_SETTINGS for sr in RIGHT_SETTINGS for ol in OUTCOMES for orr in OUTCOMES]
+        for event in events:
+            constraint = Constraint("E", *event)
+            as_zero = ConstraintSet(zeros=(constraint,))
+            for strategy in enumerate_strategies():
+                index = strategy.as_instance().index
+                assert bool(constraint._instances >> index & 1) is strategy_realizes(strategy, constraint)
+                assert bool(as_zero._allowed >> index & 1) is strategy_satisfies(strategy, as_zero)
 
 
 class TestStrategySatisfies:

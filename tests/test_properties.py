@@ -10,6 +10,8 @@ import contextlib
 import io
 import json
 import math
+import subprocess
+import sys
 import tempfile
 from dataclasses import fields
 from fractions import Fraction
@@ -38,6 +40,9 @@ from hardycheck import (
     build_hardy_configuration,
     check_property1,
     check_property2,
+    enumerate_instances,
+    enumerate_strategies,
+    evaluate_sr,
     hardy_constraint_set,
     hardy_lhv_feasibility,
     inner_product,
@@ -45,7 +50,11 @@ from hardycheck import (
     locality_violation_report,
     maximize_paradox,
     no_signalling_check,
+    realizes,
     render_report,
+    satisfies_zeros,
+    strategy_realizes,
+    strategy_satisfies,
     tensor_product,
     to_json_text,
     validate_basis,
@@ -297,6 +306,45 @@ def test_logic_json_is_what_stdlib_json_prints(cs: ConstraintSet) -> None:
         assert rendered == (json.dumps(json.loads(rendered), indent=2) + "\n").encode()
 
 
+@st.composite
+def split_event_sets(draw: st.DrawFn) -> ConstraintSet:
+    """0-8 distinct joint events, split at a drawn point into zeros and positivity events."""
+    events = draw(st.permutations(JOINT_EVENTS))[: draw(st.integers(0, 8))]
+    n_zeros = draw(st.integers(0, len(events)))
+    constraints = [Constraint(f"E{i}", *event) for i, event in enumerate(events)]
+    return ConstraintSet(zeros=tuple(constraints[:n_zeros]), positivity=tuple(constraints[n_zeros:]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(cs=split_event_sets())
+@example(cs=hardy_constraint_set())
+@example(cs=ConstraintSet())
+def test_instance_set_checks_equal_the_per_instance_scan(cs: ConstraintSet) -> None:
+    # The scan the reports replaced, written from the per-instance definitions.
+    admissible = tuple(inst for inst in enumerate_instances() if satisfies_zeros(inst, cs))
+    verdicts = tuple(evaluate_sr(inst, Setting.L2) for inst in admissible)
+    counterexamples = tuple(inst for inst, verdict in zip(admissible, verdicts) if not verdict.sr_value)
+    witnesses = [
+        inst
+        for inst in admissible
+        if all(realizes(inst, p) for p in cs.positivity) and not evaluate_sr(inst, Setting.L1).sr_value
+    ]
+    lhv_witnesses = tuple(
+        s for s in enumerate_strategies() if strategy_satisfies(s, cs) and all(strategy_realizes(s, p) for p in cs.positivity)
+    )
+    report, feasibility = locality_violation_report(cs), hardy_lhv_feasibility(cs)
+    p1, p2 = report.property1, report.property2
+    assert (p1.admissible, p1.verdicts, p1.counterexamples) == (admissible, verdicts, counterexamples)
+    assert p2.witness == (witnesses[0] if witnesses else None)
+    assert p2.witness_verdict == (evaluate_sr(witnesses[0], Setting.L1) if witnesses else None)
+    assert p2.witness_count == len(witnesses)
+    forced = bool(admissible) and not counterexamples
+    flags = (report.sr_always_true_at_l2, report.sr_sometimes_false_at_l1, report.violation)
+    assert flags == (forced, bool(witnesses), forced and bool(witnesses))
+    assert feasibility.witnesses == lhv_witnesses and feasibility.feasible is bool(lhv_witnesses)
+    assert (check_property1(cs), check_property2(cs)) == (p1, p2)
+
+
 json_keys = st.text()  # every code point, so non-ASCII and control characters too
 json_trees = st.recursive(
     st.none() | st.booleans() | st.integers() | st.text(),
@@ -359,3 +407,18 @@ def test_optimize_json_floats_read_back_bit_for_bit(lo: float, width: float, tol
     except (ConvergenceError, ValidationError):
         return
     _float_fields_read_back(report)
+
+
+def test_a_failing_property_fails_alone_under_the_project_warning_filters(tmp_path: Path) -> None:
+    # On failure hypothesis prints a patch through libcst, whose import warns; under the project's
+    # filterwarnings that warning must not abort the session with INTERNALERROR.
+    (tmp_path / "test_fails.py").write_text(
+        "from hypothesis import given, strategies as st\n\n\n@given(st.integers())\ndef test_fails(n):\n    assert n < 3\n"
+    )
+    config = Path(__file__).resolve().parent.parent / "pyproject.toml"
+    argv = ["-c", str(config), "--rootdir", str(tmp_path), "-p", "no:cacheprovider", "-q", "test_fails.py"]
+    run = subprocess.run(
+        [sys.executable, "-m", "pytest", *argv], cwd=tmp_path, capture_output=True, text=True, timeout=120
+    )
+    assert "1 failed" in run.stdout
+    assert "INTERNALERROR" not in run.stdout + run.stderr
