@@ -186,7 +186,7 @@ class ConstraintSet:
         for c in self.zeros + self.positivity:
             if c.label == label:
                 return c
-        raise ValueError(f"no constraint labelled {label!r}")
+        raise ValidationError(f"label {label!r} names no constraint in this set")
 
     def without(self, label: str) -> ConstraintSet:
         """A copy with the named constraint removed (from either list)."""

@@ -29,6 +29,7 @@ from .quantum import (
     StateVector,
     ValidationError,
     _as_float,
+    _require,
     born_joint_probability,
 )
 
@@ -202,6 +203,7 @@ class JointProbabilityTable:
 
 def joint_probability_table(config: HardyConfiguration) -> JointProbabilityTable:
     """Evaluate the Born rule for all 4 setting pairs x 4 outcome pairs."""
+    _require(config, HardyConfiguration, "config")
     entries: dict[tuple[SettingPair, OutcomePair], float] = {}
     for pair in SETTING_PAIRS:
         left_basis = config.basis(pair[0])
@@ -249,6 +251,7 @@ class PredictionReport:
 
 def verify_hardy_predictions(table: JointProbabilityTable, tol: float = ZERO_TOL) -> PredictionReport:
     """Check the three zeros and the positivity of the paradox event of ``hardy_constraint_set()`` at ``tol``."""
+    _require(table, JointProbabilityTable, "table")
     tol = _as_float(tol, "tol")
     if not 0.0 < tol < math.inf:
         raise ValidationError(f"tol must be positive and finite, got {tol!r}")
@@ -289,7 +292,7 @@ def no_signalling_check(table: JointProbabilityTable) -> NoSignallingReport:
     Eight comparisons: for every (own setting, own outcome) on each side, the
     marginal under the two remote settings must agree within ``NO_SIGNALLING_TOL``.
     """
-    e = table.entries
+    e = _require(table, JointProbabilityTable, "table").entries
     deviations = {label: abs((e[k0] + e[k1]) - (e[k2] + e[k3])) for label, k0, k1, k2, k3 in _NO_SIGNALLING_TERMS}
     worst = max(deviations.values())
     return NoSignallingReport(worst <= NO_SIGNALLING_TOL, worst, NO_SIGNALLING_TOL, deviations)

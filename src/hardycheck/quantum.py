@@ -19,8 +19,9 @@ plain complex arithmetic.
 Tolerances: algebraic identities (norms, orthogonality, row sums) are held to
 ``IDENTITY_TOL``, where a ``StateVector``'s norm is checked once, when built.
 The Born rule takes the state only as a ``StateVector``. Bases do not enforce
-orthonormality: a basis computes its deviations once, when built, and each
-Born call compares both bases' deviations to the looser ``INPUT_TOL``.
+orthonormality: a basis checks itself at the looser ``INPUT_TOL`` once, when
+built, and each Born call reads both bases' stored reports; a check at any
+other tolerance compares the deviations the basis was built with.
 """
 
 from __future__ import annotations
@@ -113,6 +114,8 @@ def _as_float(value: object, what: str) -> float:
 
     Text is not parsed: ``float()`` would read a ``str`` or any buffer, which has neither conversion hook.
     """
+    if type(value) is float:
+        return value
     if hasattr(type(value), "__float__") or hasattr(type(value), "__index__"):
         try:
             return float(value)
@@ -126,11 +129,10 @@ def _norm_squared(vec: tuple[complex, ...]) -> float:
 
 
 def _fma(a: float, b: float, c: float) -> float:
-    """``a*b + c`` computed exactly, then rounded once to the nearest float (ties to even)."""
-    if not (a and b):  # a product with an exactly zero factor is skipped
-        return c
-    if not c:  # a lone product: the float multiply rounds it once, correctly
-        return a * b
+    """``a*b + c`` computed exactly, then rounded once to the nearest float (ties to even).
+
+    Only a fused step reaches it: ``_amplitude`` skips a zero factor and rounds a product onto a zero sum with ``*``.
+    """
     if math.isinf(c):  # a sum that overflowed stays infinite, as in IEEE arithmetic
         return c
     (an, ad), (bn, bd), (cn, cd) = a.as_integer_ratio(), b.as_integer_ratio(), c.as_integer_ratio()
@@ -146,9 +148,15 @@ def _amplitude(xs: tuple[complex, ...], ys: tuple[complex, ...]) -> complex:
     """``sum_k conj(x_k) * y_k``: each part is an fma chain over its real products, in index order."""
     re = im = 0.0
     for x, y in zip(xs, ys):
-        if x and y:  # otherwise every real product below has a zero factor
-            re = _fma(x.imag, y.imag, _fma(x.real, y.real, re))
-            im = _fma(-x.imag, y.real, _fma(x.real, y.imag, im))
+        xr, xi, yr, yi = x.real, x.imag, y.real, y.imag
+        if xr and yr:
+            re = _fma(xr, yr, re) if re else xr * yr
+        if xi and yi:
+            re = _fma(xi, yi, re) if re else xi * yi
+        if xr and yi:
+            im = _fma(xr, yi, im) if im else xr * yi
+        if xi and yr:
+            im = _fma(-xi, yr, im) if im else -xi * yr
     return complex(re, im)
 
 
@@ -186,8 +194,9 @@ class MeasurementBasis:
     Orthonormality is an invariant of valid bases but is not enforced by the
     constructor, so that :func:`validate_basis` can be used to report exactly
     which requirement a candidate basis breaks. The deviations are computed once, when
-    built (an overlap whose terms exceed the float range reads as ``inf``). Operations that assume
-    orthonormality check it at ``INPUT_TOL`` and raise ``ValidationError``.
+    built (an overlap whose terms exceed the float range reads as ``inf``), and so is the
+    ``BasisReport`` at ``INPUT_TOL``. Operations that assume orthonormality read that
+    report and raise ``ValidationError``.
     """
 
     plus: Qubit2Vector
@@ -208,8 +217,8 @@ class MeasurementBasis:
         except OverflowError:  # finite components whose overlap magnitude exceeds the float range
             overlap = math.inf
         overlap = math.inf if math.isnan(overlap) else overlap  # terms that overflow to opposite infinities
-        # The orthonormality deviations validate_basis reports, computed once; not a field, so repr ignores them.
-        object.__setattr__(self, "_deviations", (plus_err, minus_err, overlap))
+        # The report at INPUT_TOL, computed once; not a field, so repr ignores it.
+        object.__setattr__(self, "_report", _basis_report(plus_err, minus_err, overlap, INPUT_TOL))
 
     def vector_for(self, outcome: Outcome) -> Qubit2Vector:
         if outcome is not Outcome.PLUS and outcome is not Outcome.MINUS:  # identity: no __eq__ of the argument runs
@@ -227,6 +236,17 @@ class BasisReport:
     overlap: float
     tol: float
     failures: tuple[str, ...]
+
+
+def _basis_report(plus_err: float, minus_err: float, overlap: float, tol: float) -> BasisReport:
+    failures: list[str] = []
+    if plus_err > tol:
+        failures.append(f"plus vector squared norm off by {plus_err:.3e}")
+    if minus_err > tol:
+        failures.append(f"minus vector squared norm off by {minus_err:.3e}")
+    if overlap > tol:
+        failures.append(f"plus/minus overlap magnitude {overlap:.3e}")
+    return BasisReport(not failures, plus_err, minus_err, overlap, tol, tuple(failures))
 
 
 def tensor_product(a: object, b: object) -> tuple[complex, ...]:
@@ -250,20 +270,19 @@ def inner_product(x: object, y: object) -> complex:
 
 
 def validate_basis(basis: MeasurementBasis, tol: float = IDENTITY_TOL) -> BasisReport:
-    """Check that a basis is orthonormal within ``tol`` (``0 < tol < inf``): compare the deviations it was built with."""
+    """Check that a basis is orthonormal within ``tol`` (``0 < tol < inf``).
+
+    At ``INPUT_TOL`` it returns the report the basis stored when built; at any other tolerance it
+    builds one from the deviations the basis stored.
+    """
     _require(basis, MeasurementBasis, "basis")
     tol = _as_float(tol, "tol")
     if not 0.0 < tol < math.inf:
         raise ValidationError(f"tol must be positive and finite, got {tol!r}")
-    plus_err, minus_err, overlap = basis._deviations
-    failures: list[str] = []
-    if plus_err > tol:
-        failures.append(f"plus vector squared norm off by {plus_err:.3e}")
-    if minus_err > tol:
-        failures.append(f"minus vector squared norm off by {minus_err:.3e}")
-    if overlap > tol:
-        failures.append(f"plus/minus overlap magnitude {overlap:.3e}")
-    return BasisReport(not failures, plus_err, minus_err, overlap, tol, tuple(failures))
+    report = basis._report
+    if tol == INPUT_TOL:
+        return report
+    return _basis_report(report.plus_norm_error, report.minus_norm_error, report.overlap, tol)
 
 
 def born_joint_probability(

@@ -13,8 +13,10 @@ from hardycheck import (
     ValidationError,
     born_joint_probability,
     build_hardy_configuration,
+    hardy_constraint_set,
     joint_probability_table,
     maximize_paradox,
+    no_signalling_check,
     paradox_probability,
     reference_grid_maximum,
     validate_basis,
@@ -60,6 +62,11 @@ def test_all_lists_exactly_the_public_names_bound_in_the_package() -> None:
         ),
         pytest.param(lambda: CONFIG.basis("L1"), "setting", id="basis_str"),
         pytest.param(lambda: CONFIG.basis([]), "setting", id="basis_unhashable"),
+        pytest.param(lambda: joint_probability_table(None), "config", id="table_none"),
+        pytest.param(lambda: verify_hardy_predictions(None), "table", id="verify_none"),
+        pytest.param(lambda: no_signalling_check(None), "table", id="no_signalling_none"),
+        pytest.param(lambda: hardy_constraint_set().constraint("Eq5"), "label", id="constraint_unknown_label"),
+        pytest.param(lambda: hardy_constraint_set().without("Eq5"), "label", id="without_unknown_label"),
     ],
 )
 def test_a_non_numeric_argument_raises_validation_error_naming_it(call: Callable[[], object], argument: str) -> None:

@@ -233,12 +233,23 @@ def general_bases(draw: st.DrawFn) -> MeasurementBasis:
 @example(basis=MeasurementBasis(plus=[1.3e154, 0], minus=[1.3e154 * (1 + 1j), 0], label=Setting.L1))
 @example(basis=MeasurementBasis(plus=[5e-324, 1.0], minus=[1.0, -5e-324], label=Setting.L2))
 def test_basis_report_has_the_bits_of_the_per_call_formula(basis: MeasurementBasis) -> None:
-    expected = deviations_as_formerly_computed(basis)
-    for tol in (1e-300, IDENTITY_TOL, INPUT_TOL, 1e-3, 1.0, 1e300):
-        report = validate_basis(basis, tol)
-        got = (report.plus_norm_error, report.minus_norm_error, report.overlap)
-        assert [x.hex() for x in got] == [x.hex() for x in expected]
-        assert report.passed == (not any(x > tol for x in expected))
+    plus_err, minus_err, overlap = deviations_as_formerly_computed(basis)
+    # INPUT_TOL as a float, a numpy.float64 and a Fraction reads the report the basis stored when built.
+    for given_tol in (1e-300, IDENTITY_TOL, INPUT_TOL, np.float64(INPUT_TOL), Fraction(1, 10**9), 1e-3, 1.0, 1e300):
+        tol = float(given_tol)
+        failures = []
+        if plus_err > tol:
+            failures.append(f"plus vector squared norm off by {plus_err:.3e}")
+        if minus_err > tol:
+            failures.append(f"minus vector squared norm off by {minus_err:.3e}")
+        if overlap > tol:
+            failures.append(f"plus/minus overlap magnitude {overlap:.3e}")
+        report = validate_basis(basis, given_tol)
+        got = (report.passed, report.plus_norm_error, report.minus_norm_error, report.overlap, report.tol, report.failures)
+        expected = (not failures, plus_err, minus_err, overlap, tol, tuple(failures))
+        assert [x.hex() if type(x) is float else x for x in got] == [
+            x.hex() if type(x) is float else x for x in expected
+        ]
 
 
 numbers = st.one_of(

@@ -13,6 +13,7 @@ import pytest
 
 from hardycheck import (
     IDENTITY_TOL,
+    INPUT_TOL,
     OUTCOME_PAIRS,
     SETTING_PAIRS,
     MeasurementBasis,
@@ -264,9 +265,9 @@ class TestValidateBasis:
 
     def test_deviations_are_not_a_field(self) -> None:
         basis = MeasurementBasis(plus=2 * KET0, minus=KET1, label=Setting.R1)
-        assert "_deviations" in vars(basis)
+        assert vars(basis)["_report"] is validate_basis(basis, INPUT_TOL)
         assert [f.name for f in dataclasses.fields(basis)] == ["plus", "minus", "label"]
-        assert "_deviations" not in repr(basis)
+        assert "_report" not in repr(basis)
         assert type(basis).__eq__ is object.__eq__  # identity, so no stored value takes part in eq
 
     def test_replaced_vector_reports_its_own_deviations(self) -> None:
