@@ -12,10 +12,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .counterfactuals import hardy_constraint_set
 from .hardy import _BASIS_INDEX, _hardy_vectors
-from .quantum import MeasurementBasis, StateVector, ValidationError, _as_float, born_joint_probability
+from .quantum import MeasurementBasis, Outcome, Setting, StateVector, ValidationError, _as_float, born_joint_probability
 
 INV_PHI = (math.sqrt(5) - 1) / 2  # 1/phi
 INV_PHI_SQ = (3 - math.sqrt(5)) / 2  # 1/phi^2
@@ -43,10 +44,17 @@ def paradox_probability(theta: float) -> float:
     unless ``theta`` is a real number strictly inside (0, pi/2).
     """
     _, state, pairs = _hardy_vectors(theta)
-    (left, right), (left_outcome, right_outcome) = hardy_constraint_set().positivity[0].event_key
-    left_basis = MeasurementBasis(*pairs[_BASIS_INDEX[left]], label=left)
-    right_basis = MeasurementBasis(*pairs[_BASIS_INDEX[right]], label=right)
+    (left, left_index, left_outcome), (right, right_index, right_outcome) = _paradox_event()
+    left_basis = MeasurementBasis(*pairs[left_index], left)
+    right_basis = MeasurementBasis(*pairs[right_index], right)
     return born_joint_probability(StateVector(state), left_basis, left_outcome, right_basis, right_outcome)
+
+
+@lru_cache(maxsize=1)
+def _paradox_event() -> tuple[tuple[Setting, int, Outcome], tuple[Setting, int, Outcome]]:
+    """(setting, index in ``_BASIS_ORDER``, outcome) for each side of Eq4, read on the first objective call."""
+    settings, outcomes = hardy_constraint_set().positivity[0].event_key
+    return tuple((setting, _BASIS_INDEX[setting], outcome) for setting, outcome in zip(settings, outcomes))
 
 
 def _curve(theta: float) -> float:

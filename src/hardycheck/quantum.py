@@ -13,8 +13,10 @@ not by a BLAS kernel. The real part sums the products ``re(x_k)*re(y_k)`` and
 ``-im(x_k)*re(y_k)``, each in index order: a product with an exactly zero
 factor is skipped, the first other one is rounded once, and each later one is
 added with a correctly rounded fused multiply-add, computed in exact integer
-arithmetic. Norms and overlaps, which are only compared to a tolerance, use
-plain complex arithmetic.
+arithmetic. Norms and overlaps are only compared to a tolerance. A squared
+norm sums ``re*re + im*im`` over the components in index order in float
+arithmetic, which rounds as the real part of ``sum(c * c.conjugate())`` does;
+overlaps use plain complex arithmetic.
 
 Tolerances: algebraic identities (norms, orthogonality, row sums) are held to
 ``IDENTITY_TOL``, where a ``StateVector``'s norm is checked once, when built.
@@ -77,26 +79,34 @@ class Setting(enum.Enum):
 LEFT_SETTINGS = (Setting.L1, Setting.L2)
 RIGHT_SETTINGS = (Setting.R1, Setting.R2)
 
+_PLAIN_NUMBERS = frozenset((float, complex))
+
 
 def _as_vector(value: object, size: int | None, what: str) -> tuple[complex, ...]:
-    """Coerce a wrapper type, sequence or array-like to a finite complex vector, a fresh tuple."""
+    """Coerce a wrapper type, sequence or array-like to a finite complex vector, a fresh tuple.
+
+    A list or tuple of ``size`` items that are exactly ``float`` or ``complex`` skips the checks it would pass.
+    """
     src = getattr(value, "components", value)
-    if type(src) not in (list, tuple):
-        if not isinstance(src, Sequence) and hasattr(src, "__array__"):  # an array, read without importing numpy
-            src = src.__array__().tolist()
-        if isinstance(src, (str, bytes)) or not isinstance(src, Sequence):
-            raise ValidationError(f"{what} must be a sequence or array of numbers, got {type(src).__name__}")
-    shape = (len(src),) + ((len(src[0]),) if src and isinstance(src[0], (list, tuple)) else ())
-    if size is not None and shape != (size,):
-        raise ValidationError(f"{what} must have exactly {size} components, got shape {shape}")
-    if len(shape) != 1:
-        raise ValidationError(f"{what} must be one-dimensional, got shape {shape}")
-    if any(isinstance(c, str) for c in src):  # complex() would parse it
-        raise ValidationError(f"{what} components must be numbers")
-    try:
+    if type(src) in (list, tuple) and len(src) == size and _PLAIN_NUMBERS.issuperset(map(type, src)):
         vec = tuple(map(complex, src))
-    except (TypeError, ValueError, OverflowError):
-        raise ValidationError(f"{what} components must be numbers") from None
+    else:
+        if type(src) not in (list, tuple):
+            if not isinstance(src, Sequence) and hasattr(src, "__array__"):  # an array, read without importing numpy
+                src = src.__array__().tolist()
+            if isinstance(src, (str, bytes)) or not isinstance(src, Sequence):
+                raise ValidationError(f"{what} must be a sequence or array of numbers, got {type(src).__name__}")
+        shape = (len(src),) + ((len(src[0]),) if src and isinstance(src[0], (list, tuple)) else ())
+        if size is not None and shape != (size,):
+            raise ValidationError(f"{what} must have exactly {size} components, got shape {shape}")
+        if len(shape) != 1:
+            raise ValidationError(f"{what} must be one-dimensional, got shape {shape}")
+        if any(isinstance(c, str) for c in src):  # complex() would parse it
+            raise ValidationError(f"{what} components must be numbers")
+        try:
+            vec = tuple(map(complex, src))
+        except (TypeError, ValueError, OverflowError):
+            raise ValidationError(f"{what} components must be numbers") from None
     if not all(map(cmath.isfinite, vec)):  # a complex component is finite only if both parts are
         raise ValidationError(f"{what} components must be finite")
     return vec
@@ -125,7 +135,12 @@ def _as_float(value: object, what: str) -> float:
 
 
 def _norm_squared(vec: tuple[complex, ...]) -> float:
-    return sum([c * c.conjugate() for c in vec]).real
+    """``sum(c * c.conjugate() for c in vec).real`` bit for bit: that part of each term is ``re*re + im*im``."""
+    total = 0.0
+    for c in vec:
+        re, im = c.real, c.imag
+        total += re * re + im * im
+    return total
 
 
 def _fma(a: float, b: float, c: float) -> float:
@@ -204,14 +219,15 @@ class MeasurementBasis:
     label: Setting
 
     def __post_init__(self) -> None:
-        if not isinstance(self.plus, Qubit2Vector):
-            object.__setattr__(self, "plus", Qubit2Vector(self.plus))
-        if not isinstance(self.minus, Qubit2Vector):
-            object.__setattr__(self, "minus", Qubit2Vector(self.minus))
+        plus = self.plus if isinstance(self.plus, Qubit2Vector) else Qubit2Vector(self.plus)
+        minus = self.minus if isinstance(self.minus, Qubit2Vector) else Qubit2Vector(self.minus)
         if not isinstance(self.label, Setting):
             raise ValidationError(f"basis label must be a Setting, got {self.label!r}")
-        plus_err, minus_err = abs(self.plus.norm_squared() - 1.0), abs(self.minus.norm_squared() - 1.0)
-        (p0, p1), (m0, m1) = self.plus.components, self.minus.components
+        object.__setattr__(self, "plus", plus)
+        object.__setattr__(self, "minus", minus)
+        plus_vec, minus_vec = plus.components, minus.components
+        plus_err, minus_err = abs(_norm_squared(plus_vec) - 1.0), abs(_norm_squared(minus_vec) - 1.0)
+        (p0, p1), (m0, m1) = plus_vec, minus_vec
         try:
             overlap = abs(p0.conjugate() * m0 + p1.conjugate() * m1)
         except OverflowError:  # finite components whose overlap magnitude exceeds the float range
@@ -239,6 +255,8 @@ class BasisReport:
 
 
 def _basis_report(plus_err: float, minus_err: float, overlap: float, tol: float) -> BasisReport:
+    if plus_err <= tol and minus_err <= tol and overlap <= tol:
+        return BasisReport(True, plus_err, minus_err, overlap, tol, ())
     failures: list[str] = []
     if plus_err > tol:
         failures.append(f"plus vector squared norm off by {plus_err:.3e}")

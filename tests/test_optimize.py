@@ -153,6 +153,35 @@ class TestObjective:
         with pytest.raises(ValidationError):
             paradox_probability(theta)
 
+    def test_rejects_a_skewed_basis(self, monkeypatch: pytest.MonkeyPatch) -> None:
+        theta, state, pairs = optimize_module._hardy_vectors(0.3)
+        skewed = (((1.0, 0.0), (0.6, 0.8)),) + pairs[1:]  # L1 first, as in the builder's order
+        monkeypatch.setattr(optimize_module, "_hardy_vectors", lambda t: (theta, state, skewed))
+        with pytest.raises(ValidationError, match=r"^basis L1 is not orthonormal: plus/minus overlap magnitude 6\.000e-01$"):
+            paradox_probability(0.3)
+
+    def test_rejects_a_non_unit_state(self, monkeypatch: pytest.MonkeyPatch) -> None:
+        theta, _, pairs = optimize_module._hardy_vectors(0.3)
+        monkeypatch.setattr(optimize_module, "_hardy_vectors", lambda t: (theta, (1.0, 0.0, 0.0, 1.0), pairs))
+        with pytest.raises(ValidationError, match=r"^StateVector squared norm 2\.0 differs from 1 beyond 1e-12$"):
+            paradox_probability(0.3)
+
+    def test_builds_a_state_and_both_bases_per_call(self, monkeypatch: pytest.MonkeyPatch) -> None:
+        built: list[str] = []
+
+        def counted(cls: type) -> object:
+            def build(*args: object) -> object:
+                built.append(cls.__name__)
+                return cls(*args)
+
+            return build
+
+        for name in ("StateVector", "MeasurementBasis"):
+            monkeypatch.setattr(optimize_module, name, counted(getattr(optimize_module, name)))
+        for theta in (0.3, 0.9):
+            paradox_probability(theta)
+        assert sorted(built) == ["MeasurementBasis"] * 4 + ["StateVector"] * 2
+
 
 class TestGridOracle:
     def test_oracle_maximum_matches_exact_value(self) -> None:
