@@ -88,7 +88,7 @@ class HardyConfiguration:
 def _hardy_vectors(theta: object) -> tuple[float, tuple[float, float, float, float], tuple]:
     """Check ``theta``; return it with the state components and the (plus, minus) pairs in ``_BASIS_ORDER``.
 
-    ``build_hardy_configuration`` and the optimizer's objective wrap these floats in their validated objects.
+    ``build_hardy_configuration`` wraps these floats in its validated objects; the optimizer's objective checks them.
     """
     theta = _as_float(theta, "theta")
     if not math.isfinite(theta) or not 0.0 < theta < math.pi / 2:

@@ -16,7 +16,8 @@ from functools import lru_cache
 
 from .counterfactuals import hardy_constraint_set
 from .hardy import _BASIS_INDEX, _hardy_vectors
-from .quantum import MeasurementBasis, Outcome, Setting, StateVector, ValidationError, _as_float, born_joint_probability
+from .quantum import INPUT_TOL, OUTCOMES, Setting, ValidationError, _as_float, _as_vector, _basis_deviations
+from .quantum import _basis_failures, _born, _not_orthonormal, _state_components
 
 INV_PHI = (math.sqrt(5) - 1) / 2  # 1/phi
 INV_PHI_SQ = (3 - math.sqrt(5)) / 2  # 1/phi^2
@@ -37,24 +38,32 @@ class ConvergenceError(RuntimeError):
 def paradox_probability(theta: float) -> float:
     """P(left -, right +) when both sides pick their first alternative (L1, R1).
 
-    The event is Eq4 of ``hardy_constraint_set()``. The objective builds the
-    state and that event's two bases with the constructors and vectors of
-    ``build_hardy_configuration`` and makes the validated Born call, so it is
-    the ((L1,R1), (-,+)) table entry bit for bit. Raises ``ValidationError``
+    The event is Eq4 of ``hardy_constraint_set()``. On the vectors of
+    ``build_hardy_configuration``, without building objects, the objective runs
+    the checks of the state, of that event's two bases and of the Born call in
+    their order: it coerces the left basis's vectors, then the right basis's,
+    checks the state's norm, then the left and the right basis's
+    orthonormality at ``INPUT_TOL``. It returns the value of the Born kernel it
+    shares with ``born_joint_probability``, so it is the ((L1,R1), (-,+)) table
+    entry bit for bit and raises the same errors. Raises ``ValidationError``
     unless ``theta`` is a real number strictly inside (0, pi/2).
     """
     _, state, pairs = _hardy_vectors(theta)
     (left, left_index, left_outcome), (right, right_index, right_outcome) = _paradox_event()
-    left_basis = MeasurementBasis(*pairs[left_index], left)
-    right_basis = MeasurementBasis(*pairs[right_index], right)
-    return born_joint_probability(StateVector(state), left_basis, left_outcome, right_basis, right_outcome)
+    left_vectors = [_as_vector(v, 2, "Qubit2Vector") for v in pairs[left_index]]
+    right_vectors = [_as_vector(v, 2, "Qubit2Vector") for v in pairs[right_index]]
+    psi = _state_components(state)
+    for setting, vectors in ((left, left_vectors), (right, right_vectors)):
+        if failures := _basis_failures(*_basis_deviations(*vectors), INPUT_TOL):
+            raise _not_orthonormal(setting, failures)
+    return _born(left_vectors[left_outcome], right_vectors[right_outcome], psi)
 
 
 @lru_cache(maxsize=1)
-def _paradox_event() -> tuple[tuple[Setting, int, Outcome], tuple[Setting, int, Outcome]]:
-    """(setting, index in ``_BASIS_ORDER``, outcome) for each side of Eq4, read on the first objective call."""
+def _paradox_event() -> tuple[tuple[Setting, int, int], tuple[Setting, int, int]]:
+    """(setting, index in ``_BASIS_ORDER``, index in ``OUTCOMES``) for each side of Eq4, read on the first call."""
     settings, outcomes = hardy_constraint_set().positivity[0].event_key
-    return tuple((setting, _BASIS_INDEX[setting], outcome) for setting, outcome in zip(settings, outcomes))
+    return tuple((s, _BASIS_INDEX[s], OUTCOMES.index(o)) for s, o in zip(settings, outcomes))
 
 
 def _curve(theta: float) -> float:

@@ -23,7 +23,12 @@ Tolerances: algebraic identities (norms, orthogonality, row sums) are held to
 The Born rule takes the state only as a ``StateVector``. Bases do not enforce
 orthonormality: a basis checks itself at the looser ``INPUT_TOL`` once, when
 built, and each Born call reads both bases' stored reports; a check at any
-other tolerance compares the deviations the basis was built with.
+other tolerance compares the deviations the basis was built with. Each check
+and the Born kernel exist once, as private functions on plain vectors. The
+constructors and ``born_joint_probability`` call them, and so does the
+optimizer's objective, which builds no object: it coerces the left basis's
+vectors, then the right basis's, checks the state's norm, then the left and
+the right basis's orthonormality, and returns the kernel's value.
 """
 
 from __future__ import annotations
@@ -195,11 +200,16 @@ class StateVector:
     components: tuple[complex, ...]
 
     def __post_init__(self) -> None:
-        vec = _as_vector(self.components, 4, "StateVector")
-        norm_sq = _norm_squared(vec)
-        if abs(norm_sq - 1.0) > IDENTITY_TOL:
-            raise ValidationError(f"StateVector squared norm {norm_sq!r} differs from 1 beyond {IDENTITY_TOL}")
-        object.__setattr__(self, "components", vec)
+        object.__setattr__(self, "components", _state_components(self.components))
+
+
+def _state_components(value: object) -> tuple[complex, ...]:
+    """``value`` coerced to a 4-vector whose squared norm is 1 within ``IDENTITY_TOL``: a ``StateVector``'s checks."""
+    vec = _as_vector(value, 4, "StateVector")
+    norm_sq = _norm_squared(vec)
+    if abs(norm_sq - 1.0) > IDENTITY_TOL:
+        raise ValidationError(f"StateVector squared norm {norm_sq!r} differs from 1 beyond {IDENTITY_TOL}")
+    return vec
 
 
 @dataclass(frozen=True, eq=False)
@@ -225,16 +235,9 @@ class MeasurementBasis:
             raise ValidationError(f"basis label must be a Setting, got {self.label!r}")
         object.__setattr__(self, "plus", plus)
         object.__setattr__(self, "minus", minus)
-        plus_vec, minus_vec = plus.components, minus.components
-        plus_err, minus_err = abs(_norm_squared(plus_vec) - 1.0), abs(_norm_squared(minus_vec) - 1.0)
-        (p0, p1), (m0, m1) = plus_vec, minus_vec
-        try:
-            overlap = abs(p0.conjugate() * m0 + p1.conjugate() * m1)
-        except OverflowError:  # finite components whose overlap magnitude exceeds the float range
-            overlap = math.inf
-        overlap = math.inf if math.isnan(overlap) else overlap  # terms that overflow to opposite infinities
+        deviations = _basis_deviations(plus.components, minus.components)
         # The report at INPUT_TOL, computed once; not a field, so repr ignores it.
-        object.__setattr__(self, "_report", _basis_report(plus_err, minus_err, overlap, INPUT_TOL))
+        object.__setattr__(self, "_report", _basis_report(*deviations, INPUT_TOL))
 
     def vector_for(self, outcome: Outcome) -> Qubit2Vector:
         if outcome is not Outcome.PLUS and outcome is not Outcome.MINUS:  # identity: no __eq__ of the argument runs
@@ -254,9 +257,22 @@ class BasisReport:
     failures: tuple[str, ...]
 
 
-def _basis_report(plus_err: float, minus_err: float, overlap: float, tol: float) -> BasisReport:
+def _basis_deviations(plus_vec: tuple[complex, ...], minus_vec: tuple[complex, ...]) -> tuple[float, float, float]:
+    """Both squared-norm errors and the overlap magnitude, ``inf`` when the overlap's terms exceed the float range."""
+    plus_err, minus_err = abs(_norm_squared(plus_vec) - 1.0), abs(_norm_squared(minus_vec) - 1.0)
+    (p0, p1), (m0, m1) = plus_vec, minus_vec
+    try:
+        overlap = abs(p0.conjugate() * m0 + p1.conjugate() * m1)
+    except OverflowError:  # finite components whose overlap magnitude exceeds the float range
+        overlap = math.inf
+    overlap = math.inf if math.isnan(overlap) else overlap  # terms that overflow to opposite infinities
+    return plus_err, minus_err, overlap
+
+
+def _basis_failures(plus_err: float, minus_err: float, overlap: float, tol: float) -> tuple[str, ...]:
+    """Every orthonormality requirement these deviations break at ``tol``; empty when none is."""
     if plus_err <= tol and minus_err <= tol and overlap <= tol:
-        return BasisReport(True, plus_err, minus_err, overlap, tol, ())
+        return ()
     failures: list[str] = []
     if plus_err > tol:
         failures.append(f"plus vector squared norm off by {plus_err:.3e}")
@@ -264,7 +280,22 @@ def _basis_report(plus_err: float, minus_err: float, overlap: float, tol: float)
         failures.append(f"minus vector squared norm off by {minus_err:.3e}")
     if overlap > tol:
         failures.append(f"plus/minus overlap magnitude {overlap:.3e}")
-    return BasisReport(not failures, plus_err, minus_err, overlap, tol, tuple(failures))
+    return tuple(failures)
+
+
+def _basis_report(plus_err: float, minus_err: float, overlap: float, tol: float) -> BasisReport:
+    failures = _basis_failures(plus_err, minus_err, overlap, tol)
+    return BasisReport(not failures, plus_err, minus_err, overlap, tol, failures)
+
+
+def _not_orthonormal(label: Setting, failures: tuple[str, ...]) -> ValidationError:
+    """The Born rule's error for the basis ``label`` that breaks ``failures`` at ``INPUT_TOL``."""
+    return ValidationError(f"basis {label} is not orthonormal: " + "; ".join(failures))
+
+
+def _born(left: tuple[complex, ...], right: tuple[complex, ...], psi: tuple[complex, ...]) -> float:
+    """``|<left (x) right | psi>|**2``, the Born kernel, for checked vectors."""
+    return abs(_amplitude([x * y for x in left for y in right], psi)) ** 2
 
 
 def tensor_product(a: object, b: object) -> tuple[complex, ...]:
@@ -323,7 +354,7 @@ def born_joint_probability(
     for basis in (left_basis, right_basis):
         check = validate_basis(basis, INPUT_TOL)
         if not check.passed:
-            raise ValidationError(f"basis {basis.label} is not orthonormal: " + "; ".join(check.failures))
+            raise _not_orthonormal(basis.label, check.failures)
     left = left_basis.vector_for(left_outcome).components
     right = right_basis.vector_for(right_outcome).components
-    return abs(_amplitude([x * y for x in left for y in right], psi)) ** 2
+    return _born(left, right, psi)

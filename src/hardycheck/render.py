@@ -19,7 +19,6 @@ from .counterfactuals import LocalityReport, Property1Report, Property2Report, h
 from .hardy import JointProbabilityTable, NoSignallingReport, PredictionReport
 from .lhv import FeasibilityResult
 from .optimize import ObjectiveReport
-from .quantum import BasisReport
 
 
 class UsageError(ValueError):
@@ -222,13 +221,6 @@ def _text_objective(report: ObjectiveReport) -> str:
     )
 
 
-def _text_basis(report: BasisReport) -> str:
-    lines = [f"Basis orthonormality check (tol = {format_float(report.tol)}): {'pass' if report.passed else 'FAIL'}"]
-    for failure in report.failures:
-        lines.append(f"  {failure}")
-    return "\n".join(lines)
-
-
 _TEXT_RENDERERS = (
     (PredictionReport, _text_prediction),
     (JointProbabilityTable, _text_table),
@@ -238,7 +230,6 @@ _TEXT_RENDERERS = (
     (Property2Report, _text_property2),
     (FeasibilityResult, _text_feasibility),
     (ObjectiveReport, _text_objective),
-    (BasisReport, _text_basis),
 )
 
 

@@ -292,9 +292,7 @@ def _every_report() -> list[object]:
         hardy_lhv_feasibility(cs),
         hardy_lhv_feasibility(cs.without("Eq1")),
         maximize_paradox(0.3, 0.6, 1e-6),
-        validate_basis(config.basis(Setting.L1)),
         # Failing reports, with explicit ids so the ids above keep their names.
-        pytest.param(validate_basis(_SKEWED_BASIS), id="BasisReport-overlap"),
         pytest.param(check_property1(cs.without("Eq2")), id="Property1Report-counterexamples"),
     ]
 
@@ -308,12 +306,24 @@ def test_every_report_renders_as_json_and_text(report: object) -> None:
     assert text.endswith("\n") and text.strip()
 
 
+@pytest.mark.parametrize(
+    ("basis", "failures"),
+    [
+        pytest.param(build_hardy_configuration(0.3).basis(Setting.L1), [], id="pass"),
+        pytest.param(_SKEWED_BASIS, ["plus/minus overlap magnitude 6.000e-01"], id="FAIL"),
+    ],
+)
+def test_basis_report_renders_as_json_only(basis: MeasurementBasis, failures: list[str]) -> None:
+    """No command renders a ``BasisReport``; its JSON lists the failures, and text has no renderer."""
+    report = validate_basis(basis)
+    payload = json.loads(render_report(report, "json"))
+    assert payload["passed"] is (not failures)
+    assert payload["failures"] == failures
+    with pytest.raises(TypeError, match="^no text renderer for BasisReport$"):
+        render_report(report, "text")
+
+
 def test_failing_reports_list_their_failures_in_text() -> None:
-    basis_text = render_report(validate_basis(_SKEWED_BASIS), "text").decode("utf-8")
-    assert basis_text.splitlines() == [
-        "Basis orthonormality check (tol = 9.9999999999999998e-13): FAIL",
-        "  plus/minus overlap magnitude 6.000e-01",
-    ]
     report = check_property1(hardy_constraint_set().without("Eq2"))
     lines = render_report(report, "text").decode("utf-8").splitlines()[1:]
     assert report.counterexamples

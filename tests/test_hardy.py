@@ -11,6 +11,7 @@ import pytest
 
 from hardycheck import (
     OUTCOME_PAIRS,
+    OUTCOMES,
     SETTING_PAIRS,
     HardyConfiguration,
     JointProbabilityTable,
@@ -21,8 +22,10 @@ from hardycheck import (
     ValidationError,
     build_hardy_configuration,
     from_hardy_notation,
+    hardy_constraint_set,
     joint_probability_table,
     no_signalling_check,
+    paradox_probability,
     render_report,
     to_hardy_notation,
     verify_hardy_predictions,
@@ -338,3 +341,82 @@ class TestHardyNotation:
         assert to_hardy_notation(Setting.L1, MINUS) == "d1"
         assert to_hardy_notation(Setting.R2, MINUS) == "v2"
         assert zeros["Eq3"].outcomes == (MINUS, MINUS)
+
+
+# Polynomials in g with integer coefficients, as lists from the constant term up.
+def _poly_add(p: list[int], q: list[int]) -> list[int]:
+    return [a + b for a, b in zip(p + [0] * (len(q) - len(p)), q + [0] * (len(p) - len(q)))]
+
+
+def _poly_mul(p: list[int], q: list[int]) -> list[int]:
+    out = [0] * (len(p) + len(q) - 1)
+    for i, a in enumerate(p):
+        for j, b in enumerate(q):
+            out[i + j] += a * b
+    return out
+
+
+def _poly_trim(p: list[int]) -> list[int]:
+    while p and p[-1] == 0:
+        p = p[:-1]
+    return p
+
+
+def _poly_eval(p: list[int], g: Fraction) -> Fraction:
+    return sum((c * g**k for k, c in enumerate(p)), Fraction(0))
+
+
+def _monomial(k: int, c: int = 1) -> list[int]:
+    return [0] * k + [c]
+
+
+# The unnormalized (plus, minus) pairs of build_hardy_configuration's docstring, components in Z[g]. The state
+# cos(theta)|00> + sin(theta)|11> is sin(theta) * (g^2|00> + |11>) with g^2 = cot(theta).
+EXACT_BASES = {
+    Setting.L1: ((_monomial(3), [1]), ([1], _monomial(3, -1))),
+    Setting.L2: ((_monomial(1, -1), [1]), ([1], _monomial(1))),
+    Setting.R1: (([1], _monomial(3)), (_monomial(3), [-1])),
+    Setting.R2: (([1], _monomial(1, -1)), (_monomial(1), [1])),
+}
+
+
+def _exact_event(settings: tuple[Setting, Setting], outcomes: tuple[Outcome, Outcome]) -> tuple[list[int], list[int]]:
+    """(numerator, denominator) of the event's Born probability: ``(g^2 u0 v0 + u1 v1)^2 / ((1+g^4) |u|^2 |v|^2)``."""
+    (u0, u1), (v0, v1) = (EXACT_BASES[s][OUTCOMES.index(o)] for s, o in zip(settings, outcomes))
+    amplitude = _poly_add(_poly_mul(_monomial(2), _poly_mul(u0, v0)), _poly_mul(u1, v1))
+    norms = [_poly_add(_poly_mul(x0, x0), _poly_mul(x1, x1)) for x0, x1 in ((u0, u1), (v0, v1))]
+    denominator = _poly_mul(_poly_add([1], _monomial(4)), _poly_mul(*norms))
+    return _poly_mul(amplitude, amplitude), denominator
+
+
+class TestExactCertificate:
+    """The construction over Z[g], exactly: the zeros hold at every angle, and Eq4 is the reference curve."""
+
+    def test_zero_amplitudes_are_the_zero_polynomial(self) -> None:
+        zeros = hardy_constraint_set().zeros
+        assert [c.label for c in zeros] == ["Eq1", "Eq2", "Eq3"]
+        for constraint in zeros:
+            numerator, denominator = _exact_event(constraint.settings, constraint.outcomes)
+            assert _poly_trim(numerator) == [], constraint.label
+            assert _poly_trim(denominator) != []
+
+    def test_eq4_is_the_reference_curve_as_a_rational_function(self) -> None:
+        (eq4,) = hardy_constraint_set().positivity
+        numerator, denominator = _exact_event(eq4.settings, eq4.outcomes)
+        one_minus_g4, one_plus_g4, one_plus_g6 = [1, 0, 0, 0, -1], [1, 0, 0, 0, 1], [1, 0, 0, 0, 0, 0, 1]
+        # g^4 (1 - g^4)^2 / ((1 + g^4) (1 + g^6)^2)
+        assert _poly_trim(numerator) == _poly_mul(_monomial(4), _poly_mul(one_minus_g4, one_minus_g4))
+        assert _poly_trim(denominator) == _poly_mul(one_plus_g4, _poly_mul(one_plus_g6, one_plus_g6))
+        # equals g^4 (1 - g^2)^2 / ((1 + g^4) (1 - g^2 + g^4)^2), because 1 + g^6 = (1 + g^2)(1 - g^2 + g^4)
+        one_minus_g2, cubic_factor = [1, 0, -1], [1, 0, -1, 0, 1]
+        curve_num = _poly_mul(_monomial(4), _poly_mul(one_minus_g2, one_minus_g2))
+        curve_den = _poly_mul(one_plus_g4, _poly_mul(cubic_factor, cubic_factor))
+        assert _poly_trim(_poly_mul(numerator, curve_den)) == _poly_trim(_poly_mul(curve_num, denominator))
+
+    @pytest.mark.parametrize("g", [Fraction(1, 3), Fraction(1, 2), Fraction(2), Fraction(3)], ids=str)
+    def test_objective_is_within_1e_15_of_the_exact_value(self, g: Fraction) -> None:
+        (eq4,) = hardy_constraint_set().positivity
+        numerator, denominator = _exact_event(eq4.settings, eq4.outcomes)
+        exact = _poly_eval(numerator, g) / _poly_eval(denominator, g)
+        theta = math.atan2(1, g * g)  # cot(theta) = g^2
+        assert abs(paradox_probability(theta) - exact) <= 1e-15

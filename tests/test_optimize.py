@@ -19,9 +19,12 @@ from hypothesis import strategies as st
 import hardycheck.optimize as optimize_module
 from hardycheck import (
     DEFAULT_BRACKET,
-    Setting,
+    MeasurementBasis,
     Outcome,
+    Setting,
+    StateVector,
     ValidationError,
+    born_joint_probability,
     build_hardy_configuration,
     joint_probability_table,
     maximize_paradox,
@@ -119,6 +122,15 @@ def grid_oracle(lo: float = DEFAULT_LO, hi: float = DEFAULT_HI) -> tuple[float, 
     return float(fine[j]), float(fine_values[j])
 
 
+SKEWED = ((1.0, 0.0), (0.6, 0.8))
+OVERFLOWING = ((1e300, 1e300), (1e300, -1e300))  # finite, but the overlap's terms overflow to opposite infinities
+
+
+def _with(pairs: tuple, index: int, pair: tuple) -> tuple:
+    """``pairs`` (ordered L1, L2, R1, R2) with the (plus, minus) pair at ``index`` replaced."""
+    return pairs[:index] + (pair,) + pairs[index + 1 :]
+
+
 class TestObjective:
     def test_pipeline_agrees_with_closed_form(self) -> None:
         for theta in np.linspace(0.02, math.pi / 2 - 0.02, 101):
@@ -166,21 +178,43 @@ class TestObjective:
         with pytest.raises(ValidationError, match=r"^StateVector squared norm 2\.0 differs from 1 beyond 1e-12$"):
             paradox_probability(0.3)
 
-    def test_builds_a_state_and_both_bases_per_call(self, monkeypatch: pytest.MonkeyPatch) -> None:
-        built: list[str] = []
-
-        def counted(cls: type) -> object:
-            def build(*args: object) -> object:
-                built.append(cls.__name__)
-                return cls(*args)
-
-            return build
-
-        for name in ("StateVector", "MeasurementBasis"):
-            monkeypatch.setattr(optimize_module, name, counted(getattr(optimize_module, name)))
-        for theta in (0.3, 0.9):
-            paradox_probability(theta)
-        assert sorted(built) == ["MeasurementBasis"] * 4 + ["StateVector"] * 2
+    @pytest.mark.parametrize(
+        ("corrupt", "error_head"),
+        [
+            pytest.param(lambda s, p: (s, _with(p, 0, SKEWED)), "basis L1 ", id="skewed_L1"),
+            pytest.param(lambda s, p: (s, _with(p, 2, SKEWED)), "basis R1 ", id="skewed_R1"),
+            pytest.param(lambda s, p: (s, _with(p, 0, ((2.0, 0.0), p[0][1]))), "basis L1 ", id="non_unit_L1_plus"),
+            pytest.param(lambda s, p: (s, _with(p, 2, (p[2][0], (math.nan, 1.0)))), "Qubit2Vector", id="non_finite_R1"),
+            pytest.param(lambda s, p: (s, _with(p, 0, ((1.0,), p[0][1]))), "Qubit2Vector", id="one_component"),
+            pytest.param(lambda s, p: (s, _with(p, 2, (("1", 0.0), p[2][1]))), "Qubit2Vector", id="str_component"),
+            pytest.param(lambda s, p: ((1.0, 0.0, 0.0, 1.0), p), "StateVector", id="non_unit_state"),
+            pytest.param(lambda s, p: ((1.0, 0.0, 0.0, 1.0), _with(p, 0, SKEWED)), "StateVector", id="state_before_L1"),
+            pytest.param(lambda s, p: (s, _with(_with(p, 2, SKEWED), 0, SKEWED)), "basis L1 ", id="L1_before_R1"),
+            pytest.param(
+                lambda s, p: ((math.inf, 0.0, 0.0, 1.0), _with(p, 0, ((math.inf, 0.0), p[0][1]))),
+                "Qubit2Vector",
+                id="L1_coercion_before_state",
+            ),
+            pytest.param(lambda s, p: (s, _with(p, 0, OVERFLOWING)), "basis L1 ", id="overflowing_overlap"),
+            pytest.param(lambda s, p: (s, _with(p, 1, SKEWED)), None, id="skewed_L2_unread"),
+        ],
+    )
+    def test_agrees_with_the_object_path(self, monkeypatch: pytest.MonkeyPatch, corrupt, error_head) -> None:
+        """Corrupted vectors give the value, or the error, of the state, bases and Born call the objective skips."""
+        theta, state, pairs = optimize_module._hardy_vectors(0.3)
+        state, pairs = corrupt(state, pairs)
+        monkeypatch.setattr(optimize_module, "_hardy_vectors", lambda t: (theta, state, pairs))
+        try:
+            left = MeasurementBasis(*pairs[0], Setting.L1)
+            right = MeasurementBasis(*pairs[2], Setting.R1)
+            expected = born_joint_probability(StateVector(state), left, Outcome.MINUS, right, Outcome.PLUS)
+        except ValidationError as exc:
+            assert error_head is not None and str(exc).startswith(error_head)
+            with pytest.raises(ValidationError, match=f"^{re.escape(str(exc))}$"):
+                paradox_probability(0.3)
+        else:
+            assert error_head is None
+            assert paradox_probability(0.3).hex() == expected.hex()
 
 
 class TestGridOracle:
