@@ -99,10 +99,6 @@ class CounterfactualInstance(OutcomeAssignment):
     def left_outcome(self, left_choice: Setting) -> Outcome:
         return self.outcomes[_LEFT_SLOT[_require_side(left_choice, LEFT_SETTINGS)]]
 
-    def right_outcome(self, left_choice: Setting, right_choice: Setting) -> Outcome:
-        pair = (_require_side(left_choice, LEFT_SETTINGS), _require_side(right_choice, RIGHT_SETTINGS))
-        return self.outcomes[_RIGHT_SLOT[pair]]
-
 
 @lru_cache(maxsize=1)
 def enumerate_instances() -> tuple[CounterfactualInstance, ...]:

@@ -15,6 +15,7 @@ labels traditionally used for this construction.
 from __future__ import annotations
 
 import math
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
 
 from .counterfactuals import hardy_constraint_set
@@ -74,7 +75,9 @@ class HardyConfiguration:
     theta: float
 
     def __post_init__(self) -> None:
-        labels = tuple(basis.label for basis in self.bases)
+        _require(self.state, StateVector, "state")
+        bases = _require(self.bases, Sequence, "bases")
+        labels = tuple(_require(basis, MeasurementBasis, "bases entry").label for basis in bases)
         if labels != _BASIS_ORDER:
             raise ValidationError(f"bases must be labelled {_BASIS_ORDER}, got {labels}")
 
@@ -159,11 +162,11 @@ class JointProbabilityTable:
     entries: dict[tuple[SettingPair, OutcomePair], float]
 
     def __post_init__(self) -> None:
-        if set(self.entries) != _TABLE_KEYS:
+        if set(_require(self.entries, Mapping, "entries")) != _TABLE_KEYS:
             raise ValidationError("table must contain exactly the 16 setting/outcome pair entries")
         clean: dict[tuple[SettingPair, OutcomePair], float] = {}
         for key, value in self.entries.items():
-            p = float(value)
+            p = _as_float(value, "table entry")
             if not math.isfinite(p) or p < -IDENTITY_TOL or p > 1.0 + IDENTITY_TOL:
                 raise ValidationError(f"entry {key} = {p!r} outside [0, 1]")
             clean[key] = p

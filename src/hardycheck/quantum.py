@@ -87,7 +87,7 @@ RIGHT_SETTINGS = (Setting.R1, Setting.R2)
 _PLAIN_NUMBERS = frozenset((float, complex))
 
 
-def _as_vector(value: object, size: int | None, what: str) -> tuple[complex, ...]:
+def _as_vector(value: object, size: int, what: str) -> tuple[complex, ...]:
     """Coerce a wrapper type, sequence or array-like to a finite complex vector, a fresh tuple.
 
     A list or tuple of ``size`` items that are exactly ``float`` or ``complex`` skips the checks it would pass.
@@ -102,10 +102,8 @@ def _as_vector(value: object, size: int | None, what: str) -> tuple[complex, ...
             if isinstance(src, (str, bytes)) or not isinstance(src, Sequence):
                 raise ValidationError(f"{what} must be a sequence or array of numbers, got {type(src).__name__}")
         shape = (len(src),) + ((len(src[0]),) if src and isinstance(src[0], (list, tuple)) else ())
-        if size is not None and shape != (size,):
+        if shape != (size,):
             raise ValidationError(f"{what} must have exactly {size} components, got shape {shape}")
-        if len(shape) != 1:
-            raise ValidationError(f"{what} must be one-dimensional, got shape {shape}")
         if any(isinstance(c, str) for c in src):  # complex() would parse it
             raise ValidationError(f"{what} components must be numbers")
         try:
@@ -188,9 +186,6 @@ class Qubit2Vector:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "components", _as_vector(self.components, 2, "Qubit2Vector"))
-
-    def norm_squared(self) -> float:
-        return _norm_squared(self.components)
 
 
 @dataclass(frozen=True, eq=False)
@@ -296,26 +291,6 @@ def _not_orthonormal(label: Setting, failures: tuple[str, ...]) -> ValidationErr
 def _born(left: tuple[complex, ...], right: tuple[complex, ...], psi: tuple[complex, ...]) -> float:
     """``|<left (x) right | psi>|**2``, the Born kernel, for checked vectors."""
     return abs(_amplitude([x * y for x in left for y in right], psi)) ** 2
-
-
-def tensor_product(a: object, b: object) -> tuple[complex, ...]:
-    """Kronecker product of two single-system vectors.
-
-    Component (i, j) of the result is ``a_i * b_j`` at flat index ``2*i + j``
-    (left factor slow). The output norm is the product of the input norms.
-    """
-    left = _as_vector(a, 2, "tensor_product left factor")
-    right = _as_vector(b, 2, "tensor_product right factor")
-    return tuple(x * y for x in left for y in right)
-
-
-def inner_product(x: object, y: object) -> complex:
-    """Hermitian inner product <x|y>, conjugate-linear in the first argument, rounded as the module docstring says."""
-    xv = _as_vector(x, None, "inner_product first argument")
-    yv = _as_vector(y, None, "inner_product second argument")
-    if len(xv) != len(yv):
-        raise ValidationError(f"inner_product arguments must match in length, got {(len(xv),)} and {(len(yv),)}")
-    return _amplitude(xv, yv)
 
 
 def validate_basis(basis: MeasurementBasis, tol: float = IDENTITY_TOL) -> BasisReport:

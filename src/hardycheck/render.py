@@ -16,7 +16,7 @@ from json.encoder import encode_basestring_ascii
 from typing import Callable, Collection
 
 from .counterfactuals import LocalityReport, Property1Report, Property2Report, hardy_constraint_set
-from .hardy import JointProbabilityTable, NoSignallingReport, PredictionReport
+from .hardy import JointProbabilityTable, PredictionReport
 from .lhv import FeasibilityResult
 from .optimize import ObjectiveReport
 
@@ -144,17 +144,6 @@ def _csv_table(table: JointProbabilityTable) -> str:
     return "\n".join(lines)
 
 
-def _text_no_signalling(report: NoSignallingReport) -> str:
-    lines = [
-        f"No-signalling check (tol = {format_float(report.tol)})",
-        f"  max marginal deviation = {format_float(report.max_deviation)}",
-        f"  passed: {'yes' if report.passed else 'NO'}",
-    ]
-    for label, dev in report.deviations.items():
-        lines.append(f"  {label}: {format_float(dev)}")
-    return "\n".join(lines)
-
-
 def _text_property1(report: Property1Report) -> str:
     lines = [
         f"Property 1 (L2 implies SR): {'holds' if report.holds else 'FAILS'} "
@@ -224,10 +213,7 @@ def _text_objective(report: ObjectiveReport) -> str:
 _TEXT_RENDERERS = (
     (PredictionReport, _text_prediction),
     (JointProbabilityTable, _text_table),
-    (NoSignallingReport, _text_no_signalling),
     (LocalityReport, _text_locality),
-    (Property1Report, _text_property1),
-    (Property2Report, _text_property2),
     (FeasibilityResult, _text_feasibility),
     (ObjectiveReport, _text_objective),
 )

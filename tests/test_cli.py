@@ -13,9 +13,13 @@ import pytest
 from hardycheck import (
     Constraint,
     ConstraintSet,
+    FeasibilityResult,
     JointProbabilityTable,
+    LocalityReport,
     MeasurementBasis,
+    ObjectiveReport,
     Outcome,
+    PredictionReport,
     Setting,
     UsageError,
     build_hardy_configuration,
@@ -33,6 +37,7 @@ from hardycheck import (
     verify_hardy_predictions,
 )
 from hardycheck.cli import main
+from hardycheck.render import _TEXT_RENDERERS
 
 PI_6 = "0.5235987755982988"
 GOLDEN = Path(__file__).parent / "golden"
@@ -292,18 +297,32 @@ def _every_report() -> list[object]:
         hardy_lhv_feasibility(cs),
         hardy_lhv_feasibility(cs.without("Eq1")),
         maximize_paradox(0.3, 0.6, 1e-6),
+        validate_basis(build_hardy_configuration(0.3).basis(Setting.L1)),
         # Failing reports, with explicit ids so the ids above keep their names.
         pytest.param(check_property1(cs.without("Eq2")), id="Property1Report-counterexamples"),
+        pytest.param(validate_basis(_SKEWED_BASIS), id="BasisReport-FAIL"),
     ]
 
 
+#: The report types a command prints; each has a text renderer, and no other type has one.
+PRINTED_TYPES = (PredictionReport, JointProbabilityTable, LocalityReport, FeasibilityResult, ObjectiveReport)
+
+
 @pytest.mark.parametrize("report", _every_report(), ids=lambda r: type(r).__name__)
-def test_every_report_renders_as_json_and_text(report: object) -> None:
+def test_every_report_renders_as_json_and_a_printed_one_as_text(report: object) -> None:
     payload = json.loads(render_report(report, "json"))
     assert isinstance(payload, list if isinstance(report, JointProbabilityTable) else dict)
     assert payload
-    text = render_report(report, "text").decode("utf-8")
-    assert text.endswith("\n") and text.strip()
+    if type(report) in PRINTED_TYPES:
+        text = render_report(report, "text").decode("utf-8")
+        assert text.endswith("\n") and text.strip()
+    else:
+        with pytest.raises(TypeError, match=f"^no text renderer for {type(report).__name__}$"):
+            render_report(report, "text")
+
+
+def test_the_text_renderer_table_holds_exactly_the_printed_types() -> None:
+    assert tuple(kind for kind, _ in _TEXT_RENDERERS) == PRINTED_TYPES
 
 
 @pytest.mark.parametrize(
@@ -313,21 +332,19 @@ def test_every_report_renders_as_json_and_text(report: object) -> None:
         pytest.param(_SKEWED_BASIS, ["plus/minus overlap magnitude 6.000e-01"], id="FAIL"),
     ],
 )
-def test_basis_report_renders_as_json_only(basis: MeasurementBasis, failures: list[str]) -> None:
-    """No command renders a ``BasisReport``; its JSON lists the failures, and text has no renderer."""
-    report = validate_basis(basis)
-    payload = json.loads(render_report(report, "json"))
+def test_basis_report_json_lists_its_failures(basis: MeasurementBasis, failures: list[str]) -> None:
+    payload = json.loads(render_report(validate_basis(basis), "json"))
     assert payload["passed"] is (not failures)
     assert payload["failures"] == failures
-    with pytest.raises(TypeError, match="^no text renderer for BasisReport$"):
-        render_report(report, "text")
 
 
 def test_failing_reports_list_their_failures_in_text() -> None:
-    report = check_property1(hardy_constraint_set().without("Eq2"))
-    lines = render_report(report, "text").decode("utf-8").splitlines()[1:]
-    assert report.counterexamples
-    assert lines == [f"  counterexample #{inst.index}: {inst}" for inst in report.counterexamples]
+    report = locality_violation_report(hardy_constraint_set().without("Eq2"))
+    lines = render_report(report, "text").decode("utf-8").splitlines()
+    assert report.property1.counterexamples
+    assert [line for line in lines if "counterexample #" in line] == [
+        f"    counterexample #{inst.index}: {inst}" for inst in report.property1.counterexamples
+    ]
 
 
 def test_unrenderable_values_raise() -> None:
@@ -359,11 +376,6 @@ class TestRenderReport:
         assert render_report(table, "csv") == render_report(table, "csv")
         report = verify_hardy_predictions(table)
         assert render_report(report, "json") == render_report(report, "json")
-
-    def test_no_signalling_report_renders(self) -> None:
-        report = no_signalling_check(joint_probability_table(build_hardy_configuration(0.5)))
-        assert b"max marginal deviation" in render_report(report, "text")
-        assert json.loads(render_report(report, "json"))["passed"] is True
 
     def test_unknown_format_rejected(self) -> None:
         table = joint_probability_table(build_hardy_configuration(0.5))

@@ -9,6 +9,7 @@ from collections.abc import Callable
 import pytest
 
 from hardycheck import (
+    INSTANCE_FIELDS,
     LEFT_SETTINGS,
     OUTCOMES,
     RIGHT_SETTINGS,
@@ -32,6 +33,13 @@ from hardycheck import (
 )
 
 PLUS, MINUS = Outcome.PLUS, Outcome.MINUS
+
+
+def right_outcome(inst: CounterfactualInstance, left: Setting, right: Setting) -> Outcome:
+    """The outcome ``inst`` assigns to the right choice ``right`` in the left context ``left``."""
+    return inst.outcomes[INSTANCE_FIELDS.index(f"o_R({left},{right})")]
+
+
 JOINT_EVENTS = [((sl, sr), (ol, orr)) for sl in LEFT_SETTINGS for sr in RIGHT_SETTINGS for ol in OUTCOMES for orr in OUTCOMES]
 
 # Brute-force regression values, frozen from an independent enumeration of the
@@ -73,7 +81,7 @@ class TestEnumeration:
             for left in (Setting.L1, Setting.L2):
                 assert inst.left_outcome(left) in (PLUS, MINUS)
                 for right in (Setting.R1, Setting.R2):
-                    assert inst.right_outcome(left, right) in (PLUS, MINUS)
+                    assert right_outcome(inst, left, right) in (PLUS, MINUS)
 
     def test_left_outcome_takes_no_right_argument(self) -> None:
         inst = enumerate_instances()[5]
@@ -81,10 +89,6 @@ class TestEnumeration:
             inst.left_outcome(Setting.L1, Setting.R1)  # type: ignore[call-arg]
         with pytest.raises(ValidationError):
             inst.left_outcome(Setting.R1)
-        with pytest.raises(ValidationError):
-            inst.right_outcome(Setting.L1, Setting.L2)
-        with pytest.raises(ValidationError):
-            inst.right_outcome(Setting.L1, "R1")  # type: ignore[arg-type]
 
     @pytest.mark.parametrize("size", [0, 5, 7])
     def test_wrong_length_rejected(self, size: int) -> None:
@@ -168,8 +172,8 @@ class TestProperty1:
         assert not report.holds
         assert any(
             inst.left_outcome(Setting.L2) is PLUS
-            and inst.right_outcome(Setting.L2, Setting.R2) is PLUS
-            and inst.right_outcome(Setting.L2, Setting.R1) is PLUS
+            and right_outcome(inst, Setting.L2, Setting.R2) is PLUS
+            and right_outcome(inst, Setting.L2, Setting.R1) is PLUS
             for inst in report.counterexamples
         )
 

@@ -8,6 +8,7 @@ import json
 import pytest
 
 from hardycheck import (
+    INSTANCE_FIELDS,
     LEFT_SETTINGS,
     OUTCOMES,
     RIGHT_SETTINGS,
@@ -59,7 +60,8 @@ class TestEnumeration:
             o_l1, o_l2, o_r1, o_r2 = strategy.outcomes
             assert (inst.left_outcome(Setting.L1), inst.left_outcome(Setting.L2)) == (o_l1, o_l2)
             for left in (Setting.L1, Setting.L2):
-                assert (inst.right_outcome(left, Setting.R1), inst.right_outcome(left, Setting.R2)) == (o_r1, o_r2)
+                slots = [INSTANCE_FIELDS.index(f"o_R({left},{right})") for right in (Setting.R1, Setting.R2)]
+                assert tuple(inst.outcomes[slot] for slot in slots) == (o_r1, o_r2)
 
     def test_embedding_is_injective(self) -> None:
         images = {s.as_instance() for s in enumerate_strategies()}

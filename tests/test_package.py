@@ -9,6 +9,8 @@ import pytest
 
 import hardycheck
 from hardycheck import (
+    HardyConfiguration,
+    JointProbabilityTable,
     Outcome,
     ValidationError,
     born_joint_probability,
@@ -25,6 +27,8 @@ from hardycheck import (
 
 CONFIG = build_hardy_configuration(0.7)
 TABLE = joint_probability_table(CONFIG)
+KEY = next(iter(TABLE.entries))
+STR_ENTRIES = {key: repr(p) for key, p in TABLE.entries.items()}  # text a float() call would parse
 
 
 def test_all_lists_exactly_the_public_names_bound_in_the_package() -> None:
@@ -65,6 +69,15 @@ def test_all_lists_exactly_the_public_names_bound_in_the_package() -> None:
         pytest.param(lambda: joint_probability_table(None), "config", id="table_none"),
         pytest.param(lambda: verify_hardy_predictions(None), "table", id="verify_none"),
         pytest.param(lambda: no_signalling_check(None), "table", id="no_signalling_none"),
+        pytest.param(lambda: JointProbabilityTable(STR_ENTRIES), "table entry", id="table_str_entries"),
+        pytest.param(lambda: JointProbabilityTable({**TABLE.entries, KEY: None}), "table entry", id="table_none_entry"),
+        pytest.param(
+            lambda: JointProbabilityTable({**TABLE.entries, KEY: 0.5 + 0j}), "table entry", id="table_complex_entry"
+        ),
+        pytest.param(lambda: JointProbabilityTable(None), "entries", id="table_entries_none"),
+        pytest.param(lambda: HardyConfiguration(CONFIG.state, (1, 2, 3, 4), 0.3), "bases entry", id="config_int_bases"),
+        pytest.param(lambda: HardyConfiguration(CONFIG.state, None, 0.3), "bases", id="config_bases_none"),
+        pytest.param(lambda: HardyConfiguration("abcd", CONFIG.bases, 0.3), "state", id="config_str_state"),
         pytest.param(lambda: hardy_constraint_set().constraint("Eq5"), "label", id="constraint_unknown_label"),
         pytest.param(lambda: hardy_constraint_set().without("Eq5"), "label", id="without_unknown_label"),
     ],

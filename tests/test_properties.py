@@ -18,6 +18,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
+import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
@@ -28,6 +29,7 @@ from hardycheck import (
     OUTCOME_PAIRS,
     OUTCOMES,
     RIGHT_SETTINGS,
+    SETTING_PAIRS,
     ZERO_TOL,
     Constraint,
     ConstraintSet,
@@ -45,7 +47,6 @@ from hardycheck import (
     evaluate_sr,
     hardy_constraint_set,
     hardy_lhv_feasibility,
-    inner_product,
     joint_probability_table,
     locality_violation_report,
     maximize_paradox,
@@ -55,12 +56,12 @@ from hardycheck import (
     satisfies_zeros,
     strategy_realizes,
     strategy_satisfies,
-    tensor_product,
     to_json_text,
     validate_basis,
     verify_hardy_predictions,
 )
 from hardycheck.cli import main
+from hardycheck.quantum import _amplitude
 
 P4_MAX_EXACT = (5.0 * math.sqrt(5.0) - 11.0) / 2.0
 HALF_PI_BELOW = math.nextafter(math.pi / 2, 0.0)
@@ -140,16 +141,6 @@ def phased_bases(draw: st.DrawFn, label: Setting) -> MeasurementBasis:
     return MeasurementBasis(plus=plus, minus=minus, label=label)
 
 
-@settings(max_examples=200, deadline=None)
-@given(state=unit_states(), left=phased_bases(Setting.L1), right=phased_bases(Setting.R2))
-def test_born_rule_has_the_bits_of_the_checked_public_helpers(
-    state: StateVector, left: MeasurementBasis, right: MeasurementBasis
-) -> None:
-    for ol, orr in OUTCOME_PAIRS:
-        reference = abs(inner_product(tensor_product(left.vector_for(ol), right.vector_for(orr)), state)) ** 2
-        assert born_joint_probability(state, left, ol, right, orr).hex() == reference.hex()
-
-
 def fraction_chain(xs: object, ys: object) -> complex:
     """``sum_k conj(x_k) * y_k`` as the kernel defines it, evaluated through ``Fraction``.
 
@@ -178,9 +169,9 @@ complexes = st.builds(complex, vector_parts, vector_parts)
 @given(pairs=st.lists(st.tuples(complexes, complexes), max_size=6))
 @example(pairs=[(complex(5e-324, 0.0), complex(5e-324, 0.0)), (complex(1.0, -0.0), complex(-1e-310, 0.0))])
 @example(pairs=[(complex(-0.0, 1.0), complex(1.0, -0.0)), (complex(0.0, -0.0), complex(1.0, 1.0))])
-def test_inner_product_is_the_fraction_chain_bit_for_bit(pairs: list[tuple[complex, complex]]) -> None:
+def test_amplitude_kernel_is_the_fraction_chain_bit_for_bit(pairs: list[tuple[complex, complex]]) -> None:
     xs, ys = [x for x, _ in pairs], [y for _, y in pairs]
-    got, expected = inner_product(xs, ys), fraction_chain(xs, ys)
+    got, expected = _amplitude(xs, ys), fraction_chain(xs, ys)
     assert (got.real.hex(), got.imag.hex()) == (expected.real.hex(), expected.imag.hex())
 
 
@@ -193,6 +184,18 @@ def test_born_rule_is_the_fraction_chain_bit_for_bit(
         projector = [x * y for x in left.vector_for(ol).components for y in right.vector_for(orr).components]
         expected = abs(fraction_chain(projector, state.components)) ** 2
         assert born_joint_probability(state, left, ol, right, orr).hex() == expected.hex()
+
+
+@pytest.mark.parametrize("theta", [1e-200, 0.3, math.pi / 4, 1.2, HALF_PI_BELOW])
+def test_hardy_born_entries_are_the_fraction_chain_bit_for_bit(theta: float) -> None:
+    """Across the angle range, down to 1e-200 and up to the float just below pi/2."""
+    config = build_hardy_configuration(theta)
+    for left_setting, right_setting in SETTING_PAIRS:
+        left, right = config.basis(left_setting), config.basis(right_setting)
+        for ol, orr in OUTCOME_PAIRS:
+            projector = [x * y for x in left.vector_for(ol).components for y in right.vector_for(orr).components]
+            expected = abs(fraction_chain(projector, config.state.components)) ** 2
+            assert born_joint_probability(config.state, left, ol, right, orr).hex() == expected.hex()
 
 
 def deviations_as_formerly_computed(basis: MeasurementBasis) -> tuple[float, float, float]:

@@ -1,4 +1,4 @@
-"""Tests for states, bases, tensor products, and Born probabilities."""
+"""Tests for states, bases, the amplitude kernel, and Born probabilities."""
 
 from __future__ import annotations
 
@@ -14,8 +14,6 @@ import pytest
 from hardycheck import (
     IDENTITY_TOL,
     INPUT_TOL,
-    OUTCOME_PAIRS,
-    SETTING_PAIRS,
     MeasurementBasis,
     Outcome,
     Qubit2Vector,
@@ -24,10 +22,9 @@ from hardycheck import (
     ValidationError,
     born_joint_probability,
     build_hardy_configuration,
-    inner_product,
-    tensor_product,
     validate_basis,
 )
+from hardycheck.quantum import _amplitude
 
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
@@ -55,68 +52,10 @@ def random_basis(rng: np.random.Generator, label: Setting) -> MeasurementBasis:
     return MeasurementBasis(plus=q[:, 0], minus=q[:, 1], label=label)
 
 
-class TestTensorProduct:
-    def test_basis_case(self) -> None:
-        assert np.allclose(tensor_product(KET0, KET0), [1, 0, 0, 0])
-
-    def test_superposition_with_ket1(self) -> None:
-        plus_state = np.array([INV_SQRT2, INV_SQRT2])
-        expected = [0.0, INV_SQRT2, 0.0, INV_SQRT2]
-        assert np.allclose(tensor_product(plus_state, KET1), expected, atol=1e-15)
-
-    def test_component_layout_left_slow(self) -> None:
-        out = tensor_product(np.array([2.0, 3.0]), np.array([5.0, 7.0]))
-        assert np.allclose(out, [10.0, 14.0, 15.0, 21.0])
-
-    def test_norm_multiplicativity_random(self) -> None:
-        rng = np.random.default_rng(20240811)
-        for _ in range(200):
-            a = rng.normal(size=2) + 1j * rng.normal(size=2)
-            b = rng.normal(size=2) + 1j * rng.normal(size=2)
-            product_norm = np.linalg.norm(tensor_product(a, b))
-            assert product_norm == pytest.approx(np.linalg.norm(a) * np.linalg.norm(b), abs=IDENTITY_TOL)
-
-    def test_accepts_wrapper_type(self) -> None:
-        wrapped = Qubit2Vector(KET0)
-        assert np.allclose(tensor_product(wrapped, wrapped), [1, 0, 0, 0])
-
-
-class TestInnerProduct:
-    def test_self_overlap_is_one(self) -> None:
-        e0 = np.array([1, 0, 0, 0], dtype=complex)
-        assert inner_product(e0, e0) == pytest.approx(1.0)
-
-    def test_orthogonality(self) -> None:
-        e0 = np.array([1, 0, 0, 0], dtype=complex)
-        e1 = np.array([0, 1, 0, 0], dtype=complex)
-        assert inner_product(e0, e1) == pytest.approx(0.0)
-
-    def test_conjugate_linear_in_first_argument(self) -> None:
-        rng = np.random.default_rng(7)
-        x = rng.normal(size=4) + 1j * rng.normal(size=4)
-        y = rng.normal(size=4) + 1j * rng.normal(size=4)
-        assert inner_product(1j * x, y) == pytest.approx(-1j * inner_product(x, y))
-        assert inner_product(x, 1j * y) == pytest.approx(1j * inner_product(x, y))
-
-    def test_self_inner_product_real_nonnegative(self) -> None:
-        rng = np.random.default_rng(11)
-        x = rng.normal(size=4) + 1j * rng.normal(size=4)
-        value = inner_product(x, x)
-        assert value.imag == pytest.approx(0.0, abs=1e-12)
-        assert value.real >= 0.0
-
-    def test_a_sum_beyond_the_float_range_is_infinite(self) -> None:
-        """Like an IEEE fused multiply-add, an overflowed part stays infinite as finite products are added."""
-        assert inner_product([1e300, 1e300], [1e300, 1e300]) == complex(math.inf, 0.0)
-        assert inner_product([1e300, 1e300], [-1e300, 1e300]) == complex(-math.inf, 0.0)
-
-    def test_length_mismatch_rejected(self) -> None:
-        with pytest.raises(ValidationError):
-            inner_product(np.zeros(2), np.zeros(4))
-
-    def test_two_dimensional_argument_rejected(self) -> None:
-        with pytest.raises(ValidationError, match="one-dimensional"):
-            inner_product(np.eye(2), np.eye(2))
+def test_a_sum_beyond_the_float_range_is_infinite() -> None:
+    """Like an IEEE fused multiply-add, the kernel keeps an overflowed part infinite as finite products are added."""
+    assert _amplitude([1e300 + 0j, 1e300 + 0j], [1e300 + 0j, 1e300 + 0j]) == complex(math.inf, 0.0)
+    assert _amplitude([1e300 + 0j, 1e300 + 0j], [-1e300 + 0j, 1e300 + 0j]) == complex(-math.inf, 0.0)
 
 
 class TestBornRule:
@@ -168,17 +107,6 @@ class TestBornRule:
                     p0 = born_joint_probability(state, left, ol, right, orr)
                     p1 = born_joint_probability(rotated, left, ol, right, orr)
                     assert p1 == pytest.approx(p0, abs=IDENTITY_TOL)
-
-    @pytest.mark.parametrize("theta", [1e-200, 0.3, math.pi / 4, 1.2, math.nextafter(math.pi / 2, 0.0)])
-    def test_matches_checked_public_helpers_bit_for_bit(self, theta: float) -> None:
-        """The Born rule reads state and basis components directly; the checked helpers give the same bits."""
-        config = build_hardy_configuration(theta)
-        for left_setting, right_setting in SETTING_PAIRS:
-            left, right = config.basis(left_setting), config.basis(right_setting)
-            for ol, orr in OUTCOME_PAIRS:
-                projector = tensor_product(left.vector_for(ol), right.vector_for(orr))
-                reference = abs(inner_product(projector, config.state)) ** 2
-                assert born_joint_probability(config.state, left, ol, right, orr).hex() == reference.hex()
 
     @pytest.mark.parametrize("container", [list, tuple, np.array], ids=["list", "tuple", "ndarray"])
     def test_state_must_be_a_state_vector(self, container: Callable[[list], object]) -> None:
@@ -354,7 +282,6 @@ class TestTypeInvariants:
     )
     def test_any_sequence_of_numbers_is_accepted(self, source: object) -> None:
         assert Qubit2Vector(source).components == (0j, 1 + 0j)
-        assert tensor_product(source, source) == (0j, 0j, 0j, 1 + 0j)
 
     @pytest.mark.parametrize(("make", "size"), [(StateVector, 4), (Qubit2Vector, 2)])
     def test_two_dimensional_array_rejected(self, make: Callable[[object], object], size: int) -> None:

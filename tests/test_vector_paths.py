@@ -19,7 +19,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from hardycheck import IDENTITY_TOL, Qubit2Vector, StateVector, ValidationError
+from hardycheck import IDENTITY_TOL, StateVector, ValidationError
 from hardycheck.quantum import _as_vector, _norm_squared
 
 _SOURCE, _FIRST = inspect.getsourcelines(_as_vector)
@@ -124,8 +124,6 @@ finite_complexes = st.builds(complex, finite_parts, finite_parts)
 @example(vec=(complex(0.48, 0.845), complex(-0.942, -0.069)))  # adding re*re and im*im one at a time differs
 def test_float_norm_is_the_complex_sum_bit_for_bit(vec: tuple[complex, ...]) -> None:
     assert _norm_squared(vec).hex() == complex_sum_norm(vec).hex()
-    if len(vec) == 2:
-        assert Qubit2Vector(vec).norm_squared().hex() == complex_sum_norm(vec).hex()
 
 
 @settings(max_examples=300, deadline=None)
