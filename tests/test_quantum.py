@@ -24,7 +24,7 @@ from hardycheck import (
     build_hardy_configuration,
     validate_basis,
 )
-from hardycheck.quantum import _amplitude
+from hardycheck.quantum import _amplitude, _born
 
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
@@ -56,6 +56,39 @@ def test_a_sum_beyond_the_float_range_is_infinite() -> None:
     """Like an IEEE fused multiply-add, the kernel keeps an overflowed part infinite as finite products are added."""
     assert _amplitude([1e300 + 0j, 1e300 + 0j], [1e300 + 0j, 1e300 + 0j]) == complex(math.inf, 0.0)
     assert _amplitude([1e300 + 0j, 1e300 + 0j], [-1e300 + 0j, 1e300 + 0j]) == complex(-math.inf, 0.0)
+
+
+def random_complex_vector(rng: np.random.Generator) -> tuple[complex, ...]:
+    return tuple(complex(z) for z in rng.normal(size=4) + 1j * rng.normal(size=4))
+
+
+class TestAmplitudeKernel:
+    def test_self_overlap_is_one(self) -> None:
+        e0 = (1 + 0j, 0j, 0j, 0j)
+        assert _amplitude(e0, e0) == 1.0
+
+    def test_orthogonality(self) -> None:
+        assert _amplitude((1 + 0j, 0j, 0j, 0j), (0j, 1 + 0j, 0j, 0j)) == 0.0
+
+    def test_conjugate_linear_in_first_argument(self) -> None:
+        rng = np.random.default_rng(7)
+        x, y = random_complex_vector(rng), random_complex_vector(rng)
+        ix, iy = tuple(1j * c for c in x), tuple(1j * c for c in y)
+        assert _amplitude(ix, y) == pytest.approx(-1j * _amplitude(x, y))
+        assert _amplitude(x, iy) == pytest.approx(1j * _amplitude(x, y))
+
+    def test_self_amplitude_real_nonnegative(self) -> None:
+        x = random_complex_vector(np.random.default_rng(11))
+        value = _amplitude(x, x)
+        assert value.imag == pytest.approx(0.0, abs=1e-12)
+        assert value.real >= 0.0
+
+    def test_born_projector_layout_is_left_slow(self) -> None:
+        """The projector's component (i, j) sits at index 2*i + j: the left factor varies slowest."""
+        left, right = (2 + 0j, 3 + 0j), (5 + 0j, 7 + 0j)
+        for index, expected in enumerate([10.0, 14.0, 15.0, 21.0]):
+            unit = tuple(1 + 0j if k == index else 0j for k in range(4))
+            assert _born(left, right, unit) == expected**2
 
 
 class TestBornRule:
