@@ -68,7 +68,7 @@ def outcome_pair_label(pair: OutcomePair) -> str:
 
 @dataclass(frozen=True, eq=False)
 class HardyConfiguration:
-    """A state, four measurement bases (ordered L1, L2, R1, R2), and the angle used to build them."""
+    """A state, four measurement bases (ordered L1, L2, R1, R2), and the angle used to build them, inside (0, pi/2)."""
 
     state: StateVector
     bases: tuple[MeasurementBasis, MeasurementBasis, MeasurementBasis, MeasurementBasis]
@@ -80,6 +80,7 @@ class HardyConfiguration:
         labels = tuple(_require(basis, MeasurementBasis, "bases entry").label for basis in bases)
         if labels != _BASIS_ORDER:
             raise ValidationError(f"bases must be labelled {_BASIS_ORDER}, got {labels}")
+        object.__setattr__(self, "theta", _as_angle(self.theta))
 
     def basis(self, setting: Setting) -> MeasurementBasis:
         try:
@@ -88,14 +89,20 @@ class HardyConfiguration:
             raise ValidationError(f"setting must be a Setting, got {setting!r}") from None
 
 
+def _as_angle(theta: object) -> float:
+    """``theta`` as a float strictly inside (0, pi/2), else a ``ValidationError`` naming it."""
+    theta = _as_float(theta, "theta")
+    if not math.isfinite(theta) or not 0.0 < theta < math.pi / 2:
+        raise ValidationError(f"theta must lie strictly inside (0, pi/2), got {theta!r}")
+    return theta
+
+
 def _hardy_vectors(theta: object) -> tuple[float, tuple[float, float, float, float], tuple]:
     """Check ``theta``; return it with the state components and the (plus, minus) pairs in ``_BASIS_ORDER``.
 
     ``build_hardy_configuration`` wraps these floats in its validated objects; the optimizer's objective checks them.
     """
-    theta = _as_float(theta, "theta")
-    if not math.isfinite(theta) or not 0.0 < theta < math.pi / 2:
-        raise ValidationError(f"theta must lie strictly inside (0, pi/2), got {theta!r}")
+    theta = _as_angle(theta)
     a = math.cos(theta)
     b = math.sin(theta)
     g = math.sqrt(a / b)

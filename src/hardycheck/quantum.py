@@ -26,9 +26,12 @@ built, and each Born call reads both bases' stored reports; a check at any
 other tolerance compares the deviations the basis was built with. Each check
 and the Born kernel exist once, as private functions on plain vectors. The
 constructors and ``born_joint_probability`` call them, and so does the
-optimizer's objective, which builds no object: it coerces the left basis's
-vectors, then the right basis's, checks the state's norm, then the left and
-the right basis's orthonormality, and returns the kernel's value.
+optimizer's objective, which builds no object. It runs them on the
+builder's vectors, finite floats in tuples with a unit state, as they are: a
+float's coercion has a ``+0.0`` imaginary part, which changes no bit of what
+they return. Any other input it coerces: the left basis's vectors, then the
+right basis's, then it checks the state's norm, then the left and the right
+basis's orthonormality, and returns the kernel's value.
 """
 
 from __future__ import annotations

@@ -79,6 +79,17 @@ class TestConfigurationBuilder:
         with pytest.raises(ValidationError):
             build_hardy_configuration(theta)
 
+    @pytest.mark.parametrize("theta", [math.nan, 0.0, math.pi / 2, math.inf, -1.0])
+    def test_configuration_rejects_an_angle_outside_open_interval(self, theta: float) -> None:
+        config = build_hardy_configuration(0.5)
+        with pytest.raises(ValidationError, match=r"^theta must lie strictly inside \(0, pi/2\), got "):
+            HardyConfiguration(state=config.state, bases=config.bases, theta=theta)
+
+    def test_configuration_stores_its_angle_as_a_float(self) -> None:
+        config = build_hardy_configuration(0.5)
+        theta = HardyConfiguration(state=config.state, bases=config.bases, theta=np.float64(0.5)).theta
+        assert type(theta) is float and theta == 0.5
+
     def test_mislabelled_bases_rejected(self) -> None:
         config = build_hardy_configuration(0.5)
         swapped = (config.bases[1], config.bases[0]) + config.bases[2:]

@@ -197,6 +197,14 @@ class TestObjective:
             ),
             pytest.param(lambda s, p: (s, _with(p, 0, OVERFLOWING)), "basis L1 ", id="overflowing_overlap"),
             pytest.param(lambda s, p: (s, _with(p, 1, SKEWED)), None, id="skewed_L2_unread"),
+            pytest.param(lambda s, p: (s, _with(p, 0, (None, p[0][1]))), "Qubit2Vector", id="none_vector"),
+            pytest.param(lambda s, p: (s, _with(p, 0, ((1, 0), (0, 1)))), None, id="int_L1"),
+            pytest.param(lambda s, p: (s, _with(p, 2, (list(p[2][0]), p[2][1]))), None, id="list_vector"),
+            pytest.param(
+                lambda s, p: (s, _with(p, 0, ((complex(p[0][0][0]), p[0][0][1]), p[0][1]))), None, id="complex_component"
+            ),
+            pytest.param(lambda s, p: (list(s), p), None, id="list_state"),
+            pytest.param(lambda s, p: ((s[0], -0.0, 0.0, s[3]), p), None, id="negative_zero_state"),
         ],
     )
     def test_agrees_with_the_object_path(self, monkeypatch: pytest.MonkeyPatch, corrupt, error_head) -> None:
@@ -215,6 +223,19 @@ class TestObjective:
         else:
             assert error_head is None
             assert paradox_probability(0.3).hex() == expected.hex()
+
+    @pytest.mark.parametrize("theta", [0.3, 1e-200, THETA_STAR_LEFT, math.nextafter(math.pi / 2, 0.0)])
+    def test_a_valid_angle_skips_the_coercions(self, monkeypatch: pytest.MonkeyPatch, theta: float) -> None:
+        """The builder's float vectors take the objective's float path, with the table entry's bits."""
+        table = joint_probability_table(build_hardy_configuration(theta))
+        expected = table.probability(Setting.L1, Setting.R1, Outcome.MINUS, Outcome.PLUS)
+
+        def refuse(*args: object) -> None:
+            raise AssertionError("the objective coerced a vector the builder made of finite floats")
+
+        monkeypatch.setattr(optimize_module, "_as_vector", refuse)
+        monkeypatch.setattr(optimize_module, "_state_components", refuse)
+        assert paradox_probability(theta).hex() == expected.hex()
 
 
 class TestGridOracle:

@@ -78,6 +78,8 @@ def test_all_lists_exactly_the_public_names_bound_in_the_package() -> None:
         pytest.param(lambda: HardyConfiguration(CONFIG.state, (1, 2, 3, 4), 0.3), "bases entry", id="config_int_bases"),
         pytest.param(lambda: HardyConfiguration(CONFIG.state, None, 0.3), "bases", id="config_bases_none"),
         pytest.param(lambda: HardyConfiguration("abcd", CONFIG.bases, 0.3), "state", id="config_str_state"),
+        pytest.param(lambda: HardyConfiguration(CONFIG.state, CONFIG.bases, "x"), "theta", id="config_str_theta"),
+        pytest.param(lambda: HardyConfiguration(CONFIG.state, CONFIG.bases, None), "theta", id="config_none_theta"),
         pytest.param(lambda: hardy_constraint_set().constraint("Eq5"), "label", id="constraint_unknown_label"),
         pytest.param(lambda: hardy_constraint_set().without("Eq5"), "label", id="without_unknown_label"),
     ],

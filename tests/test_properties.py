@@ -61,7 +61,7 @@ from hardycheck import (
     verify_hardy_predictions,
 )
 from hardycheck.cli import main
-from hardycheck.quantum import _amplitude
+from hardycheck.quantum import _amplitude, _as_vector, _basis_deviations, _born, _norm_squared
 
 P4_MAX_EXACT = (5.0 * math.sqrt(5.0) - 11.0) / 2.0
 HALF_PI_BELOW = math.nextafter(math.pi / 2, 0.0)
@@ -253,6 +253,37 @@ def test_basis_report_has_the_bits_of_the_per_call_formula(basis: MeasurementBas
         assert [x.hex() if type(x) is float else x for x in got] == [
             x.hex() if type(x) is float else x for x in expected
         ]
+
+
+float_parts = st.one_of(st.floats(allow_nan=False, allow_infinity=False), edge_parts, huge_parts)
+float_pairs = st.tuples(float_parts, float_parts)
+
+
+def _bits(call: object, *args: object) -> object:
+    """The result of ``call(*args)`` as ``float.hex`` text, or the type and text of what it raised."""
+    try:
+        result = call(*args)
+    except ArithmeticError as exc:
+        return type(exc), str(exc)
+    return tuple(x.hex() for x in result) if isinstance(result, tuple) else result.hex()
+
+
+@settings(max_examples=400, deadline=None)
+@given(plus=float_pairs, minus=float_pairs, right=float_pairs, state=st.tuples(*[float_parts] * 4))
+@example(plus=(1e300, 1e300), minus=(1e300, -1e300), right=(1e308, -0.0), state=(1e308, 5e-324, -0.0, 1.0))
+@example(plus=(-0.0, 1.0), minus=(1.0, -0.0), right=(-5e-324, 1.0), state=(-0.0, -0.0, 1.0, -0.0))
+# A projector product that overflows reaches the fma chain as inf, which has no integer ratio: both raise alike.
+@example(plus=(1.0, 1e300), minus=(1.0, 0.0), right=(1.0, 1e300), state=(1.0, 0.0, 0.0, 1.0))
+def test_float_vectors_give_the_bits_of_their_complex_coercions(
+    plus: tuple[float, float], minus: tuple[float, float], right: tuple[float, float], state: tuple[float, ...]
+) -> None:
+    """The objective's float path: each shared check and the kernel read a float as its ``complex`` coercion."""
+    cplus, cminus, cright = (_as_vector(v, 2, "Qubit2Vector") for v in (plus, minus, right))
+    cstate = _as_vector(state, 4, "StateVector")
+    for vec, cvec in ((plus, cplus), (minus, cminus), (right, cright), (state, cstate)):
+        assert _bits(_norm_squared, vec) == _bits(_norm_squared, cvec)
+    assert _bits(_basis_deviations, plus, minus) == _bits(_basis_deviations, cplus, cminus)
+    assert _bits(_born, plus, right, state) == _bits(_born, cplus, cright, cstate)
 
 
 numbers = st.one_of(
