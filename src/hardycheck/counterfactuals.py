@@ -65,7 +65,7 @@ class OutcomeAssignment:
     outcomes: tuple[Outcome, ...]
 
     def __post_init__(self) -> None:
-        values = tuple(self.outcomes)
+        values = tuple(self.outcomes) if isinstance(self.outcomes, Iterable) else ()
         if len(values) != self._size or not all(isinstance(o, Outcome) for o in values):
             raise ValidationError(f"{self._noun} needs exactly {self._size} Outcome entries")
         object.__setattr__(self, "outcomes", values)

@@ -16,8 +16,8 @@ from functools import lru_cache
 
 from .counterfactuals import hardy_constraint_set
 from .hardy import _BASIS_INDEX, _hardy_vectors
-from .quantum import IDENTITY_TOL, INPUT_TOL, OUTCOMES, Setting, ValidationError, _as_float, _as_vector
-from .quantum import _basis_deviations, _basis_failures, _born, _norm_squared, _not_orthonormal, _state_components
+from .quantum import INPUT_TOL, OUTCOMES, Setting, ValidationError, _as_float, _basis_deviations, _basis_failures
+from .quantum import _born, _not_orthonormal, _unit_state
 
 INV_PHI = (math.sqrt(5) - 1) / 2  # 1/phi
 INV_PHI_SQ = (3 - math.sqrt(5)) / 2  # 1/phi^2
@@ -26,7 +26,6 @@ DEFAULT_BRACKET = (0.01, math.pi / 2 - 0.01)
 DEFAULT_TOL = 1e-10
 ORACLE_GAP_TOL = 1e-8
 _PRESCAN_POINTS = 65
-_FLOAT = frozenset((float,))
 # The curve's maximum (5*sqrt(5)-11)/2 and the two angles that attain it (Hardy, PRL 71, 1665 (1993)).
 _P4_STAR = (5 * math.sqrt(5) - 11) / 2
 _PEAKS = (0.5 * math.asin(3 - math.sqrt(5)), math.pi / 2 - 0.5 * math.asin(3 - math.sqrt(5)))
@@ -44,37 +43,16 @@ def paradox_probability(theta: float) -> float:
     the checks of the state, of that event's two bases and of the Born call in
     their order and returns the Born kernel it shares with
     ``born_joint_probability``: the ((L1,R1), (-,+)) table entry bit for bit, or
-    the same error. When one pass finds five tuples of finite floats and a unit
-    state, it checks both bases on the floats: their ``complex`` coercions add
-    a ``+0.0`` imaginary part, which changes no bit of a norm, of an overlap's
-    magnitude or of the kernel. Otherwise it coerces the left basis's vectors,
-    then the right basis's, checks the state's norm, then each basis's
-    orthonormality at ``INPUT_TOL``. Raises ``ValidationError`` unless
-    ``theta`` is a real number strictly inside (0, pi/2).
+    the same error. Raises ``ValidationError`` unless ``theta`` is a real
+    number strictly inside (0, pi/2).
     """
     _, state, pairs = _hardy_vectors(theta)
     (left, left_index, left_outcome), (right, right_index, right_outcome) = _paradox_event()
-    left_pair, right_pair = pairs[left_index], pairs[right_index]
-    (lp, lm), (rp, rm) = left_pair, right_pair  # ``_hardy_vectors`` always returns 2-tuples
-    if (
-        type(lp) is type(lm) is type(rp) is type(rm) is type(state) is tuple
-        and (len(lp), len(lm), len(rp), len(rm), len(state)) == (2, 2, 2, 2, 4)
-        and _FLOAT.issuperset(map(type, items := lp + lm + rp + rm + state))
-        and all(map(math.isfinite, items))
-        and abs(_norm_squared(state) - 1.0) <= IDENTITY_TOL
-    ):
-        if failures := _basis_failures(*_basis_deviations(lp, lm), INPUT_TOL):
-            raise _not_orthonormal(left, failures)
-        if failures := _basis_failures(*_basis_deviations(rp, rm), INPUT_TOL):
-            raise _not_orthonormal(right, failures)
-        return _born(left_pair[left_outcome], right_pair[right_outcome], state)
-    left_vectors = [_as_vector(v, 2, "Qubit2Vector") for v in pairs[left_index]]
-    right_vectors = [_as_vector(v, 2, "Qubit2Vector") for v in pairs[right_index]]
-    psi = _state_components(state)
-    for setting, vectors in ((left, left_vectors), (right, right_vectors)):
+    psi = _unit_state(state)
+    for setting, vectors in ((left, pairs[left_index]), (right, pairs[right_index])):
         if failures := _basis_failures(*_basis_deviations(*vectors), INPUT_TOL):
             raise _not_orthonormal(setting, failures)
-    return _born(left_vectors[left_outcome], right_vectors[right_outcome], psi)
+    return _born(pairs[left_index][left_outcome], pairs[right_index][right_outcome], psi)
 
 
 @lru_cache(maxsize=1)

@@ -26,12 +26,9 @@ built, and each Born call reads both bases' stored reports; a check at any
 other tolerance compares the deviations the basis was built with. Each check
 and the Born kernel exist once, as private functions on plain vectors. The
 constructors and ``born_joint_probability`` call them, and so does the
-optimizer's objective, which builds no object. It runs them on the
-builder's vectors, finite floats in tuples with a unit state, as they are: a
-float's coercion has a ``+0.0`` imaginary part, which changes no bit of what
-they return. Any other input it coerces: the left basis's vectors, then the
-right basis's, then it checks the state's norm, then the left and the right
-basis's orthonormality, and returns the kernel's value.
+optimizer's objective, which builds no object: it runs them on the builder's
+float vectors as they are (a float reads as a complex number with a ``+0.0``
+imaginary part, so every value has the bits the objects give).
 """
 
 from __future__ import annotations
@@ -198,12 +195,11 @@ class StateVector:
     components: tuple[complex, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "components", _state_components(self.components))
+        object.__setattr__(self, "components", _unit_state(_as_vector(self.components, 4, "StateVector")))
 
 
-def _state_components(value: object) -> tuple[complex, ...]:
-    """``value`` coerced to a 4-vector whose squared norm is 1 within ``IDENTITY_TOL``: a ``StateVector``'s checks."""
-    vec = _as_vector(value, 4, "StateVector")
+def _unit_state(vec: tuple[complex, ...]) -> tuple[complex, ...]:
+    """``vec`` if its squared norm is 1 within ``IDENTITY_TOL``: a ``StateVector``'s norm check."""
     norm_sq = _norm_squared(vec)
     if abs(norm_sq - 1.0) > IDENTITY_TOL:
         raise ValidationError(f"StateVector squared norm {norm_sq!r} differs from 1 beyond {IDENTITY_TOL}")

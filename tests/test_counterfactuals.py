@@ -16,6 +16,7 @@ from hardycheck import (
     Constraint,
     ConstraintSet,
     CounterfactualInstance,
+    LocalStrategy,
     Outcome,
     Setting,
     ValidationError,
@@ -94,6 +95,12 @@ class TestEnumeration:
     def test_wrong_length_rejected(self, size: int) -> None:
         with pytest.raises(ValidationError, match="exactly 6"):
             CounterfactualInstance((PLUS,) * size)
+
+    @pytest.mark.parametrize("value", [None, 5, object()], ids=["none", "int", "object"])
+    @pytest.mark.parametrize(("cls", "size"), [(CounterfactualInstance, 6), (LocalStrategy, 4)], ids=["instance", "strategy"])
+    def test_non_iterable_outcomes_rejected(self, cls: type, size: int, value: object) -> None:
+        with pytest.raises(ValidationError, match=f"^an? (instance|strategy) needs exactly {size} Outcome entries$"):
+            cls(value)
 
 
 class TestZeroConstraints:

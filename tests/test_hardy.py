@@ -8,6 +8,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from hardycheck import (
     OUTCOME_PAIRS,
@@ -431,3 +433,21 @@ class TestExactCertificate:
         exact = _poly_eval(numerator, g) / _poly_eval(denominator, g)
         theta = math.atan2(1, g * g)  # cot(theta) = g^2
         assert abs(paradox_probability(theta) - exact) <= 1e-15
+
+    @settings(max_examples=200, deadline=None)
+    @given(theta=st.floats(0.0, math.pi / 2, exclude_min=True, exclude_max=True, allow_subnormal=True))
+    @example(theta=1.5707951670618023)  # the widest error seen over 13,507 angles: 8.9e-16, on (L2,R2)(+,-)
+    @example(theta=1e-200)
+    def test_every_entry_is_within_2e_15_of_the_exact_value_at_the_float_g(self, theta: float) -> None:
+        """Each float entry against the exact construction at G, the float ``sqrt(cos/sin)`` read as a fraction."""
+        try:
+            table = joint_probability_table(build_hardy_configuration(theta))
+        except ValidationError:
+            return
+        g = Fraction(math.sqrt(math.cos(theta) / math.sin(theta)))
+        for settings_pair in SETTING_PAIRS:
+            for outcome_pair in OUTCOME_PAIRS:
+                numerator, denominator = _exact_event(settings_pair, outcome_pair)
+                exact = _poly_eval(numerator, g) / _poly_eval(denominator, g)
+                entry = table.probability(*settings_pair, *outcome_pair)
+                assert abs(entry - exact) <= 2e-15, (theta, settings_pair, outcome_pair)

@@ -61,6 +61,7 @@ from hardycheck import (
     verify_hardy_predictions,
 )
 from hardycheck.cli import main
+from hardycheck.hardy import _hardy_vectors
 from hardycheck.quantum import _amplitude, _as_vector, _basis_deviations, _born, _norm_squared
 
 P4_MAX_EXACT = (5.0 * math.sqrt(5.0) - 11.0) / 2.0
@@ -284,6 +285,33 @@ def test_float_vectors_give_the_bits_of_their_complex_coercions(
         assert _bits(_norm_squared, vec) == _bits(_norm_squared, cvec)
     assert _bits(_basis_deviations, plus, minus) == _bits(_basis_deviations, cplus, cminus)
     assert _bits(_born, plus, right, state) == _bits(_born, cplus, cright, cstate)
+
+
+@settings(max_examples=300, deadline=None)
+@given(theta=angles)
+@example(theta=5e-324)
+@example(theta=1e-310)
+@example(theta=2.2250738585072014e-308)
+@example(theta=1e-200)
+@example(theta=HALF_PI_BELOW)
+def test_the_builder_gives_finite_floats_a_unit_state_and_orthonormal_pairs(theta: float) -> None:
+    """What the optimizer's objective takes without a type test: float items, finite, with passing norms."""
+    try:
+        checked, state, pairs = _hardy_vectors(theta)
+    except ValidationError:
+        return
+    assert type(checked) is float and math.isfinite(checked)
+    assert type(state) is tuple and len(state) == 4
+    assert type(pairs) is tuple and len(pairs) == 4
+    for pair in pairs:
+        assert type(pair) is tuple and len(pair) == 2
+        for vec in pair:
+            assert type(vec) is tuple and len(vec) == 2
+    items = list(state) + [x for pair in pairs for vec in pair for x in vec]
+    assert all(type(x) is float and math.isfinite(x) for x in items)
+    assert abs(_norm_squared(state) - 1.0) <= IDENTITY_TOL
+    for plus, minus in pairs:
+        assert max(_basis_deviations(plus, minus)) <= INPUT_TOL
 
 
 numbers = st.one_of(
