@@ -17,6 +17,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import hardycheck.optimize as optimize_module
+import hardycheck.quantum as quantum_module
 from hardycheck import (
     DEFAULT_BRACKET,
     MeasurementBasis,
@@ -210,6 +211,18 @@ class TestObjective:
         else:
             assert error_head is None
             assert paradox_probability(0.3).hex() == expected.hex()
+
+    @pytest.mark.parametrize("theta", [0.3, 1e-200, THETA_STAR_LEFT, math.nextafter(math.pi / 2, 0.0)])
+    def test_a_valid_angle_skips_the_coercions(self, monkeypatch: pytest.MonkeyPatch, theta: float) -> None:
+        """The objective reads the builder's float vectors as they are: no constructor coercion runs, same bits."""
+        table = joint_probability_table(build_hardy_configuration(theta))
+        expected = table.probability(Setting.L1, Setting.R1, Outcome.MINUS, Outcome.PLUS)
+
+        def refuse(*args: object) -> None:
+            raise AssertionError("the objective coerced a vector the builder made of finite floats")
+
+        monkeypatch.setattr(quantum_module, "_as_vector", refuse)
+        assert paradox_probability(theta).hex() == expected.hex()
 
 
 class TestGridOracle:

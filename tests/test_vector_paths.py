@@ -20,7 +20,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hardycheck import IDENTITY_TOL, StateVector, ValidationError
-from hardycheck.quantum import _as_vector, _norm_squared
+from hardycheck.quantum import _as_vector, _norm_squared, _unit_state
 
 _SOURCE, _FIRST = inspect.getsourcelines(_as_vector)
 #: The first line only the general path runs.
@@ -139,3 +139,21 @@ def test_state_norm_error_text_is_unchanged(vec: tuple[complex, ...]) -> None:
             StateVector(vec)
     else:
         assert StateVector(vec).components == vec
+
+
+@settings(max_examples=300, deadline=None)
+@given(vec=st.tuples(*[finite_parts] * 4))
+@example(vec=(1.0, 0.0, 0.0, 1.0))
+@example(vec=(0.6, 0.0, -0.0, 0.8))
+@example(vec=(1.5e154, 0.0, 0.0, 0.0))
+def test_a_float_state_passes_the_norm_check_as_it_is_or_with_the_constructors_error(
+    vec: tuple[float, ...],
+) -> None:
+    """The objective's norm check on a float tuple returns that tuple, or raises ``StateVector``'s message."""
+    try:
+        StateVector(vec)
+    except ValidationError as exc:
+        with pytest.raises(ValidationError, match=f"^{re.escape(str(exc))}$"):
+            _unit_state(vec)
+    else:
+        assert _unit_state(vec) is vec
