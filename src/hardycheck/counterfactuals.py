@@ -48,6 +48,8 @@ _RIGHT_SLOT = {
 _ALL_INSTANCES = (1 << 2 ** len(INSTANCE_FIELDS)) - 1
 #: The (R1, R2) right slots SR reads at each left context.
 _SR_SLOTS = {left: (_RIGHT_SLOT[left, Setting.R1], _RIGHT_SLOT[left, Setting.R2]) for left in LEFT_SETTINGS}
+#: Maps a binary numeral's digits to the 0/1 bytes ``itertools.compress`` reads.
+_DIGIT_BYTES = bytes.maketrans(b"01", b"\0\1")
 
 
 def _require_side(setting: object, side: tuple[Setting, Setting]) -> Setting:
@@ -60,7 +62,7 @@ def _require_side(setting: object, side: tuple[Setting, Setting]) -> Setting:
 
 @dataclass(frozen=True)
 class OutcomeAssignment:
-    """Outcomes in a fixed slot order; subclasses set the slot count ``_size`` and ``_noun``."""
+    """Outcomes in a fixed slot order; subclasses, undecorated and with no new field, set ``_size`` and ``_noun``."""
 
     outcomes: tuple[Outcome, ...]
 
@@ -85,7 +87,6 @@ class OutcomeAssignment:
         return "(" + ", ".join(self.labels()) + ")"
 
 
-@dataclass(frozen=True)
 class CounterfactualInstance(OutcomeAssignment):
     """Total outcome assignment, stored as the canonical 6-tuple.
 
@@ -117,8 +118,8 @@ def _slot_masks() -> tuple[dict[Outcome, int], ...]:
 
 
 def _select(instances: int, items: tuple) -> tuple:
-    """The entries of ``items``, listed by instance index, whose instance is in the set ``instances``."""
-    return tuple(item for i, item in enumerate(items) if instances >> i & 1)
+    """The entries of ``items`` whose instance is in the set ``instances``, in index order, by one ``compress`` pass."""
+    return tuple(itertools.compress(items, f"{instances:b}"[::-1].encode().translate(_DIGIT_BYTES)))
 
 
 @dataclass(frozen=True)

@@ -35,7 +35,6 @@ from .counterfactuals import (
 from .quantum import OUTCOMES, Outcome, _require
 
 
-@dataclass(frozen=True)
 class LocalStrategy(OutcomeAssignment):
     """Outcome pre-assignment, stored as (o_L(L1), o_L(L2), o_R(R1), o_R(R2)).
 

@@ -19,6 +19,7 @@ from .counterfactuals import LocalityReport, Property1Report, Property2Report, h
 from .hardy import JointProbabilityTable, PredictionReport
 from .lhv import FeasibilityResult
 from .optimize import ObjectiveReport
+from .quantum import ValidationError
 
 
 class UsageError(ValueError):
@@ -28,7 +29,7 @@ class UsageError(ValueError):
 def format_float(value: float) -> str:
     value = float(value)
     if not math.isfinite(value):
-        raise ValueError(f"cannot serialize non-finite float {value!r}")
+        raise ValidationError(f"cannot serialize non-finite float {value!r}")
     return format(value, ".17g")
 
 

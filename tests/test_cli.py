@@ -22,6 +22,7 @@ from hardycheck import (
     PredictionReport,
     Setting,
     UsageError,
+    ValidationError,
     build_hardy_configuration,
     check_property1,
     check_property2,
@@ -338,6 +339,13 @@ def test_basis_report_json_lists_its_failures(basis: MeasurementBasis, failures:
     assert payload["failures"] == failures
 
 
+def test_a_basis_report_with_overflowing_deviations_raises_validation_error_in_json() -> None:
+    # Its norm errors and overlap overflow and are stored as inf, which JSON cannot hold.
+    report = validate_basis(MeasurementBasis([1e300, 1e300], [1e300, -1e300], Setting.L1))
+    with pytest.raises(ValidationError, match=r"^cannot serialize non-finite float inf$"):
+        render_report(report, "json")
+
+
 def test_failing_reports_list_their_failures_in_text() -> None:
     report = locality_violation_report(hardy_constraint_set().without("Eq2"))
     lines = render_report(report, "text").decode("utf-8").splitlines()
@@ -348,7 +356,7 @@ def test_failing_reports_list_their_failures_in_text() -> None:
 
 
 def test_unrenderable_values_raise() -> None:
-    with pytest.raises(ValueError, match="non-finite"):
+    with pytest.raises(ValidationError, match="non-finite"):
         to_json_text(math.nan)
     with pytest.raises(TypeError, match="cannot serialize object"):
         to_json_text(object())

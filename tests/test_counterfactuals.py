@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import json
 from collections.abc import Callable
@@ -101,6 +102,32 @@ class TestEnumeration:
     def test_non_iterable_outcomes_rejected(self, cls: type, size: int, value: object) -> None:
         with pytest.raises(ValidationError, match=f"^an? (instance|strategy) needs exactly {size} Outcome entries$"):
             cls(value)
+
+
+class TestOutcomeAssignmentTypes:
+    """Both types are plain subclasses of the frozen dataclass ``OutcomeAssignment`` and inherit its behaviour."""
+
+    @pytest.mark.parametrize(("cls", "size"), [(CounterfactualInstance, 6), (LocalStrategy, 4)], ids=["instance", "strategy"])
+    def test_inherit_the_dataclass_behaviour(self, cls: type, size: int) -> None:
+        value = cls((PLUS,) * size)
+        assert [f.name for f in dataclasses.fields(value)] == ["outcomes"]
+        flipped = dataclasses.replace(value, outcomes=(MINUS,) * size)
+        assert type(flipped) is cls and flipped.outcomes == (MINUS,) * size
+        with pytest.raises(ValidationError, match=f"exactly {size}"):
+            dataclasses.replace(value, outcomes=(MINUS,) * (size + 1))
+        assert repr(value).startswith(f"{cls.__name__}(outcomes=(")
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            value.outcomes = (MINUS,) * size  # type: ignore[misc]
+        twin = cls(list(value.outcomes))
+        assert twin == value and twin is not value and hash(twin) == hash(value)
+        assert flipped != value and {value, twin, flipped} == {value, flipped}
+
+    def test_an_instance_never_equals_a_strategy(self) -> None:
+        for strategy in (LocalStrategy(combo) for combo in itertools.product(OUTCOMES, repeat=4)):
+            embedded = strategy.as_instance()
+            assert embedded != strategy and strategy != embedded
+            # Decided by the class check, not by the outcome tuples.
+            assert strategy.__eq__(embedded) is NotImplemented and embedded.__eq__(strategy) is NotImplemented
 
 
 class TestZeroConstraints:

@@ -61,6 +61,7 @@ from hardycheck import (
     verify_hardy_predictions,
 )
 from hardycheck.cli import main
+from hardycheck.counterfactuals import _select, _sr_table
 from hardycheck.hardy import _hardy_vectors
 from hardycheck.quantum import _amplitude, _as_vector, _basis_deviations, _born, _norm_squared
 
@@ -416,6 +417,22 @@ def test_instance_set_checks_equal_the_per_instance_scan(cs: ConstraintSet) -> N
     assert flags == (forced, bool(witnesses), forced and bool(witnesses))
     assert feasibility.witnesses == lhv_witnesses and feasibility.feasible is bool(lhv_witnesses)
     assert (check_property1(cs), check_property2(cs)) == (p1, p2)
+
+
+def select_as_formerly_scanned(instances: int, items: tuple) -> tuple:
+    """The per-item scan ``_select`` replaced: entry i is kept when bit i of the set is."""
+    return tuple(item for i, item in enumerate(items) if instances >> i & 1)
+
+
+@given(instances=st.integers(0, 2**64 - 1))
+@example(instances=0)
+@example(instances=2**64 - 1)
+@example(instances=1)
+@example(instances=1 << 63)
+def test_select_keeps_the_members_of_the_per_item_scan_in_index_order(instances: int) -> None:
+    for items in (enumerate_instances(), *(verdicts for verdicts, _ in _sr_table().values())):
+        assert len(items) == 64
+        assert _select(instances, items) == select_as_formerly_scanned(instances, items)
 
 
 json_keys = st.text()  # every code point, so non-ASCII and control characters too
