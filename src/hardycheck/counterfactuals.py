@@ -30,7 +30,7 @@ import itertools
 from dataclasses import dataclass
 from functools import cached_property, lru_cache, reduce
 from operator import and_, or_
-from typing import Callable, ClassVar, Iterable
+from typing import ClassVar, Iterable
 
 from .quantum import LEFT_SETTINGS, OUTCOMES, RIGHT_SETTINGS, Outcome, Setting, ValidationError, _require
 
@@ -209,54 +209,15 @@ def hardy_constraint_set() -> ConstraintSet:
 
 def realizes(instance: CounterfactualInstance, constraint: Constraint) -> bool:
     """True when the instance produces exactly the constraint's outcome pair under its settings."""
-    (left, right), outcomes = constraint._slots, instance.outcomes
+    outcomes = _require(instance, CounterfactualInstance, "instance").outcomes
+    left, right = _require(constraint, Constraint, "constraint")._slots
     return outcomes[left] is constraint.outcomes[0] and outcomes[right] is constraint.outcomes[1]
 
 
 def satisfies_zeros(instance: CounterfactualInstance, constraint_set: ConstraintSet) -> bool:
     """True when the instance realizes none of the forbidden events."""
-    return not any(realizes(instance, zero) for zero in constraint_set.zeros)
-
-
-@dataclass(frozen=True)
-class TraceStep:
-    """One step of a unit-propagation deduction over the zero events."""
-
-    constraint: str
-    assignment: str
-    kind: str  # "forced" or "contradiction"
-
-
-def propagate_zeros(
-    zeros: tuple[Constraint, ...], assigned: dict[str, Outcome], slots: Callable[[Constraint], tuple[str, str]]
-) -> tuple[TraceStep, ...]:
-    """Unit propagation: a zero event with one slot on its outcome forces the other slot off it.
-
-    ``slots`` names the (left, right) outcome slots an event reads. The zeros are
-    scanned in order to a fixpoint, extending ``assigned`` in place, up to the
-    first zero event whose two slots both take its outcomes (a contradiction).
-    """
-    steps: list[TraceStep] = []
-    changed = True
-    while changed:
-        changed = False
-        for zero in zeros:
-            names = slots(zero)
-            now = (assigned.get(names[0]), assigned.get(names[1]))
-            if now == zero.outcomes:
-                steps.append(TraceStep(zero.label, f"contradiction: event {zero.event_text()} realized", "contradiction"))
-                return tuple(steps)
-            for known, free in ((0, 1), (1, 0)):
-                if now[known] is zero.outcomes[known] and now[free] is None:
-                    forced = zero.outcomes[free].opposite
-                    assigned[names[free]] = forced
-                    steps.append(TraceStep(zero.label, f"forces {names[free]} = {forced}", "forced"))
-                    changed = True
-    return tuple(steps)
-
-
-def _instance_slots(event: Constraint) -> tuple[str, str]:
-    return INSTANCE_FIELDS[event._slots[0]], INSTANCE_FIELDS[event._slots[1]]
+    _require(instance, CounterfactualInstance, "instance")
+    return not any(realizes(instance, zero) for zero in _require(constraint_set, ConstraintSet, "constraint_set").zeros)
 
 
 @dataclass(frozen=True)
@@ -281,7 +242,7 @@ def evaluate_sr(instance: CounterfactualInstance, context: Setting) -> SRVerdict
     slot, untouched by the right-side switch.
     """
     r1, r2 = _SR_SLOTS[_require_side(context, LEFT_SETTINGS)]
-    premise = instance.outcomes[r2] is Outcome.PLUS
+    premise = _require(instance, CounterfactualInstance, "instance").outcomes[r2] is Outcome.PLUS
     conclusion = instance.outcomes[r1] is Outcome.MINUS
     return SRVerdict(instance.index, context, premise, (not premise) or conclusion)
 
@@ -351,16 +312,6 @@ class Property2Report:
         }
 
 
-def _forced_premise_step(witness: CounterfactualInstance, constraint_set: ConstraintSet) -> str | None:
-    # Seed o_L(L1) from the witness, propagate the zeros over instance slots,
-    # and report the step that pins the SR premise slot o_R(L1,R2).
-    given = witness.left_outcome(Setting.L1)
-    assigned = {"o_L(L1)": given}
-    steps = propagate_zeros(constraint_set.zeros, assigned, _instance_slots)
-    pinned = f"forces o_R(L1,R2) = {assigned.get('o_R(L1,R2)')}"
-    return next((f"{s.constraint} {pinned} given o_L(L1) = {given}" for s in steps if s.assignment == pinned), None)
-
-
 def check_property2(constraint_set: ConstraintSet) -> Property2Report:
     """Find a zero-satisfying instance that realizes every positivity event and falsifies SR at L1.
 
@@ -368,8 +319,11 @@ def check_property2(constraint_set: ConstraintSet) -> Property2Report:
     SR's false set at L1 at once; the report names the lowest-index one. For
     the Hardy constraints any instance realizing (L1-, R1+) works: the zero
     on (L1,R2) forces o_R(L1,R2) = +, so the SR premise holds, while
-    o_R(L1,R1) = + denies the conclusion. Returns a failure report (no
-    exception) when the intersection is empty.
+    o_R(L1,R1) = + denies the conclusion. That forced step is read off the
+    first zero on the event (L1 o, R2 -), o the witness's o_L(L1): the witness
+    is allowed, so no zero contradicts it, and o_L(L1) alone forces slots only
+    at (L1, .), each in one step. Returns a failure report (no exception) when
+    the intersection is empty.
     """
     _require(constraint_set, ConstraintSet, "constraint_set")
     verdicts, sr_false = _sr_table()[Setting.L1]
@@ -378,7 +332,10 @@ def check_property2(constraint_set: ConstraintSet) -> Property2Report:
         return Property2Report(False, None, None, 0, None, constraint_set)
     first = (witnesses & -witnesses).bit_length() - 1
     witness = enumerate_instances()[first]
-    step = _forced_premise_step(witness, constraint_set)
+    given = witness.left_outcome(Setting.L1)
+    premise_zero = ((Setting.L1, Setting.R2), (given, Outcome.MINUS))
+    zero = next((z for z in constraint_set.zeros if z.event_key == premise_zero), None)
+    step = None if zero is None else f"{zero.label} forces o_R(L1,R2) = + given o_L(L1) = {given}"
     return Property2Report(True, witness, verdicts[first], witnesses.bit_count(), step, constraint_set)
 
 

@@ -190,13 +190,17 @@ class JointProbabilityTable:
         left_outcome: Outcome,
         right_outcome: Outcome,
     ) -> float:
-        return self.entries[((left_setting, right_setting), (left_outcome, right_outcome))]
+        try:
+            return self.entries[((left_setting, right_setting), (left_outcome, right_outcome))]
+        except (KeyError, TypeError):
+            raise ValidationError(
+                f"no table entry for left_setting={left_setting!r}, right_setting={right_setting!r}, "
+                f"left_outcome={left_outcome!r}, right_outcome={right_outcome!r}"
+            ) from None
 
     def left_marginal(self, left_setting: Setting, left_outcome: Outcome, right_setting: Setting) -> float:
         """P(left outcome | settings), summed over the right outcome."""
-        return sum(
-            self.entries[((left_setting, right_setting), (left_outcome, orr))] for orr in OUTCOMES
-        )
+        return sum(self.probability(left_setting, right_setting, left_outcome, orr) for orr in OUTCOMES)
 
     def records(self) -> list[dict[str, object]]:
         """Flat records in the fixed serialization order."""

@@ -12,7 +12,8 @@ set's allowed and realized instance sets. A mixture must keep each zero in every
 but needs each positivity event in only one of them, so this settles
 mixture feasibility when there is at most one positivity event, as in the
 Hardy set and its drop-one variants; with two or more, a mixture can pass
-where no single strategy does.
+where no single strategy does. An infeasible verdict comes with a deduction
+trace, the package's one unit propagation over the zero events.
 """
 
 from __future__ import annotations
@@ -26,9 +27,7 @@ from .counterfactuals import (
     ConstraintSet,
     CounterfactualInstance,
     OutcomeAssignment,
-    TraceStep,
     hardy_constraint_set,
-    propagate_zeros,
     realizes,
     satisfies_zeros,
 )
@@ -62,7 +61,7 @@ def enumerate_strategies() -> tuple[LocalStrategy, ...]:
 
 
 def strategy_realizes(strategy: LocalStrategy, constraint: Constraint) -> bool:
-    return realizes(strategy.as_instance(), constraint)
+    return realizes(_require(strategy, LocalStrategy, "strategy").as_instance(), constraint)
 
 
 def strategy_satisfies(strategy: LocalStrategy, constraint_set: ConstraintSet) -> bool:
@@ -71,7 +70,16 @@ def strategy_satisfies(strategy: LocalStrategy, constraint_set: ConstraintSet) -
     Positivity events are existentials over a set of strategies, so they are
     checked at the set level by :func:`hardy_lhv_feasibility`, not here.
     """
-    return satisfies_zeros(strategy.as_instance(), constraint_set)
+    return satisfies_zeros(_require(strategy, LocalStrategy, "strategy").as_instance(), constraint_set)
+
+
+@dataclass(frozen=True)
+class TraceStep:
+    """One step of the deduction over the zero events."""
+
+    constraint: str
+    assignment: str
+    kind: str  # "forced" or "contradiction"
 
 
 @dataclass(frozen=True)
@@ -107,7 +115,12 @@ def _strategy_slots(event: Constraint) -> tuple[str, str]:
 
 
 def _deduction_trace(constraint_set: ConstraintSet) -> tuple[tuple[str, ...], tuple[TraceStep, ...]]:
-    """Seed strategy slots from the positivity events, then propagate the zeros."""
+    """Seed strategy slots from the positivity events, then propagate the zeros.
+
+    Unit propagation: a zero event with one slot on its outcome forces the other
+    slot off it. The zeros are scanned in order to a fixpoint, up to the first
+    zero event whose two slots both take its outcomes (a contradiction).
+    """
     assigned: dict[str, Outcome] = {}
     assumed: list[str] = []
     for positive in constraint_set.positivity:
@@ -119,7 +132,23 @@ def _deduction_trace(constraint_set: ConstraintSet) -> tuple[tuple[str, ...], tu
                 return tuple(assumed), (clash,)
             parts.append(f"{name} = {outcome}")
         assumed.append(f"{positive.label}: " + ", ".join(parts))
-    return tuple(assumed), propagate_zeros(constraint_set.zeros, assigned, _strategy_slots)
+    steps: list[TraceStep] = []
+    changed = True
+    while changed:
+        changed = False
+        for zero in constraint_set.zeros:
+            names = _strategy_slots(zero)
+            now = (assigned.get(names[0]), assigned.get(names[1]))
+            if now == zero.outcomes:
+                steps.append(TraceStep(zero.label, f"contradiction: event {zero.event_text()} realized", "contradiction"))
+                return tuple(assumed), tuple(steps)
+            for known, free in ((0, 1), (1, 0)):
+                if now[known] is zero.outcomes[known] and now[free] is None:
+                    forced = zero.outcomes[free].opposite
+                    assigned[names[free]] = forced
+                    steps.append(TraceStep(zero.label, f"forces {names[free]} = {forced}", "forced"))
+                    changed = True
+    return tuple(assumed), tuple(steps)
 
 
 def hardy_lhv_feasibility(constraint_set: ConstraintSet | None = None) -> FeasibilityResult:

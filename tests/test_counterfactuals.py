@@ -32,6 +32,8 @@ from hardycheck import (
     realizes,
     render_report,
     satisfies_zeros,
+    strategy_realizes,
+    strategy_satisfies,
 )
 
 PLUS, MINUS = Outcome.PLUS, Outcome.MINUS
@@ -389,6 +391,39 @@ class TestConstraintSet:
     )
     def test_reports_reject_a_non_constraint_set(self, call: Callable[[], object]) -> None:
         with pytest.raises(ValidationError, match="^constraint_set must be a ConstraintSet, got "):
+            call()
+
+    @pytest.mark.parametrize(
+        ("call", "name", "expected"),
+        [
+            (lambda: realizes("++++++", hardy_constraint_set().zeros[0]), "instance", "CounterfactualInstance"),
+            (lambda: realizes(LocalStrategy((PLUS,) * 4), hardy_constraint_set().zeros[0]), "instance", "CounterfactualInstance"),
+            (lambda: realizes(enumerate_instances()[0], "Eq1"), "constraint", "Constraint"),
+            (lambda: satisfies_zeros("++++++", ConstraintSet()), "instance", "CounterfactualInstance"),
+            (lambda: satisfies_zeros(enumerate_instances()[0], hardy_constraint_set().zeros), "constraint_set", "ConstraintSet"),
+            (lambda: evaluate_sr(None, Setting.L1), "instance", "CounterfactualInstance"),
+            (lambda: strategy_realizes(enumerate_instances()[0], hardy_constraint_set().zeros[0]), "strategy", "LocalStrategy"),
+            (lambda: strategy_realizes(LocalStrategy((PLUS,) * 4), None), "constraint", "Constraint"),
+            (lambda: strategy_satisfies("++++", hardy_constraint_set()), "strategy", "LocalStrategy"),
+            (lambda: strategy_satisfies(LocalStrategy((PLUS,) * 4), "Eq1"), "constraint_set", "ConstraintSet"),
+        ],
+        ids=[
+            "realizes_str",
+            "realizes_strategy",
+            "realizes_constraint",
+            "satisfies_zeros_str",
+            "satisfies_zeros_tuple",
+            "evaluate_sr_none",
+            "strategy_realizes_instance",
+            "strategy_realizes_constraint",
+            "strategy_satisfies_str",
+            "strategy_satisfies_constraint_set",
+        ],
+    )
+    def test_per_instance_definitions_name_a_wrong_typed_argument(
+        self, call: Callable[[], object], name: str, expected: str
+    ) -> None:
+        with pytest.raises(ValidationError, match=f"^{name} must be a {expected}, got "):
             call()
 
     def test_hardy_constraint_set_is_one_shared_object(self) -> None:

@@ -4,6 +4,7 @@ no-signalling, and the ket-label map."""
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from fractions import Fraction
 
 import numpy as np
@@ -135,6 +136,24 @@ class TestJointProbabilityTable:
     def test_rejects_missing_entries(self) -> None:
         with pytest.raises(ValidationError, match="16"):
             JointProbabilityTable({})
+
+    @pytest.mark.parametrize(
+        "lookup",
+        [
+            lambda t: t.probability(Setting.R1, Setting.L1, MINUS, PLUS),
+            lambda t: t.probability("L1", Setting.R1, MINUS, PLUS),
+            lambda t: t.probability(Setting.L1, Setting.R1, "-", PLUS),
+            lambda t: t.probability(Setting.L1, Setting.R1, MINUS, []),
+            lambda t: t.left_marginal(Setting.L1, MINUS, Setting.L2),
+            lambda t: t.left_marginal([], MINUS, Setting.R1),
+            lambda t: t.left_marginal(Setting.L1, 0, Setting.R1),
+        ],
+        ids=["swapped_pair", "str_setting", "str_outcome", "unhashable", "marginal_two_lefts", "marginal_unhashable", "marginal_int"],
+    )
+    def test_lookup_of_a_non_entry_names_the_arguments(self, lookup: Callable[[JointProbabilityTable], float]) -> None:
+        table = joint_probability_table(build_hardy_configuration(0.7))
+        with pytest.raises(ValidationError, match="^no table entry for left_setting=.+, right_setting=.+, left_outcome=.+, right_outcome="):
+            lookup(table)
 
     def test_every_entry_is_the_fraction_rounded_fma_at_2400_angles(self) -> None:
         """Each entry is ``abs(fma(l1*r1, b, (l0*r0)*a))**2``, the fma evaluated through ``Fraction``.

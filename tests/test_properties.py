@@ -25,6 +25,7 @@ from hypothesis import strategies as st
 from hardycheck import (
     IDENTITY_TOL,
     INPUT_TOL,
+    INSTANCE_FIELDS,
     LEFT_SETTINGS,
     OUTCOME_PAIRS,
     OUTCOMES,
@@ -35,6 +36,7 @@ from hardycheck import (
     ConstraintSet,
     ConvergenceError,
     MeasurementBasis,
+    Outcome,
     Setting,
     StateVector,
     ValidationError,
@@ -417,6 +419,14 @@ def test_instance_set_checks_equal_the_per_instance_scan(cs: ConstraintSet) -> N
     assert flags == (forced, bool(witnesses), forced and bool(witnesses))
     assert feasibility.witnesses == lhv_witnesses and feasibility.feasible is bool(lhv_witnesses)
     assert (check_property1(cs), check_property2(cs)) == (p1, p2)
+    # The zeros force the SR premise when no admissible instance pairs the witness's o_L(L1) with o_R(L1,R2) = -.
+    l1, r2 = INSTANCE_FIELDS.index("o_L(L1)"), INSTANCE_FIELDS.index("o_R(L1,R2)")
+    given = witnesses[0].outcomes[l1] if witnesses else None
+    pinned = bool(witnesses) and not any(i.outcomes[l1] is given and i.outcomes[r2] is Outcome.MINUS for i in admissible)
+    assert (p2.forced_step is not None) is pinned
+    if pinned:
+        zero = cs.constraint(p2.forced_step.split()[0])
+        assert zero in cs.zeros and zero.event_key == ((Setting.L1, Setting.R2), (given, Outcome.MINUS))
 
 
 def select_as_formerly_scanned(instances: int, items: tuple) -> tuple:
