@@ -27,7 +27,7 @@ and ``evaluate_sr`` are the per-instance definitions the sets are made from.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError, dataclass
 from functools import cached_property, lru_cache, reduce
 from operator import and_, or_
 from typing import ClassVar, Iterable
@@ -85,6 +85,14 @@ class OutcomeAssignment:
 
     def __str__(self) -> str:
         return "(" + ", ".join(self.labels()) + ")"
+
+
+def _refuse(self: OutcomeAssignment, name: str, *value: object) -> None:
+    raise FrozenInstanceError(f"cannot {'assign to' if value else 'delete'} field {name!r}")
+
+
+# The generated methods guard only the fields on a subclass; these refuse every name, as on a decorated class.
+OutcomeAssignment.__setattr__ = OutcomeAssignment.__delattr__ = _refuse
 
 
 class CounterfactualInstance(OutcomeAssignment):

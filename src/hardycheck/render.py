@@ -4,11 +4,15 @@ In JSON a dataclass renders as its fields in declaration order, or as its
 ``to_json_dict()`` where keys are renamed or derived; an enum as its string.
 Each type gets one emitter, built on first sight; a dataclass's holds its ``"name": ``
 field heads encoded once. Each indent depth's brackets and separator are built once.
+A frozen, eq dataclass with no ``to_json_dict`` that hashes (holds no dict or list) keeps
+its indent-0 text as ``_json``, which dies with it; a later emission shifts each newline to
+its indent, as every raw newline is structural: strings have their own newlines escaped.
 """
 
 from __future__ import annotations
 
 import math
+from contextlib import suppress
 from dataclasses import fields, is_dataclass
 from enum import Enum
 from functools import partial
@@ -71,6 +75,17 @@ def _emit_dict(value: dict, indent: int, out: list[str]) -> None:
     _emit_members([(encode_basestring_ascii(str(key)) + ": ", key) for key in value], dict.__getitem__, value, indent, out)
 
 
+def _emit_kept(emit: Emitter, value: object, indent: int, out: list[str]) -> None:
+    text = getattr(value, "_json", None)
+    if text is None:
+        emit(value, 0, parts := [])
+        text = "".join(parts)
+        with suppress(TypeError, AttributeError):  # unhashable: a dict or list inside; or slots and no __dict__
+            hash(value)
+            object.__setattr__(value, "_json", text)
+    out.append(text.replace("\n", "\n" + "  " * indent) if indent else text)
+
+
 def _emitter(cls: type) -> Emitter:
     """Pick a type's emitter by the first base below that it has, and keep it in ``_EMITTERS``."""
     if issubclass(cls, bool):
@@ -92,6 +107,8 @@ def _emitter(cls: type) -> Emitter:
     elif is_dataclass(cls):
         heads = tuple((encode_basestring_ascii(f.name) + ": ", f.name) for f in fields(cls))  # encoded once per type
         emit = partial(_emit_members, heads, getattr)
+        if cls.__dataclass_params__.frozen and cls.__dataclass_params__.eq:
+            emit = partial(_emit_kept, emit)
     else:
         raise TypeError(f"cannot serialize {cls.__name__} to JSON")
     _EMITTERS[cls] = emit

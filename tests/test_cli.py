@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
+import weakref
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
@@ -38,7 +40,7 @@ from hardycheck import (
     verify_hardy_predictions,
 )
 from hardycheck.cli import main
-from hardycheck.render import _TEXT_RENDERERS
+from hardycheck.render import _EMITTERS, _PADS, _TEXT_RENDERERS
 
 PI_6 = "0.5235987755982988"
 GOLDEN = Path(__file__).parent / "golden"
@@ -376,6 +378,97 @@ def test_json_emitters_by_type() -> None:
     assert to_json_text([NoFields(), {"k": NoFields()}]) == '[\n  {},\n  {\n    "k": {}\n  }\n]\n'
     assert to_json_text(Colour.RED) == '"Colour.RED"\n'
     assert to_json_text((True, 1, False, 0)) == "[\n  true,\n  1,\n  false,\n  0\n]\n"  # bool before its base, int
+
+
+def _fresh_set(label: str = "Z") -> ConstraintSet:
+    """A constraint set built here, so no earlier rendering has kept its text."""
+    zero = Constraint(label, (Setting.L1, Setting.R2), (Outcome.MINUS, Outcome.MINUS))
+    return ConstraintSet(zeros=(zero,), positivity=(Constraint(label + "+", (Setting.L1, Setting.R1), (Outcome.MINUS, Outcome.PLUS)),))
+
+
+class TestKeptJson:
+    """A frozen record's JSON is rendered once, kept on the record, and shifted to each indent it is emitted at."""
+
+    @pytest.mark.parametrize("alone_first", [True, False], ids=["alone-first", "nested-first"])
+    def test_a_record_alone_and_nested_gives_the_shifted_text(self, alone_first: bool) -> None:
+        cs = _fresh_set()
+        nested = {"k": [cs]}
+        first, second = (cs, nested) if alone_first else (nested, cs)
+        texts = {id(payload): to_json_text(payload) for payload in (first, second)}
+        alone = texts[id(cs)]
+        assert alone == json.dumps(json.loads(alone), indent=2) + "\n"
+        assert texts[id(nested)] == '{\n  "k": [\n    ' + alone[:-1].replace("\n", "\n    ") + "\n  ]\n}\n"
+        assert vars(cs)["_json"] == alone[:-1]  # kept at indent 0, without the closing newline
+        assert to_json_text(cs) == alone and to_json_text(nested) == texts[id(nested)]
+
+    def test_only_frozen_eq_records_without_to_json_dict_keep_their_text(self) -> None:
+        @dataclass(frozen=True, eq=False)
+        class Unequal:
+            value: int
+
+        @dataclass(frozen=True)
+        class Holder:
+            report: object
+
+        @dataclass(frozen=True, slots=True)
+        class Slotted:  # no __dict__ to keep the text in, so it is rendered each time
+            value: int
+
+        report = locality_violation_report(_fresh_set())
+        checks = no_signalling_check(joint_probability_table(build_hardy_configuration(0.5)))
+        unequal, holder = Unequal(1), Holder(checks)
+        for record in (report, checks, unequal, holder):
+            render_report(record, "json")
+        assert "_json" in vars(report.property1.constraint_set) and "_json" in vars(report.property2.witness_verdict)
+        for record in (report, report.property1, checks, unequal, holder):
+            assert "_json" not in vars(record)
+        assert to_json_text([Slotted(1)]) == to_json_text([Slotted(1)]) == "[\n  {\n    \"value\": 1\n  }\n]\n"
+
+    def test_a_changed_dict_inside_a_record_renders_its_new_value(self) -> None:
+        @dataclass(frozen=True)
+        class Holder:
+            report: object
+
+        report = no_signalling_check(joint_probability_table(build_hardy_configuration(0.5)))
+        holder = Holder(report)
+        before = json.loads(render_report(report, "json")), json.loads(render_report(holder, "json"))
+        key = next(iter(report.deviations))
+        report.deviations[key] = 0.5
+        after = json.loads(render_report(report, "json")), json.loads(render_report(holder, "json"))
+        assert before[0]["deviations"][key] != 0.5
+        assert after[0]["deviations"][key] == 0.5 and after[1]["report"]["deviations"][key] == 0.5
+
+    def test_a_replaced_record_renders_its_new_fields(self) -> None:
+        objective = maximize_paradox(tol=1e-6)
+        zero = _fresh_set().zeros[0]
+        old = render_report(objective, "json"), render_report(zero, "json")
+        new_objective = dataclasses.replace(objective, iterations=objective.iterations + 1)
+        new_zero = dataclasses.replace(zero, label="Renamed")
+        assert json.loads(render_report(new_objective, "json"))["iterations"] == objective.iterations + 1
+        assert json.loads(render_report(new_zero, "json"))["label"] == "Renamed"
+        assert (render_report(objective, "json"), render_report(zero, "json")) == old
+
+    def test_equality_hash_and_repr_ignore_the_kept_text(self) -> None:
+        rendered, twin = _fresh_set(), _fresh_set()
+        render_report(rendered, "json")
+        assert "_json" in vars(rendered) and "_json" not in vars(twin)
+        assert rendered == twin and hash(rendered) == hash(twin) and repr(rendered) == repr(twin)
+        assert dataclasses.astuple(rendered) == dataclasses.astuple(twin)
+
+    def test_the_text_dies_with_its_record_and_the_module_tables_stay_put(self) -> None:
+        render_report(hardy_lhv_feasibility(_fresh_set()), "json")
+        render_report(locality_violation_report(_fresh_set()), "json")  # every type and depth seen once
+        sizes = len(_EMITTERS), len(_PADS)
+        report = locality_violation_report(_fresh_set())
+        render_report(report, "json")
+        refs = [weakref.ref(report), weakref.ref(report.property1.constraint_set)]
+        del report
+        assert [ref() for ref in refs] == [None, None]
+        for i in range(50):
+            cs = _fresh_set(f"Z{i}")
+            render_report(locality_violation_report(cs), "json")
+            render_report(hardy_lhv_feasibility(cs), "json")
+        assert (len(_EMITTERS), len(_PADS)) == sizes
 
 
 class TestRenderReport:

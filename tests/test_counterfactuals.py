@@ -124,6 +124,25 @@ class TestOutcomeAssignmentTypes:
         assert twin == value and twin is not value and hash(twin) == hash(value)
         assert flipped != value and {value, twin, flipped} == {value, flipped}
 
+    @pytest.mark.parametrize(("cls", "size"), [(CounterfactualInstance, 6), (LocalStrategy, 4)], ids=["instance", "strategy"])
+    def test_refuse_every_assignment_and_deletion_as_a_decorated_frozen_class_does(self, cls: type, size: int) -> None:
+        @dataclasses.dataclass(frozen=True)
+        class Decorated:
+            outcomes: tuple
+
+        value, reference = cls((PLUS,) * size), Decorated((PLUS,) * size)
+        index = value.index  # the cached properties fill __dict__ directly, not through __setattr__
+        if cls is LocalStrategy:
+            assert value.as_instance() is value.as_instance()
+        for name in ("outcomes", "foo", "_json", "index"):
+            for target in (value, reference):
+                with pytest.raises(dataclasses.FrozenInstanceError, match=f"^cannot assign to field '{name}'$"):
+                    setattr(target, name, 1)
+                with pytest.raises(dataclasses.FrozenInstanceError, match=f"^cannot delete field '{name}'$"):
+                    delattr(target, name)
+        assert value.outcomes == (PLUS,) * size and value.index == index == 0
+        assert not hasattr(value, "foo") and not hasattr(value, "_json")
+
     def test_an_instance_never_equals_a_strategy(self) -> None:
         for strategy in (LocalStrategy(combo) for combo in itertools.product(OUTCOMES, repeat=4)):
             embedded = strategy.as_instance()

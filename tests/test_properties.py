@@ -383,6 +383,78 @@ def test_logic_json_is_what_stdlib_json_prints(cs: ConstraintSet) -> None:
 
 
 @st.composite
+def larger_constraint_sets(draw: st.DrawFn) -> ConstraintSet:
+    """1-6 zeros and 0-3 positivity events, distinct, from the 16 joint events."""
+    n_zeros, n_positive = draw(st.integers(1, 6)), draw(st.integers(0, 3))
+    events = draw(st.permutations(JOINT_EVENTS))[: n_zeros + n_positive]
+    constraints = [Constraint(f"Eq{i + 1}", *event) for i, event in enumerate(events)]
+    return ConstraintSet(zeros=tuple(constraints[:n_zeros]), positivity=tuple(constraints[n_zeros:]))
+
+
+def set_tree(cs: ConstraintSet) -> dict:
+    def event(c: Constraint) -> dict:
+        return {"label": c.label, "settings": [s.value for s in c.settings], "outcomes": [o.value for o in c.outcomes]}
+
+    return {"zeros": [event(c) for c in cs.zeros], "positivity": [event(c) for c in cs.positivity]}
+
+
+def verdict_tree(v: object) -> dict | None:
+    if v is None:
+        return None
+    return {"instance_index": v.instance_index, "context": v.context.value, "premise_holds": v.premise_holds, "sr_value": v.sr_value}
+
+
+def locality_tree(report: object) -> dict:
+    p1, p2 = report.property1, report.property2
+    return {
+        "violation": report.violation,
+        "sr_always_true_at_L2": report.sr_always_true_at_l2,
+        "sr_sometimes_false_at_L1": report.sr_sometimes_false_at_l1,
+        "note": report.note,
+        "property1": {
+            "holds": p1.holds,
+            "admissible_count": len(p1.admissible),
+            "admissible_ids": [inst.index for inst in p1.admissible],
+            "sr_verdicts": [verdict_tree(v) for v in p1.verdicts],
+            "counterexample_ids": [inst.index for inst in p1.counterexamples],
+            "constraint_set": set_tree(p1.constraint_set),
+        },
+        "property2": {
+            "witness_found": p2.witness_found,
+            "witness_id": None if p2.witness is None else p2.witness.index,
+            "witness": None if p2.witness is None else [o.value for o in p2.witness.outcomes],
+            "witness_count": p2.witness_count,
+            "sr_verdict": verdict_tree(p2.witness_verdict),
+            "forced_step": p2.forced_step,
+            "constraint_set": set_tree(p2.constraint_set),
+        },
+    }
+
+
+def feasibility_tree(result: object) -> dict:
+    return {
+        "feasible": result.feasible,
+        "witness_count": len(result.witnesses),
+        "witnesses": [[o.value for o in w.outcomes] for w in result.witnesses],
+        "assumed": list(result.assumed),
+        "trace": [{"constraint": s.constraint, "assignment": s.assignment, "kind": s.kind} for s in result.trace],
+        "constraint_set": set_tree(result.constraint_set),
+    }
+
+
+@settings(max_examples=150, deadline=None)
+@given(cs=larger_constraint_sets())
+@example(cs=hardy_constraint_set())
+def test_logic_json_rendered_twice_is_stdlib_json_of_the_report_fields(cs: ConstraintSet) -> None:
+    # The first rendering keeps each frozen record's text, the second reuses it at every depth it is nested at;
+    # both must be the bytes stdlib json prints for a plain tree of the same fields.
+    for report, tree in ((locality_violation_report(cs), locality_tree), (hardy_lhv_feasibility(cs), feasibility_tree)):
+        expected = (json.dumps(tree(report), indent=2) + "\n").encode()
+        assert render_report(report, "json") == expected
+        assert render_report(report, "json") == expected
+
+
+@st.composite
 def split_event_sets(draw: st.DrawFn) -> ConstraintSet:
     """0-8 distinct joint events, split at a drawn point into zeros and positivity events."""
     events = draw(st.permutations(JOINT_EVENTS))[: draw(st.integers(0, 8))]
