@@ -17,6 +17,7 @@ from __future__ import annotations
 import math
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
+from types import MappingProxyType
 
 from .counterfactuals import hardy_constraint_set
 from .quantum import (
@@ -279,12 +280,15 @@ def verify_hardy_predictions(table: JointProbabilityTable, tol: float = ZERO_TOL
 
 @dataclass(frozen=True)
 class NoSignallingReport:
-    """Largest marginal shift induced by switching the remote setting."""
+    """Largest marginal shift induced by switching the remote setting; ``deviations`` is a read-only copy."""
 
     passed: bool
     max_deviation: float
     tol: float
-    deviations: dict[str, float]
+    deviations: Mapping[str, float]
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "deviations", MappingProxyType(dict(self.deviations)))
 
 
 #: The eight no-signalling comparisons: a label, then the table keys of the two marginals it compares,

@@ -12,8 +12,11 @@ not by a BLAS kernel. The real part sums the products ``re(x_k)*re(y_k)`` and
 ``im(x_k)*im(y_k)``, the imaginary part ``re(x_k)*im(y_k)`` and
 ``-im(x_k)*re(y_k)``, each in index order: a product with an exactly zero
 factor is skipped, the first other one is rounded once, and each later one is
-added with a correctly rounded fused multiply-add, computed in exact integer
-arithmetic. Norms and overlaps are only compared to a tolerance. A squared
+added with a correctly rounded fused multiply-add. That step splits both factors
+into halves whose four products are exact (Veltkamp/Dekker) and rounds their sum
+with the addend once (``math.fsum``); when a factor or product is too large or the
+product too small for exact halves, or the sum overflows, it runs in exact integer
+arithmetic instead. Norms and overlaps are only compared to a tolerance. A squared
 norm sums ``re*re + im*im`` over the components in index order in float
 arithmetic, which rounds as the real part of ``sum(c * c.conjugate())`` does;
 overlaps use plain complex arithmetic.
@@ -146,11 +149,24 @@ def _norm_squared(vec: tuple[complex, ...]) -> float:
     return total
 
 
+_SPLIT, _BIG, _TINY = 134217729.0, 2.0**995, 2.0**-960  # 2**27 + 1; bounds where no split overflows, no product rounds
+
+
 def _fma(a: float, b: float, c: float) -> float:
     """``a*b + c`` computed exactly, then rounded once to the nearest float (ties to even).
 
+    If ``c`` is finite, ``|a|, |b| < 2**995`` and ``2**-960 < |a*b| < 2**995``, both factors are split into 26-bit
+    halves (Veltkamp/Dekker), so the four partial products are exact, and ``math.fsum`` rounds their sum with ``c``
+    once. Otherwise, or when ``fsum`` overflows, the sum is formed in exact integer arithmetic.
     Only a fused step reaches it: ``_amplitude`` skips a zero factor and rounds a product onto a zero sum with ``*``.
     """
+    if _TINY < abs(a * b) < _BIG and abs(a) < _BIG and abs(b) < _BIG and -math.inf < c < math.inf:
+        ah, bh = (t := _SPLIT * a) - (t - a), (u := _SPLIT * b) - (u - b)
+        al, bl = a - ah, b - bh
+        try:
+            return math.fsum((ah * bh, ah * bl, al * bh, al * bl, c))
+        except OverflowError:  # the sum exceeds the float range; the integer path returns the signed infinity
+            pass
     if math.isinf(c):  # a sum that overflowed stays infinite, as in IEEE arithmetic
         return c
     (an, ad), (bn, bd), (cn, cd) = a.as_integer_ratio(), b.as_integer_ratio(), c.as_integer_ratio()
@@ -166,6 +182,8 @@ def _amplitude(xs: tuple[complex, ...], ys: tuple[complex, ...]) -> complex:
     """``sum_k conj(x_k) * y_k``: each part is an fma chain over its real products, in index order."""
     re = im = 0.0
     for x, y in zip(xs, ys):
+        if not y:  # both parts zero: every product below has a zero factor
+            continue
         xr, xi, yr, yi = x.real, x.imag, y.real, y.imag
         if xr and yr:
             re = _fma(xr, yr, re) if re else xr * yr
@@ -289,7 +307,8 @@ def _not_orthonormal(label: Setting, failures: tuple[str, ...]) -> ValidationErr
 
 def _born(left: tuple[complex, ...], right: tuple[complex, ...], psi: tuple[complex, ...]) -> float:
     """``|<left (x) right | psi>|**2``, the Born kernel, for checked vectors."""
-    return abs(_amplitude([x * y for x in left for y in right], psi)) ** 2
+    (l0, l1), (r0, r1) = left, right
+    return abs(_amplitude((l0 * r0, l0 * r1, l1 * r0, l1 * r1), psi)) ** 2
 
 
 def validate_basis(basis: MeasurementBasis, tol: float = IDENTITY_TOL) -> BasisReport:

@@ -4,7 +4,7 @@ In JSON a dataclass renders as its fields in declaration order, or as its
 ``to_json_dict()`` where keys are renamed or derived; an enum as its string.
 Each type gets one emitter, built on first sight; a dataclass's holds its ``"name": ``
 field heads encoded once. Each indent depth's brackets and separator are built once.
-A frozen, eq dataclass with no ``to_json_dict`` that hashes (holds no dict or list) keeps
+A frozen, eq dataclass with no ``to_json_dict`` that hashes (holds no mapping or list) keeps
 its indent-0 text as ``_json``, which dies with it; a later emission shifts each newline to
 its indent, as every raw newline is structural: strings have their own newlines escaped.
 """
@@ -17,6 +17,7 @@ from dataclasses import fields, is_dataclass
 from enum import Enum
 from functools import partial
 from json.encoder import encode_basestring_ascii
+from types import MappingProxyType
 from typing import Callable, Collection
 
 from .counterfactuals import LocalityReport, Property1Report, Property2Report, hardy_constraint_set
@@ -71,8 +72,8 @@ def _emit_members(heads: Collection[tuple[str, object]], get: Callable, value: o
     out.append(closer if heads else "{}")
 
 
-def _emit_dict(value: dict, indent: int, out: list[str]) -> None:
-    _emit_members([(encode_basestring_ascii(str(key)) + ": ", key) for key in value], dict.__getitem__, value, indent, out)
+def _emit_dict(value: dict | MappingProxyType, indent: int, out: list[str]) -> None:
+    _emit_members([(encode_basestring_ascii(str(key)) + ": ", key) for key in value], type(value).__getitem__, value, indent, out)
 
 
 def _emit_kept(emit: Emitter, value: object, indent: int, out: list[str]) -> None:
@@ -98,7 +99,7 @@ def _emitter(cls: type) -> Emitter:
         emit = lambda value, indent, out: out.append(format_float(value))
     elif issubclass(cls, (str, Enum)):
         emit = lambda value, indent, out: out.append(encode_basestring_ascii(str(value)))
-    elif issubclass(cls, dict):
+    elif issubclass(cls, (dict, MappingProxyType)):
         emit = _emit_dict
     elif issubclass(cls, (list, tuple)):
         emit = _emit_list

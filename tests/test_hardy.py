@@ -3,9 +3,12 @@ no-signalling, and the ket-label map."""
 
 from __future__ import annotations
 
+import dataclasses
 import math
+from collections import Counter
 from collections.abc import Callable
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -19,6 +22,7 @@ from hardycheck import (
     HardyConfiguration,
     JointProbabilityTable,
     MeasurementBasis,
+    NoSignallingReport,
     Outcome,
     Setting,
     StateVector,
@@ -29,6 +33,7 @@ from hardycheck import (
     joint_probability_table,
     no_signalling_check,
     paradox_probability,
+    quantum,
     render_report,
     to_hardy_notation,
     verify_hardy_predictions,
@@ -155,14 +160,29 @@ class TestJointProbabilityTable:
         with pytest.raises(ValidationError, match="^no table entry for left_setting=.+, right_setting=.+, left_outcome=.+, right_outcome="):
             lookup(table)
 
-    def test_every_entry_is_the_fraction_rounded_fma_at_2400_angles(self) -> None:
+    def test_every_entry_is_the_fraction_rounded_fma_at_2400_angles(self, monkeypatch: pytest.MonkeyPatch) -> None:
         """Each entry is ``abs(fma(l1*r1, b, (l0*r0)*a))**2``, the fma evaluated through ``Fraction``.
 
         The state is ``(a, 0, 0, b)`` and every basis vector ``(x0, x1)`` is real, so the amplitude
         has two nonzero terms: the first product rounded once, the second fused into it. The
         angles run log-spaced from 1e-200, uniformly across (0, pi/2), and log-spaced up to
-        ``nextafter(pi/2, 0)``.
+        ``nextafter(pi/2, 0)``. Both ways of computing a fused step run: ``math.fsum`` over exact
+        halves, and the exact-integer fallback outside its bounds.
         """
+        counts = Counter()
+
+        def counted_fma(a: float, b: float, c: float) -> float:
+            counts["fused"] += 1
+            return fma(a, b, c)
+
+        def counted_fsum(terms: tuple[float, ...]) -> float:
+            total = math.fsum(terms)
+            counts["fsum"] += 1
+            return total
+
+        fma = quantum._fma
+        monkeypatch.setattr(quantum, "_fma", counted_fma)
+        monkeypatch.setattr(quantum, "math", SimpleNamespace(**{**vars(math), "fsum": counted_fsum}))
         n = 800
         thetas = {1e-200, math.pi / 4, math.nextafter(math.pi / 2, 0.0)}
         for i in range(n):
@@ -183,6 +203,7 @@ class TestJointProbabilityTable:
                     (l0, l1), (r0, r1) = (c.real for c in left), (c.real for c in right)
                     amplitude = float(Fraction(l1 * r1) * Fraction(b) + Fraction((l0 * r0) * a))
                     assert table.probability(*sp, *op).hex() == (abs(amplitude) ** 2).hex(), (theta, sp, op)
+        assert counts["fsum"] > 0 and counts["fused"] - counts["fsum"] > 0, counts
 
     def test_serialization_order_is_fixed(self) -> None:
         table = joint_probability_table(build_hardy_configuration(0.5))
@@ -287,6 +308,19 @@ class TestNoSignalling:
     def test_reports_eight_marginal_comparisons(self) -> None:
         report = no_signalling_check(joint_probability_table(build_hardy_configuration(0.6)))
         assert len(report.deviations) == 8
+
+    def test_the_deviations_cannot_be_edited_after_the_report_is_built(self) -> None:
+        """The report is frozen and so are its deviations: a read-only copy of the mapping it was given."""
+        given = {"P(L1+) R1 vs R2": 0.0}
+        report = NoSignallingReport(True, 0.0, 1e-12, given)
+        given["P(L1+) R1 vs R2"] = 0.5
+        report_bytes = render_report(report, "json")
+        with pytest.raises(TypeError):
+            report.deviations["P(L1+) R1 vs R2"] = 0.5
+        assert dict(report.deviations) == {"P(L1+) R1 vs R2": 0.0} and render_report(report, "json") == report_bytes
+        failed = dataclasses.replace(report, passed=False)
+        assert not failed.passed and failed.deviations == report.deviations
+        assert report_bytes == b'{\n  "passed": true,\n  "max_deviation": 0,\n  "tol": 9.9999999999999998e-13,\n  "deviations": {\n    "P(L1+) R1 vs R2": 0\n  }\n}\n'
 
     @pytest.mark.parametrize("seed", range(5))
     def test_deviations_are_the_marginal_differences_bit_for_bit(self, seed: int) -> None:

@@ -65,7 +65,7 @@ from hardycheck import (
 from hardycheck.cli import main
 from hardycheck.counterfactuals import _select, _sr_table
 from hardycheck.hardy import _hardy_vectors
-from hardycheck.quantum import _amplitude, _as_vector, _basis_deviations, _born, _norm_squared
+from hardycheck.quantum import _amplitude, _as_vector, _basis_deviations, _born, _fma, _norm_squared
 
 P4_MAX_EXACT = (5.0 * math.sqrt(5.0) - 11.0) / 2.0
 HALF_PI_BELOW = math.nextafter(math.pi / 2, 0.0)
@@ -162,6 +162,56 @@ def fraction_chain(xs: object, ys: object) -> complex:
                 if a != 0 and b != 0:
                     parts[i] = float(Fraction(parts[i]) + Fraction(a) * Fraction(b))
     return complex(*parts)
+
+
+DBL_MAX = sys.float_info.max
+finite_floats = st.floats(allow_nan=False, allow_infinity=False)
+fma_factors = st.one_of(finite_floats, st.builds(math.ldexp, st.floats(-1.0, 1.0), st.integers(-1100, 1023)))
+fma_addends = st.one_of(fma_factors, st.sampled_from([math.inf, -math.inf, DBL_MAX, -DBL_MAX, 5e-324, -5e-324]))
+
+
+def _x(text: str) -> float:
+    return float.fromhex(text)
+
+
+@settings(max_examples=400, deadline=None)
+@given(a=fma_factors, b=fma_factors, c=fma_addends, cancel=st.booleans())
+# On each side of the fast path's bounds: |a*b| just above and just below 2**-960 and 2**995, |a| at 2**1000.
+@example(a=_x("0x1.0000000000001p-480"), b=_x("0x1.0000000000001p-480"), c=_x("-0x1.0000000000002p-960"), cancel=False)
+@example(a=_x("0x1.fffffffffffffp-481"), b=_x("0x1.fffffffffffffp-481"), c=_x("-0x1.fffffffffffffp-961"), cancel=False)
+@example(a=_x("0x1.fffffffffffffp496"), b=_x("0x1.fffffffffffffp497"), c=_x("-0x1.fffffffffffffp994"), cancel=False)
+@example(a=_x("0x1.0000000000001p497"), b=_x("0x1.fffffffffffffp497"), c=_x("-0x1p995"), cancel=False)
+@example(a=_x("0x1.fffffffffffffp1000"), b=_x("0x1.0000000000001p-20"), c=1.0, cancel=False)
+# |a*b| near 2**-1000, where the low partial product would round: only the integer path gets it right.
+@example(a=_x("-0x1.452fac850320ap-435"), b=_x("-0x1.6dd97448b35cfp-565"), c=_x("-0x1.d0b93218d5a06p-1000"), cancel=False)
+# Subnormal addends on the fast path.
+@example(a=1.5, b=_x("0x1.0000000000001p-1"), c=5e-324, cancel=False)
+@example(a=_x("0x1.0000000000001p-480"), b=_x("0x1.0000000000001p-480"), c=_x("-0x0.0000000000003p-1022"), cancel=False)
+# A sum past the float range: fsum overflows, and the integer path returns the signed infinity.
+@example(a=2.0**497, b=2.0**497, c=DBL_MAX, cancel=False)
+@example(a=-(2.0**497), b=2.0**497, c=-DBL_MAX, cancel=False)
+# Exact cancellation gives +0.0; an infinite addend is returned as it is.
+@example(a=3.0, b=5.0, c=-15.0, cancel=False)
+@example(a=-3.0, b=5.0, c=15.0, cancel=False)
+@example(a=1.0, b=2.0, c=math.inf, cancel=False)
+@example(a=1e300, b=1e300, c=-math.inf, cancel=False)
+def test_fma_is_the_fraction_rounded_sum_bit_for_bit(a: float, b: float, c: float, cancel: bool) -> None:
+    """``_fma(a, b, c)`` is ``a*b + c`` evaluated through ``Fraction`` and rounded once, on either path.
+
+    With ``cancel`` the addend is ``-(a*b)`` rounded, so the result is the product's own rounding error.
+    """
+    assert math.fsum([1.0, 2**-53, 2**-106]) == 1 + 2**-52  # fsum rounds the exact sum once, not term by term
+    if cancel and math.isfinite(a * b):
+        c = -(a * b)
+    if math.isinf(c):
+        expected = c
+    else:
+        exact = Fraction(a) * Fraction(b) + Fraction(c)
+        try:
+            expected = float(exact)
+        except OverflowError:
+            expected = math.inf if exact > 0 else -math.inf
+    assert _fma(a, b, c).hex() == expected.hex()
 
 
 edge_parts = st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, -1e-310, 1.0, -1.0])
