@@ -57,6 +57,8 @@ _TABLE_KEYS = frozenset((sp, op) for sp in SETTING_PAIRS for op in OUTCOME_PAIRS
 
 _BASIS_ORDER = (Setting.L1, Setting.L2, Setting.R1, Setting.R2)
 _BASIS_INDEX = {setting: i for i, setting in enumerate(_BASIS_ORDER)}
+#: Per setting pair, in serialization order: the pair and its four table keys.
+_ROWS = tuple((sp, tuple((sp, op) for op in OUTCOME_PAIRS)) for sp in SETTING_PAIRS)
 
 
 def setting_pair_label(pair: SettingPair) -> str:
@@ -77,10 +79,11 @@ class HardyConfiguration:
 
     def __post_init__(self) -> None:
         _require(self.state, StateVector, "state")
-        bases = _require(self.bases, Sequence, "bases")
+        bases = tuple(_require(self.bases, Sequence, "bases"))  # a copy the caller cannot edit; a tuple is kept as is
         labels = tuple(_require(basis, MeasurementBasis, "bases entry").label for basis in bases)
         if labels != _BASIS_ORDER:
             raise ValidationError(f"bases must be labelled {_BASIS_ORDER}, got {labels}")
+        object.__setattr__(self, "bases", bases)
         object.__setattr__(self, "theta", _as_angle(self.theta))
 
     def basis(self, setting: Setting) -> MeasurementBasis:
@@ -117,12 +120,13 @@ def _hardy_vectors(theta: object) -> tuple[float, tuple[float, float, float, flo
         raise ValidationError(f"theta={theta!r} is too small for the basis construction in double precision")
     n1 = math.hypot(1.0, g)
     n3 = math.hypot(1.0, g3)
-    # Float divisions, before the constructors' one complex coercion.
+    # Four float divisions, before the constructors' one complex coercion; -x/n is -(x/n) exactly.
+    gn1, un1, gn3, un3 = g / n1, 1.0 / n1, g3 / n3, 1.0 / n3
     pairs = (
-        ((g3 / n3, 1.0 / n3), (1.0 / n3, -g3 / n3)),
-        ((-g / n1, 1.0 / n1), (1.0 / n1, g / n1)),
-        ((1.0 / n3, g3 / n3), (g3 / n3, -1.0 / n3)),
-        ((1.0 / n1, -g / n1), (g / n1, 1.0 / n1)),
+        ((gn3, un3), (un3, -gn3)),
+        ((-gn1, un1), (un1, gn1)),
+        ((un3, gn3), (gn3, -un3)),
+        ((un1, -gn1), (gn1, un1)),
     )
     return theta, (a, 0.0, 0.0, b), pairs
 
@@ -164,25 +168,25 @@ class JointProbabilityTable:
 
     Entries must lie in [0, 1] and each setting-pair row must sum to 1 within
     ``IDENTITY_TOL``. Keys are ``((left_setting, right_setting), (left_outcome,
-    right_outcome))``.
+    right_outcome))``; ``entries`` is a read-only copy.
     """
 
-    entries: dict[tuple[SettingPair, OutcomePair], float]
+    entries: Mapping[tuple[SettingPair, OutcomePair], float]
 
     def __post_init__(self) -> None:
         if set(_require(self.entries, Mapping, "entries")) != _TABLE_KEYS:
             raise ValidationError("table must contain exactly the 16 setting/outcome pair entries")
         clean: dict[tuple[SettingPair, OutcomePair], float] = {}
         for key, value in self.entries.items():
-            p = _as_float(value, "table entry")
-            if not math.isfinite(p) or p < -IDENTITY_TOL or p > 1.0 + IDENTITY_TOL:
+            p = value if type(value) is float else _as_float(value, "table entry")
+            if not -IDENTITY_TOL <= p <= 1.0 + IDENTITY_TOL:  # nan and both infinities fail it too
                 raise ValidationError(f"entry {key} = {p!r} outside [0, 1]")
             clean[key] = p
-        for pair in SETTING_PAIRS:
-            row_sum = sum(clean[(pair, op)] for op in OUTCOME_PAIRS)
+        for pair, keys in _ROWS:
+            row_sum = sum(map(clean.__getitem__, keys))
             if abs(row_sum - 1.0) > IDENTITY_TOL:
                 raise ValidationError(f"row {setting_pair_label(pair)} sums to {row_sum!r}, not 1")
-        object.__setattr__(self, "entries", clean)
+        object.__setattr__(self, "entries", MappingProxyType(clean))
 
     def probability(
         self,
@@ -218,13 +222,12 @@ class JointProbabilityTable:
 
 def joint_probability_table(config: HardyConfiguration) -> JointProbabilityTable:
     """Evaluate the Born rule for all 4 setting pairs x 4 outcome pairs."""
-    _require(config, HardyConfiguration, "config")
+    state, bases = _require(config, HardyConfiguration, "config").state, config.bases
     entries: dict[tuple[SettingPair, OutcomePair], float] = {}
-    for pair in SETTING_PAIRS:
-        left_basis = config.basis(pair[0])
-        right_basis = config.basis(pair[1])
-        for op in OUTCOME_PAIRS:
-            entries[(pair, op)] = born_joint_probability(config.state, left_basis, op[0], right_basis, op[1])
+    for (left, right), keys in _ROWS:
+        left_basis, right_basis = bases[_BASIS_INDEX[left]], bases[_BASIS_INDEX[right]]
+        for key, (left_outcome, right_outcome) in zip(keys, OUTCOME_PAIRS):
+            entries[key] = born_joint_probability(state, left_basis, left_outcome, right_basis, right_outcome)
     return JointProbabilityTable(entries)
 
 
@@ -270,8 +273,8 @@ def verify_hardy_predictions(table: JointProbabilityTable, tol: float = ZERO_TOL
     tol = _as_float(tol, "tol")
     if not 0.0 < tol < math.inf:
         raise ValidationError(f"tol must be positive and finite, got {tol!r}")
-    events = hardy_constraint_set()
-    p1, p2, p3, p4 = (table.probability(*e.settings, *e.outcomes) for e in events.zeros + events.positivity)
+    events, entries = hardy_constraint_set(), table.entries
+    p1, p2, p3, p4 = (entries[e.event_key] for e in events.zeros + events.positivity)
     (left, right), (left_outcome, _) = events.positivity[0].event_key
     marginal = table.left_marginal(left, left_outcome, right)
     verdicts = (p1 < tol, p2 < tol, p3 < tol, p4 > tol)

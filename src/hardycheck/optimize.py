@@ -48,11 +48,11 @@ def paradox_probability(theta: float) -> float:
     """
     _, state, pairs = _hardy_vectors(theta)
     (left, left_index, left_outcome), (right, right_index, right_outcome) = _paradox_event()
-    psi = _unit_state(state)
-    for setting, vectors in ((left, pairs[left_index]), (right, pairs[right_index])):
+    psi, left_pair, right_pair = _unit_state(state), pairs[left_index], pairs[right_index]
+    for setting, vectors in ((left, left_pair), (right, right_pair)):
         if failures := _basis_failures(*_basis_deviations(*vectors), INPUT_TOL):
             raise _not_orthonormal(setting, failures)
-    return _born(pairs[left_index][left_outcome], pairs[right_index][right_outcome], psi)
+    return _born(left_pair[left_outcome], right_pair[right_outcome], psi)
 
 
 @lru_cache(maxsize=1)

@@ -68,6 +68,7 @@ class Outcome(enum.Enum):
 
 #: Canonical outcome order; "+" sorts before "-" everywhere.
 OUTCOMES = (Outcome.PLUS, Outcome.MINUS)
+_PLUS, _MINUS = OUTCOMES  # module names: on Python 3.10 and 3.11 each Outcome.PLUS load costs ~0.1 us
 
 
 class Setting(enum.Enum):
@@ -150,6 +151,7 @@ def _norm_squared(vec: tuple[complex, ...]) -> float:
 
 
 _SPLIT, _BIG, _TINY = 134217729.0, 2.0**995, 2.0**-960  # 2**27 + 1; bounds where no split overflows, no product rounds
+_INF = math.inf
 
 
 def _fma(a: float, b: float, c: float) -> float:
@@ -160,7 +162,7 @@ def _fma(a: float, b: float, c: float) -> float:
     once. Otherwise, or when ``fsum`` overflows, the sum is formed in exact integer arithmetic.
     Only a fused step reaches it: ``_amplitude`` skips a zero factor and rounds a product onto a zero sum with ``*``.
     """
-    if _TINY < abs(a * b) < _BIG and abs(a) < _BIG and abs(b) < _BIG and -math.inf < c < math.inf:
+    if _TINY < abs(a * b) < _BIG and abs(a) < _BIG and abs(b) < _BIG and -_INF < c < _INF:
         ah, bh = (t := _SPLIT * a) - (t - a), (u := _SPLIT * b) - (u - b)
         al, bl = a - ah, b - bh
         try:
@@ -252,9 +254,9 @@ class MeasurementBasis:
         object.__setattr__(self, "_report", _basis_report(*deviations, INPUT_TOL))
 
     def vector_for(self, outcome: Outcome) -> Qubit2Vector:
-        if outcome is not Outcome.PLUS and outcome is not Outcome.MINUS:  # identity: no __eq__ of the argument runs
+        if outcome is not _PLUS and outcome is not _MINUS:  # identity: no __eq__ of the argument runs
             raise ValidationError(f"outcome must be an Outcome, got {outcome!r}")
-        return self.plus if outcome is Outcome.PLUS else self.minus
+        return self.plus if outcome is _PLUS else self.minus
 
 
 @dataclass(frozen=True)
@@ -271,8 +273,9 @@ class BasisReport:
 
 def _basis_deviations(plus_vec: tuple[complex, ...], minus_vec: tuple[complex, ...]) -> tuple[float, float, float]:
     """Both squared-norm errors and the overlap magnitude, ``inf`` when the overlap's terms exceed the float range."""
-    plus_err, minus_err = abs(_norm_squared(plus_vec) - 1.0), abs(_norm_squared(minus_vec) - 1.0)
-    (p0, p1), (m0, m1) = plus_vec, minus_vec
+    (p0, p1), (m0, m1) = plus_vec, minus_vec  # each squared norm below is summed in _norm_squared's order
+    plus_err = abs(p0.real * p0.real + p0.imag * p0.imag + (p1.real * p1.real + p1.imag * p1.imag) - 1.0)
+    minus_err = abs(m0.real * m0.real + m0.imag * m0.imag + (m1.real * m1.real + m1.imag * m1.imag) - 1.0)
     try:
         overlap = abs(p0.conjugate() * m0 + p1.conjugate() * m1)
     except OverflowError:  # finite components whose overlap magnitude exceeds the float range
@@ -318,8 +321,8 @@ def validate_basis(basis: MeasurementBasis, tol: float = IDENTITY_TOL) -> BasisR
     builds one from the deviations the basis stored.
     """
     _require(basis, MeasurementBasis, "basis")
-    tol = _as_float(tol, "tol")
-    if not 0.0 < tol < math.inf:
+    tol = tol if type(tol) is float else _as_float(tol, "tol")
+    if not 0.0 < tol < _INF:
         raise ValidationError(f"tol must be positive and finite, got {tol!r}")
     report = basis._report
     if tol == INPUT_TOL:
@@ -344,10 +347,10 @@ def born_joint_probability(
     probabilities sum to 1 within ``IDENTITY_TOL``.
     """
     psi = _require(state, StateVector, "state").components
-    for basis in (left_basis, right_basis):
-        check = validate_basis(basis, INPUT_TOL)
-        if not check.passed:
-            raise _not_orthonormal(basis.label, check.failures)
+    if not (check := validate_basis(left_basis, INPUT_TOL)).passed:
+        raise _not_orthonormal(left_basis.label, check.failures)
+    if not (check := validate_basis(right_basis, INPUT_TOL)).passed:
+        raise _not_orthonormal(right_basis.label, check.failures)
     left = left_basis.vector_for(left_outcome).components
     right = right_basis.vector_for(right_outcome).components
     return _born(left, right, psi)

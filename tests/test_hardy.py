@@ -4,11 +4,13 @@ no-signalling, and the ket-label map."""
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 import math
+import random
 from collections import Counter
-from collections.abc import Callable
+from collections.abc import Callable, Iterator, Mapping
 from fractions import Fraction
-from types import SimpleNamespace
+from types import MappingProxyType, SimpleNamespace
 
 import numpy as np
 import pytest
@@ -31,6 +33,7 @@ from hardycheck import (
     from_hardy_notation,
     hardy_constraint_set,
     joint_probability_table,
+    maximize_paradox,
     no_signalling_check,
     paradox_probability,
     quantum,
@@ -46,6 +49,32 @@ P4_AT_PI_6 = 0.07814065897005947
 THETA_GRID = np.linspace(0.01, math.pi / 2 - 0.01, 50)
 
 PLUS, MINUS = Outcome.PLUS, Outcome.MINUS
+
+
+KEY_L2_R2_PP = ((Setting.L2, Setting.R2), (PLUS, PLUS))
+
+
+class MinimalMapping(Mapping):
+    """Only the three abstract methods of ``Mapping`` over a dict."""
+
+    def __init__(self, data: dict) -> None:
+        self._data = data
+
+    def __getitem__(self, key: object) -> object:
+        return self._data[key]
+
+    def __iter__(self) -> Iterator[object]:
+        return iter(self._data)
+
+    def __len__(self) -> int:
+        return len(self._data)
+
+
+class ListKeysMapping(MinimalMapping):
+    """A mapping whose ``keys()`` is a list, not a set-like view."""
+
+    def keys(self) -> list[object]:  # type: ignore[override]
+        return list(self._data)
 
 
 def uniform_row() -> tuple[float, float, float, float]:
@@ -104,6 +133,19 @@ class TestConfigurationBuilder:
         with pytest.raises(ValidationError, match="labelled"):
             HardyConfiguration(state=config.state, bases=swapped, theta=config.theta)
 
+    def test_the_bases_cannot_be_edited_after_the_configuration_is_built(self) -> None:
+        """The configuration keeps its own tuple: editing the list it was given changes neither it nor its table."""
+        built = build_hardy_configuration(0.5)
+        given = list(built.bases)
+        config = HardyConfiguration(state=built.state, bases=given, theta=built.theta)
+        given[0] = built.bases[2]  # the R1 basis into the L1 slot, after the labels were checked
+        assert [basis.label for basis in config.bases] == [Setting.L1, Setting.L2, Setting.R1, Setting.R2]
+        with pytest.raises(TypeError):
+            config.bases[0] = built.bases[2]  # type: ignore[index]
+        assert render_report(joint_probability_table(config), "json") == render_report(
+            joint_probability_table(built), "json"
+        )
+
     def test_paradox_probability_vanishes_at_maximal_entanglement(self) -> None:
         table = joint_probability_table(build_hardy_configuration(math.pi / 4))
         assert table.probability(Setting.L1, Setting.R1, MINUS, PLUS) < 1e-10
@@ -141,6 +183,43 @@ class TestJointProbabilityTable:
     def test_rejects_missing_entries(self) -> None:
         with pytest.raises(ValidationError, match="16"):
             JointProbabilityTable({})
+
+    def test_the_entries_cannot_be_edited_after_the_table_is_built(self) -> None:
+        """The table keeps a read-only copy of its checked entries, so a verdict cannot be edited in."""
+        table = joint_probability_table(build_hardy_configuration(0.5))
+        before = render_report(verify_hardy_predictions(table), "json")
+        key = ((Setting.L1, Setting.R1), (MINUS, PLUS))
+        with pytest.raises(TypeError):
+            table.entries[key] = 7.0  # type: ignore[index]
+        assert table.entries[key] < 1.0 and render_report(verify_hardy_predictions(table), "json") == before
+
+    @pytest.mark.parametrize("wrap", [dict, MappingProxyType, MinimalMapping, ListKeysMapping], ids=lambda w: w.__name__)
+    def test_accepts_its_sixteen_entries_as_any_mapping(self, wrap: Callable[[dict], object]) -> None:
+        """A mapping proxy, a minimal ``Mapping`` subclass and one whose ``keys()`` is a list are read alike."""
+        built = joint_probability_table(build_hardy_configuration(0.7))
+        table = JointProbabilityTable(wrap(dict(built.entries)))
+        assert dict(table.entries) == dict(built.entries)
+        assert render_report(table, "json") == render_report(built, "json")
+
+    @pytest.mark.parametrize(
+        ("edit", "message"),
+        [
+            (lambda e: e.popitem(), r"^table must contain exactly the 16 setting/outcome pair entries$"),
+            (lambda e: e.update({"17th": 0.0}), r"^table must contain exactly the 16 setting/outcome pair entries$"),
+            (lambda e: e.update({KEY_L2_R2_PP: math.nan}), r"^entry \(\(<Setting.L2: 'L2'>, .+\)\) = nan outside \[0, 1\]$"),
+            (lambda e: e.update({KEY_L2_R2_PP: math.inf}), r"^entry \(\(<Setting.L2: 'L2'>, .+\)\) = inf outside \[0, 1\]$"),
+            (lambda e: e.update({KEY_L2_R2_PP: -math.inf}), r"^entry \(\(<Setting.L2: 'L2'>, .+\)\) = -inf outside \[0, 1\]$"),
+        ],
+        ids=["15_keys", "17_keys", "nan", "plus_inf", "minus_inf"],
+    )
+    @pytest.mark.parametrize("wrap", [dict, MappingProxyType, MinimalMapping], ids=lambda w: w.__name__)
+    def test_rejects_a_wrong_key_set_or_a_non_finite_entry(
+        self, edit: Callable[[dict], object], message: str, wrap: Callable[[dict], object]
+    ) -> None:
+        entries = dict(joint_probability_table(build_hardy_configuration(0.7)).entries)
+        edit(entries)
+        with pytest.raises(ValidationError, match=message):
+            JointProbabilityTable(wrap(entries))
 
     @pytest.mark.parametrize(
         "lookup",
@@ -504,3 +583,36 @@ class TestExactCertificate:
                 exact = _poly_eval(numerator, g) / _poly_eval(denominator, g)
                 entry = table.probability(*settings_pair, *outcome_pair)
                 assert abs(entry - exact) <= 2e-15, (theta, settings_pair, outcome_pair)
+
+
+#: sha256 of the bytes below, recorded before the table path around the Born kernel was trimmed; the same on 3.10 to 3.13.
+BORN_LAYER_DIGEST = "32a1a595edc1cd1278f36590a933c6787326b912a4fae31ee18f3435d59c0e04"
+
+
+def test_born_layer_bytes_match_the_recorded_digest() -> None:
+    """Table, verify and no-signalling JSON at 3,000 seeded angles and four optimize reports hash as recorded.
+
+    The angles are drawn as the benchmark's ``sweep`` draws them: uniform on (0, pi/2), and one in ten
+    log-uniform toward 1e-200 or toward pi/2 (down to the float just below it). CI runs this on every
+    supported Python, so the rounding of the whole layer is pinned there, not only at the table goldens.
+    """
+    rng = random.Random(20261020)
+    half_pi_gap = math.pi / 2 - math.nextafter(math.pi / 2, 0.0)
+    thetas = [1e-200, math.nextafter(math.pi / 2, 0.0)]
+    while len(thetas) < 3000:
+        u = rng.random()
+        kind = rng.randrange(20)
+        if kind == 0:
+            thetas.append(10 ** (-200 + u * 199))
+        elif kind == 1:
+            thetas.append(min(math.pi / 2 - half_pi_gap * 10 ** (u * math.log10(0.1 / half_pi_gap)), thetas[1]))
+        elif 0.0 < (theta := u * math.pi / 2):
+            thetas.append(theta)
+    digest = hashlib.sha256()
+    for theta in thetas:
+        table = joint_probability_table(build_hardy_configuration(theta))
+        for report in (table, verify_hardy_predictions(table), no_signalling_check(table)):
+            digest.update(render_report(report, "json"))
+    for tol in (1e-6, 1e-8, 1e-10, 1e-12):
+        digest.update(render_report(maximize_paradox(tol=tol), "json"))
+    assert digest.hexdigest() == BORN_LAYER_DIGEST

@@ -340,6 +340,78 @@ def test_float_vectors_give_the_bits_of_their_complex_coercions(
     assert _bits(_born, plus, right, state) == _bits(_born, cplus, cright, cstate)
 
 
+def deviations_on_norm_squared(plus: tuple, minus: tuple) -> tuple[float, float, float]:
+    """The orthonormality deviations with each squared norm read from ``_norm_squared``, the one routine that defines it."""
+    plus_err, minus_err = abs(_norm_squared(plus) - 1.0), abs(_norm_squared(minus) - 1.0)
+    (p0, p1), (m0, m1) = plus, minus
+    try:
+        overlap = abs(p0.conjugate() * m0 + p1.conjugate() * m1)
+    except OverflowError:
+        overlap = math.inf
+    return plus_err, minus_err, math.inf if math.isnan(overlap) else overlap
+
+
+vector_pairs = st.one_of(float_pairs, st.tuples(basis_complexes, basis_complexes))
+
+
+@settings(max_examples=400, deadline=None)
+@given(plus=vector_pairs, minus=vector_pairs)
+@example(plus=(1e300, 1e300), minus=(1e300, -1e300))
+@example(plus=(-0.0, 1.0), minus=(1.0, -0.0))
+@example(plus=(1.0, 1e300), minus=(1.0, 0.0))
+@example(plus=(1.3e154 + 0j, 0j), minus=(1.3e154 * (1 + 1j), 0j))
+@example(plus=(5e-324 + 0j, 1 + 0j), minus=(1 + 0j, -5e-324 + 0j))
+@example(plus=(1.7976931348623157e308, 1.0), minus=(-1e300j, 1e300j))
+# Generic parts, where summing the real squares before the imaginary ones would round differently.
+@example(plus=(0.251 - 0.869j, -0.974 + 0.675j), minus=(0.758 - 0.805j, -0.728 - 0.566j))
+def test_basis_deviations_have_the_bits_of_the_norm_squared_formula(plus: tuple, minus: tuple) -> None:
+    """Float and complex 2-vectors, overflowing squares and overlaps among them: the same bits or the same error."""
+    assert _bits(_basis_deviations, plus, minus) == _bits(deviations_on_norm_squared, plus, minus)
+
+
+def hardy_vectors_by_sixteen_divisions(theta: float) -> tuple | None:
+    """``_hardy_vectors``'s construction with each basis component divided on its own; ``None`` where ``g**3`` overflows."""
+    a, b = math.cos(theta), math.sin(theta)
+    g = math.sqrt(a / b)
+    try:
+        g3 = g**3
+    except OverflowError:
+        return None
+    if math.isinf(g3):
+        return None
+    n1, n3 = math.hypot(1.0, g), math.hypot(1.0, g3)
+    pairs = (
+        ((g3 / n3, 1.0 / n3), (1.0 / n3, -g3 / n3)),
+        ((-g / n1, 1.0 / n1), (1.0 / n1, g / n1)),
+        ((1.0 / n3, g3 / n3), (g3 / n3, -1.0 / n3)),
+        ((1.0 / n1, -g / n1), (g / n1, 1.0 / n1)),
+    )
+    return theta, (a, 0.0, 0.0, b), pairs
+
+
+@settings(max_examples=300, deadline=None)
+@given(theta=angles)
+@example(theta=5e-324)
+@example(theta=1e-310)
+@example(theta=2.2250738585072014e-308)
+@example(theta=1e-206)
+@example(theta=1e-200)
+@example(theta=HALF_PI_BELOW)
+def test_hardy_vectors_have_the_bits_of_sixteen_divisions(theta: float) -> None:
+    """Each quotient is formed once and negated where needed: ``-x/n`` is ``-(x/n)`` exactly (``hex`` keeps the sign)."""
+    expected = hardy_vectors_by_sixteen_divisions(theta)
+    if expected is None:
+        with pytest.raises(ValidationError, match=r"^theta=.+ is too small for the basis construction in double precision$"):
+            _hardy_vectors(theta)
+        return
+
+    def hexes(vectors: tuple) -> list[str]:
+        checked, state, pairs = vectors
+        return [x.hex() for x in (checked, *state, *(x for pair in pairs for vec in pair for x in vec))]
+
+    assert hexes(_hardy_vectors(theta)) == hexes(expected)
+
+
 @settings(max_examples=300, deadline=None)
 @given(theta=angles)
 @example(theta=5e-324)

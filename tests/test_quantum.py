@@ -62,6 +62,20 @@ def random_complex_vector(rng: np.random.Generator) -> tuple[complex, ...]:
     return tuple(complex(z) for z in rng.normal(size=4) + 1j * rng.normal(size=4))
 
 
+class EqualToEverything:
+    """Equal to every object and hashed like ``Outcome.PLUS``; records the other side of each ``__eq__`` call."""
+
+    def __init__(self) -> None:
+        self.eq_calls: list[object] = []
+
+    def __eq__(self, other: object) -> bool:
+        self.eq_calls.append(other)
+        return True
+
+    def __hash__(self) -> int:
+        return hash(Outcome.PLUS)
+
+
 class TestAmplitudeKernel:
     def test_self_overlap_is_one(self) -> None:
         e0 = (1 + 0j, 0j, 0j, 0j)
@@ -149,9 +163,13 @@ class TestBornRule:
         with pytest.raises(ValidationError, match="^state must be a StateVector, got "):
             born_joint_probability(raw, basis, Outcome.PLUS, computational_basis(Setting.R1), Outcome.PLUS)
 
-    @pytest.mark.parametrize("outcome", ["+", "-", None, 1])
+    @pytest.mark.parametrize("outcome", ["+", "-", None, 1, pytest.param(EqualToEverything(), id="equal_to_everything")])
     def test_outcome_must_be_an_outcome(self, outcome: object) -> None:
-        """Only an Outcome member picks a basis vector; a "+" or "-" string, None or an int raises."""
+        """Only an Outcome member picks a basis vector; a "+" or "-" string, None, an int or a look-alike raises.
+
+        The look-alike compares equal to everything and hashes like ``Outcome.PLUS``: members are told apart by
+        identity, so its ``__eq__`` is never called.
+        """
         config = build_hardy_configuration(0.5)
         left, right = config.basis(Setting.L1), config.basis(Setting.R1)
         with pytest.raises(ValidationError, match="^outcome must be an Outcome, got "):
@@ -160,6 +178,7 @@ class TestBornRule:
             born_joint_probability(config.state, left, outcome, right, Outcome.PLUS)  # type: ignore[arg-type]
         with pytest.raises(ValidationError, match="^outcome must be an Outcome, got "):
             born_joint_probability(config.state, left, Outcome.MINUS, right, outcome)  # type: ignore[arg-type]
+        assert getattr(outcome, "eq_calls", []) == []
 
     def test_rejects_non_orthonormal_basis(self) -> None:
         state = StateVector(np.array([1, 0, 0, 0], dtype=complex))
