@@ -148,9 +148,8 @@ class Constraint:
             raise ValidationError(f"constraint {self.label!r} outcomes must be Outcome members, got {outcomes!r}")
         _require_side(settings[0], LEFT_SETTINGS)
         _require_side(settings[1], RIGHT_SETTINGS)
-        # Not fields, so eq, hash and JSON ignore them: the slots the event reads and the instances realizing it.
+        # Not a field, so eq, hash and JSON ignore it: the instances realizing the event.
         left, right = _LEFT_SLOT[settings[0]], _RIGHT_SLOT[settings]
-        object.__setattr__(self, "_slots", (left, right))
         object.__setattr__(self, "_instances", _slot_masks()[left][outcomes[0]] & _slot_masks()[right][outcomes[1]])
 
     @property
@@ -218,7 +217,8 @@ def hardy_constraint_set() -> ConstraintSet:
 def realizes(instance: CounterfactualInstance, constraint: Constraint) -> bool:
     """True when the instance produces exactly the constraint's outcome pair under its settings."""
     outcomes = _require(instance, CounterfactualInstance, "instance").outcomes
-    left, right = _require(constraint, Constraint, "constraint")._slots
+    settings = _require(constraint, Constraint, "constraint").settings
+    left, right = _LEFT_SLOT[settings[0]], _RIGHT_SLOT[settings]
     return outcomes[left] is constraint.outcomes[0] and outcomes[right] is constraint.outcomes[1]
 
 
@@ -410,7 +410,11 @@ def ensemble_admissible(support: Iterable[CounterfactualInstance], constraint_se
     instance. Only the support matters, so the ensemble carries no weights.
     """
     _require(constraint_set, ConstraintSet, "constraint_set")
-    support = tuple(support)
+    try:
+        items = iter(support)
+    except TypeError:
+        raise ValidationError(f"support must be an iterable of CounterfactualInstance objects, got {support!r}") from None
+    support = tuple(items)
     failures: list[str] = []
     for inst in support:
         for zero in constraint_set.zeros:

@@ -96,7 +96,7 @@ class HardyConfiguration:
 def _as_angle(theta: object) -> float:
     """``theta`` as a float strictly inside (0, pi/2), else a ``ValidationError`` naming it."""
     theta = _as_float(theta, "theta")
-    if not math.isfinite(theta) or not 0.0 < theta < math.pi / 2:
+    if not 0.0 < theta < math.pi / 2:  # nan and the infinities fail the comparison too
         raise ValidationError(f"theta must lie strictly inside (0, pi/2), got {theta!r}")
     return theta
 

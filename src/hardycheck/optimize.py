@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .counterfactuals import hardy_constraint_set
-from .hardy import _BASIS_INDEX, _hardy_vectors
+from .hardy import _BASIS_INDEX, _as_angle, _hardy_vectors
 from .quantum import INPUT_TOL, OUTCOMES, Setting, ValidationError, _as_float, _basis_deviations, _basis_failures
 from .quantum import _born, _not_orthonormal, _unit_state
 
@@ -74,9 +74,9 @@ def reference_curve(theta: float) -> float:
 
     This is the analytic value of :func:`paradox_probability` for the
     construction used by ``build_hardy_configuration``, computed without
-    states or bases.
+    states or bases, and rejects the angles ``paradox_probability`` rejects.
     """
-    return _curve(theta)
+    return _curve(_as_angle(theta))
 
 
 def _check_bracket(lo: float, hi: float) -> tuple[float, float]:

@@ -88,32 +88,27 @@ class Setting(enum.Enum):
 LEFT_SETTINGS = (Setting.L1, Setting.L2)
 RIGHT_SETTINGS = (Setting.R1, Setting.R2)
 
-_PLAIN_NUMBERS = frozenset((float, complex))
+_PLAIN_NUMBERS = frozenset((float, complex))  # items of exactly these types pass _as_vector's shape and text checks
 
 
 def _as_vector(value: object, size: int, what: str) -> tuple[complex, ...]:
-    """Coerce a wrapper type, sequence or array-like to a finite complex vector, a fresh tuple.
-
-    A list or tuple of ``size`` items that are exactly ``float`` or ``complex`` skips the checks it would pass.
-    """
+    """Coerce a wrapper type, sequence or array-like to a finite complex vector, a fresh tuple."""
     src = getattr(value, "components", value)
-    if type(src) in (list, tuple) and len(src) == size and _PLAIN_NUMBERS.issuperset(map(type, src)):
-        vec = tuple(map(complex, src))
-    else:
-        if type(src) not in (list, tuple):
-            if not isinstance(src, Sequence) and hasattr(src, "__array__"):  # an array, read without importing numpy
-                src = src.__array__().tolist()
-            if isinstance(src, (str, bytes)) or not isinstance(src, Sequence):
-                raise ValidationError(f"{what} must be a sequence or array of numbers, got {type(src).__name__}")
+    if type(src) not in (list, tuple):
+        if not isinstance(src, Sequence) and hasattr(src, "__array__"):  # an array, read without importing numpy
+            src = src.__array__().tolist()
+        if isinstance(src, (str, bytes)) or not isinstance(src, Sequence):
+            raise ValidationError(f"{what} must be a sequence or array of numbers, got {type(src).__name__}")
+    if len(src) != size or not _PLAIN_NUMBERS.issuperset(map(type, src)):
         shape = (len(src),) + ((len(src[0]),) if src and isinstance(src[0], (list, tuple)) else ())
         if shape != (size,):
             raise ValidationError(f"{what} must have exactly {size} components, got shape {shape}")
         if any(isinstance(c, str) for c in src):  # complex() would parse it
             raise ValidationError(f"{what} components must be numbers")
-        try:
-            vec = tuple(map(complex, src))
-        except (TypeError, ValueError, OverflowError):
-            raise ValidationError(f"{what} components must be numbers") from None
+    try:
+        vec = tuple(map(complex, src))
+    except (TypeError, ValueError, OverflowError):
+        raise ValidationError(f"{what} components must be numbers") from None
     if not all(map(cmath.isfinite, vec)):  # a complex component is finite only if both parts are
         raise ValidationError(f"{what} components must be finite")
     return vec

@@ -5,6 +5,7 @@ from __future__ import annotations
 import dataclasses
 import itertools
 import json
+import re
 from collections.abc import Callable
 
 import pytest
@@ -411,6 +412,24 @@ class TestConstraintSet:
     def test_reports_reject_a_non_constraint_set(self, call: Callable[[], object]) -> None:
         with pytest.raises(ValidationError, match="^constraint_set must be a ConstraintSet, got "):
             call()
+
+    @pytest.mark.parametrize("support", [5, None, enumerate_instances()[0]], ids=["int", "None", "instance"])
+    def test_ensemble_rejects_a_support_that_is_not_iterable(self, support: object) -> None:
+        message = f"support must be an iterable of CounterfactualInstance objects, got {support!r}"
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            ensemble_admissible(support, hardy_constraint_set())  # type: ignore[arg-type]
+
+    def test_ensemble_accepts_a_support_that_iterates_by_getitem(self) -> None:
+        class Indexed:  # iterable only through the old __getitem__ protocol, not an Iterable
+            def __init__(self, items: tuple) -> None:
+                self.items = items
+
+            def __getitem__(self, i: int) -> object:
+                return self.items[i]
+
+        support = enumerate_instances()[:5]
+        expected = ensemble_admissible(support, hardy_constraint_set())
+        assert ensemble_admissible(Indexed(support), hardy_constraint_set()) == expected  # type: ignore[arg-type]
 
     @pytest.mark.parametrize(
         ("call", "name", "expected"),

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import types
 from collections.abc import Callable
 
@@ -17,9 +18,11 @@ from hardycheck import (
     build_hardy_configuration,
     hardy_constraint_set,
     joint_probability_table,
+    ensemble_admissible,
     maximize_paradox,
     no_signalling_check,
     paradox_probability,
+    reference_curve,
     reference_grid_maximum,
     validate_basis,
     verify_hardy_predictions,
@@ -51,6 +54,11 @@ def test_all_lists_exactly_the_public_names_bound_in_the_package() -> None:
         pytest.param(lambda: paradox_probability(None), "theta", id="objective_none"),
         pytest.param(lambda: paradox_probability("x"), "theta", id="objective_str"),
         pytest.param(lambda: paradox_probability(1j), "theta", id="objective_complex"),
+        pytest.param(lambda: reference_curve(None), "theta", id="curve_none"),
+        pytest.param(lambda: reference_curve("x"), "theta", id="curve_str"),
+        pytest.param(lambda: reference_curve(math.nan), "theta", id="curve_nan"),
+        pytest.param(lambda: reference_curve(0.0), "theta", id="curve_zero"),
+        pytest.param(lambda: reference_curve(1e308), "theta", id="curve_huge"),
         pytest.param(lambda: maximize_paradox("abc", 1.0), "lo", id="maximize_lo_str"),
         pytest.param(lambda: maximize_paradox(0.1, None), "hi", id="maximize_hi_none"),
         pytest.param(lambda: maximize_paradox(tol="x"), "tol", id="maximize_tol_str"),
@@ -81,6 +89,7 @@ def test_all_lists_exactly_the_public_names_bound_in_the_package() -> None:
         pytest.param(lambda: HardyConfiguration(CONFIG.state, CONFIG.bases, "x"), "theta", id="config_str_theta"),
         pytest.param(lambda: HardyConfiguration(CONFIG.state, CONFIG.bases, None), "theta", id="config_none_theta"),
         pytest.param(lambda: hardy_constraint_set().constraint("Eq5"), "label", id="constraint_unknown_label"),
+        pytest.param(lambda: ensemble_admissible(5, hardy_constraint_set()), "support", id="ensemble_int_support"),
         pytest.param(lambda: hardy_constraint_set().without("Eq5"), "label", id="without_unknown_label"),
     ],
 )

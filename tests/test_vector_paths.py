@@ -1,18 +1,20 @@
-"""The constructors' short paths give the bits and the errors of the general ones.
+"""``_as_vector`` gives the bits and the errors of the coercion it replaced; float norms keep their bits.
 
-``quantum._as_vector`` takes a short path for a list or tuple of the expected
-length whose items are exactly ``float`` or ``complex``; a ``tuple`` subclass
-holding the same items always takes the general path. ``quantum._norm_squared``
-sums ``re*re + im*im`` as floats, the real part of the complex sum it replaced.
-Only numpy's own test needs numpy, so the rest runs under any supported Python.
+``quantum._as_vector`` once had two paths: a list or tuple of the expected
+length whose items were exactly ``float`` or ``complex`` skipped the shape and
+text checks, and every other input took the general path, which any input can
+take. That general path is ``reference_as_vector`` below.
+``quantum._norm_squared`` sums ``re*re + im*im`` as floats, the real part of the
+complex sum it replaced. Only numpy's own test needs numpy, so the rest runs
+under any supported Python.
 """
 
 from __future__ import annotations
 
-import inspect
+import cmath
 import math
 import re
-import sys
+from collections.abc import Sequence
 from fractions import Fraction
 
 import pytest
@@ -22,44 +24,66 @@ from hypothesis import strategies as st
 from hardycheck import IDENTITY_TOL, StateVector, ValidationError
 from hardycheck.quantum import _as_vector, _norm_squared, _unit_state
 
-_SOURCE, _FIRST = inspect.getsourcelines(_as_vector)
-#: The first line only the general path runs.
-_GENERAL_LINE = _FIRST + next(i for i, line in enumerate(_SOURCE) if line.lstrip().startswith("shape = "))
+
+def reference_as_vector(value: object, size: int, what: str) -> tuple[complex, ...]:
+    """The general path of the two-path ``_as_vector``, each check in its order."""
+    src = getattr(value, "components", value)
+    if type(src) not in (list, tuple):
+        if not isinstance(src, Sequence) and hasattr(src, "__array__"):
+            src = src.__array__().tolist()
+        if isinstance(src, (str, bytes)) or not isinstance(src, Sequence):
+            raise ValidationError(f"{what} must be a sequence or array of numbers, got {type(src).__name__}")
+    shape = (len(src),) + ((len(src[0]),) if src and isinstance(src[0], (list, tuple)) else ())
+    if shape != (size,):
+        raise ValidationError(f"{what} must have exactly {size} components, got shape {shape}")
+    if any(isinstance(c, str) for c in src):
+        raise ValidationError(f"{what} components must be numbers")
+    try:
+        vec = tuple(map(complex, src))
+    except (TypeError, ValueError, OverflowError):
+        raise ValidationError(f"{what} components must be numbers") from None
+    if not all(map(cmath.isfinite, vec)):
+        raise ValidationError(f"{what} components must be finite")
+    return vec
 
 
 class Subclassed(tuple):
-    """A tuple whose type is not exactly ``tuple``, so ``_as_vector`` reads it on the general path."""
+    """A tuple whose type is not exactly ``tuple``."""
 
 
-def took_general_path(value: object, size: int) -> bool:
-    """Whether ``_as_vector(value, size, ...)`` runs its general path (an error is fine)."""
-    lines: set[int] = set()
+class Wrapped:
+    """A value read through its ``components``, as ``_as_vector`` reads a vector object."""
 
-    def trace(frame, event, arg):
-        if frame.f_code is not _as_vector.__code__:
-            return None
-        if event == "line":
-            lines.add(frame.f_lineno)
-        return trace
-
-    previous = sys.gettrace()
-    sys.settrace(trace)
-    try:
-        _as_vector(value, size, "v")
-    except ValidationError:
-        pass
-    finally:
-        sys.settrace(previous)
-    return _GENERAL_LINE in lines
+    def __init__(self, components: object) -> None:
+        self.components = components
 
 
-def outcome(value: object, size: int) -> tuple:
+class Pair(Sequence):
+    """A ``Sequence`` that is neither a list nor a tuple."""
+
+    def __init__(self, *items: object) -> None:
+        self.items = items
+
+    def __len__(self) -> int:
+        return len(self.items)
+
+    def __getitem__(self, index):
+        return self.items[index]
+
+
+def outcome(convert, value: object, size: int) -> tuple:
     """The ``float.hex`` of every part of the coerced vector, or the ``ValidationError`` text."""
     try:
-        vec = _as_vector(value, size, "StateVector")
+        vec = convert(value, size, "StateVector")
     except ValidationError as exc:
         return ("error", str(exc))
     return ("ok", [(c.real.hex(), c.imag.hex()) for c in vec])
+
+
+def assert_matches_reference(value: object, size: int) -> None:
+    """``_as_vector`` gives the reference's bits or error text on ``value`` and on a wrapper holding it."""
+    for given_value in (value, Wrapped(value)):
+        assert outcome(_as_vector, given_value, size) == outcome(reference_as_vector, given_value, size)
 
 
 edge_parts = st.sampled_from(
@@ -76,30 +100,70 @@ items = st.one_of(float_parts, st.builds(complex, float_parts, float_parts))
 @example(size=2, parts=[math.inf, 0.0])
 @example(size=2, parts=[complex(0.0, math.nan), 1.0])
 @example(size=4, parts=[1.0, 0.0])
-def test_short_path_gives_the_general_paths_bits_or_error(size: int, parts: list) -> None:
-    expected = outcome(Subclassed(parts), size)
-    assert outcome(tuple(parts), size) == expected
-    assert outcome(list(parts), size) == expected
-    assert took_general_path(Subclassed(parts), size)
-    assert took_general_path(tuple(parts), size) == (len(parts) != size)
+# Items that are not exactly float or complex; the two-path coercion read them on its general path.
+@example(size=2, parts=[True, 0.5])
+@example(size=4, parts=[0.5, 0.5, 0.5, False])
+@example(size=2, parts=[0, 0.5])
+@example(size=4, parts=[0.5, 0.5, 0.5, 1])
+@example(size=2, parts=[Fraction(1, 3), 0.5])
+@example(size=4, parts=[0.5, 0.5, 0.5, Fraction(1, 3)])
+@example(size=2, parts=[10**400, 0.5])
+@example(size=4, parts=[0.5, 0.5, 0.5, 10**400])
+# Two checks fail; the first in the order shape, text, conversion names the error.
+@example(size=2, parts=[[1, 2], "x"])
+@example(size=2, parts=["x", [1, 2]])
+@example(size=2, parts=["1", [1, 2]])
+@example(size=2, parts=[[1, 2], 3, 4])
+@example(size=2, parts=[[1, 2], [3]])
+@example(size=2, parts=[[]])
+@example(size=2, parts=[1, [2]])
+@example(size=2, parts=[[1, 2], [3, 4]])
+def test_one_path_gives_the_reference_bits_or_error(size: int, parts: list) -> None:
+    for container in (list, tuple, Subclassed):
+        assert_matches_reference(container(parts), size)
 
 
 @pytest.mark.parametrize(
-    "item", [True, False, 0, 1, Fraction(1, 3), 10**400], ids=["True", "False", "0", "1", "Fraction", "bigint"]
+    ("value", "message"),
+    [
+        ([[1, 2], "x"], "StateVector must have exactly 2 components, got shape (2, 2)"),
+        (["x", [1, 2]], "StateVector components must be numbers"),
+        (["1", [1, 2]], "StateVector components must be numbers"),
+        ([[1, 2], 3, 4], "StateVector must have exactly 2 components, got shape (3, 2)"),
+        ([[1, 2], [3]], "StateVector must have exactly 2 components, got shape (2, 2)"),
+        ([[]], "StateVector must have exactly 2 components, got shape (1, 0)"),
+        ((1, [2]), "StateVector components must be numbers"),
+        (("x", math.inf), "StateVector components must be numbers"),
+        ([1, math.nan, 3], "StateVector must have exactly 2 components, got shape (3,)"),
+        (Wrapped([[1, 2], [3, 4]]), "StateVector must have exactly 2 components, got shape (2, 2)"),
+        (Wrapped("ab"), "StateVector must be a sequence or array of numbers, got str"),
+    ],
+    ids=repr,
 )
-@pytest.mark.parametrize("container", [list, tuple])
-def test_items_not_exactly_float_or_complex_take_the_general_path(container: type, item: object) -> None:
-    for value in (container([item, 0.5]), container([0.5, 0.5, 0.5, item])):
-        size = len(value)
-        assert took_general_path(value, size)
-        assert outcome(value, size) == outcome(Subclassed(value), size)
+def test_the_first_failing_check_names_the_error(value: object, message: str) -> None:
+    with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+        _as_vector(value, 2, "StateVector")
+    assert outcome(reference_as_vector, value, 2) == ("error", message)
 
 
-def test_numpy_float64_items_take_the_general_path() -> None:
+@pytest.mark.parametrize(
+    "value",
+    [range(2), {0.6, 0.8}, "ab", b"ab", bytearray(b"ab"), None, 0.5, Pair(0.6, 0.8), Pair(0.6, "x"), Pair([1], 2)],
+    ids=repr,
+)
+def test_other_inputs_give_the_reference_bits_or_error(value: object) -> None:
+    for size in (2, 4):
+        assert_matches_reference(value, size)
+
+
+def test_numpy_inputs_give_the_reference_bits_or_error() -> None:
     np = pytest.importorskip("numpy")
-    value = [np.float64(0.6), 0.8]
-    assert took_general_path(value, 2)
-    assert outcome(value, 2) == ("ok", [((0.6).hex(), (0.0).hex()), ((0.8).hex(), (0.0).hex())])
+    arrays = [np.array([0.6, 0.8]), np.array([1, 2]), np.zeros((2, 2)), np.zeros((2, 0)), np.array(["1", "2"])]
+    lists = [[np.float64(0.6), 0.8], [np.str_("1"), 0.5], [np.float64(np.inf), 0.5], [np.complex128(1j), 0.5]]
+    for value in arrays + [np.float64(0.5)] + [container(v) for v in lists for container in (list, tuple, Subclassed)]:
+        assert_matches_reference(value, 2)
+    assert outcome(_as_vector, [np.float64(0.6), 0.8], 2) == ("ok", [((0.6).hex(), "0x0.0p+0"), ((0.8).hex(), "0x0.0p+0")])
+    assert outcome(_as_vector, np.zeros((2, 0)), 2)[1] == "StateVector must have exactly 2 components, got shape (2, 0)"
 
 
 def complex_sum_norm(vec: tuple[complex, ...]) -> float:
