@@ -417,6 +417,7 @@ def ensemble_admissible(support: Iterable[CounterfactualInstance], constraint_se
     support = tuple(items)
     failures: list[str] = []
     for inst in support:
+        _require(inst, CounterfactualInstance, "instance")
         for zero in constraint_set.zeros:
             if realizes(inst, zero):
                 failures.append(f"instance {inst.index} realizes zero event {zero.label}")

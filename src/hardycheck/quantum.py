@@ -194,16 +194,6 @@ def _amplitude(xs: tuple[complex, ...], ys: tuple[complex, ...]) -> complex:
 
 
 @dataclass(frozen=True, eq=False)
-class Qubit2Vector:
-    """Single-system vector with finite complex components (not necessarily unit)."""
-
-    components: tuple[complex, ...]
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "components", _as_vector(self.components, 2, "Qubit2Vector"))
-
-
-@dataclass(frozen=True, eq=False)
 class StateVector:
     """Two-qubit pure state; squared norm must equal 1 within ``IDENTITY_TOL``."""
 
@@ -223,7 +213,7 @@ def _unit_state(vec: tuple[complex, ...]) -> tuple[complex, ...]:
 
 @dataclass(frozen=True, eq=False)
 class MeasurementBasis:
-    """Two-outcome local basis for one setting.
+    """Two-outcome local basis for one setting; ``plus`` and ``minus`` are kept as checked complex pairs.
 
     Orthonormality is an invariant of valid bases but is not enforced by the
     constructor, so that :func:`validate_basis` can be used to report exactly
@@ -233,22 +223,21 @@ class MeasurementBasis:
     report and raise ``ValidationError``.
     """
 
-    plus: Qubit2Vector
-    minus: Qubit2Vector
+    plus: tuple[complex, complex]
+    minus: tuple[complex, complex]
     label: Setting
 
     def __post_init__(self) -> None:
-        plus = self.plus if isinstance(self.plus, Qubit2Vector) else Qubit2Vector(self.plus)
-        minus = self.minus if isinstance(self.minus, Qubit2Vector) else Qubit2Vector(self.minus)
+        plus = _as_vector(self.plus, 2, "plus")
+        minus = _as_vector(self.minus, 2, "minus")
         if not isinstance(self.label, Setting):
             raise ValidationError(f"basis label must be a Setting, got {self.label!r}")
         object.__setattr__(self, "plus", plus)
         object.__setattr__(self, "minus", minus)
-        deviations = _basis_deviations(plus.components, minus.components)
         # The report at INPUT_TOL, computed once; not a field, so repr ignores it.
-        object.__setattr__(self, "_report", _basis_report(*deviations, INPUT_TOL))
+        object.__setattr__(self, "_report", _basis_report(*_basis_deviations(plus, minus), INPUT_TOL))
 
-    def vector_for(self, outcome: Outcome) -> Qubit2Vector:
+    def vector_for(self, outcome: Outcome) -> tuple[complex, complex]:
         if outcome is not _PLUS and outcome is not _MINUS:  # identity: no __eq__ of the argument runs
             raise ValidationError(f"outcome must be an Outcome, got {outcome!r}")
         return self.plus if outcome is _PLUS else self.minus
@@ -346,6 +335,4 @@ def born_joint_probability(
         raise _not_orthonormal(left_basis.label, check.failures)
     if not (check := validate_basis(right_basis, INPUT_TOL)).passed:
         raise _not_orthonormal(right_basis.label, check.failures)
-    left = left_basis.vector_for(left_outcome).components
-    right = right_basis.vector_for(right_outcome).components
-    return _born(left, right, psi)
+    return _born(left_basis.vector_for(left_outcome), right_basis.vector_for(right_outcome), psi)

@@ -111,6 +111,12 @@ class TestConfigurationBuilder:
         for setting in Setting:
             assert validate_basis(config.basis(setting)).passed
 
+    @pytest.mark.parametrize("theta", [1e-200, 0.3, math.pi / 4, 1.2, math.nextafter(math.pi / 2, 0.0)])
+    def test_basis_vectors_are_pairs_of_complex(self, theta: float) -> None:
+        for basis in build_hardy_configuration(theta).bases:
+            for vec in (basis.plus, basis.minus):
+                assert type(vec) is tuple and len(vec) == 2 and all(type(c) is complex for c in vec)
+
     @pytest.mark.parametrize("theta", [0.0, math.pi / 2, -0.1, 2.0, math.nan])
     def test_rejects_angles_outside_open_interval(self, theta: float) -> None:
         with pytest.raises(ValidationError):
@@ -276,8 +282,8 @@ class TestJointProbabilityTable:
             a, _, _, b = (c.real for c in config.state.components)
             for sp in SETTING_PAIRS:
                 for op in OUTCOME_PAIRS:
-                    left = config.basis(sp[0]).vector_for(op[0]).components
-                    right = config.basis(sp[1]).vector_for(op[1]).components
+                    left = config.basis(sp[0]).vector_for(op[0])
+                    right = config.basis(sp[1]).vector_for(op[1])
                     assert not any(c.imag for c in left + right + config.state.components)
                     (l0, l1), (r0, r1) = (c.real for c in left), (c.real for c in right)
                     amplitude = float(Fraction(l1 * r1) * Fraction(b) + Fraction((l0 * r0) * a))

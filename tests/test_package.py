@@ -10,6 +10,7 @@ import pytest
 
 import hardycheck
 from hardycheck import (
+    ConstraintSet,
     HardyConfiguration,
     JointProbabilityTable,
     Outcome,
@@ -19,6 +20,7 @@ from hardycheck import (
     hardy_constraint_set,
     joint_probability_table,
     ensemble_admissible,
+    enumerate_strategies,
     maximize_paradox,
     no_signalling_check,
     paradox_probability,
@@ -31,6 +33,7 @@ from hardycheck import (
 CONFIG = build_hardy_configuration(0.7)
 TABLE = joint_probability_table(CONFIG)
 KEY = next(iter(TABLE.entries))
+STRATEGY = enumerate_strategies()[0]
 STR_ENTRIES = {key: repr(p) for key, p in TABLE.entries.items()}  # text a float() call would parse
 
 
@@ -90,6 +93,10 @@ def test_all_lists_exactly_the_public_names_bound_in_the_package() -> None:
         pytest.param(lambda: HardyConfiguration(CONFIG.state, CONFIG.bases, None), "theta", id="config_none_theta"),
         pytest.param(lambda: hardy_constraint_set().constraint("Eq5"), "label", id="constraint_unknown_label"),
         pytest.param(lambda: ensemble_admissible(5, hardy_constraint_set()), "support", id="ensemble_int_support"),
+        pytest.param(lambda: ensemble_admissible(["x"], ConstraintSet()), "instance", id="ensemble_str_instance"),
+        pytest.param(
+            lambda: ensemble_admissible([STRATEGY], ConstraintSet()), "instance", id="ensemble_strategy_instance"
+        ),
         pytest.param(lambda: hardy_constraint_set().without("Eq5"), "label", id="without_unknown_label"),
     ],
 )

@@ -235,7 +235,7 @@ def test_born_rule_is_the_fraction_chain_bit_for_bit(
     state: StateVector, left: MeasurementBasis, right: MeasurementBasis
 ) -> None:
     for ol, orr in OUTCOME_PAIRS:
-        projector = [x * y for x in left.vector_for(ol).components for y in right.vector_for(orr).components]
+        projector = [x * y for x in left.vector_for(ol) for y in right.vector_for(orr)]
         expected = abs(fraction_chain(projector, state.components)) ** 2
         assert born_joint_probability(state, left, ol, right, orr).hex() == expected.hex()
 
@@ -247,14 +247,14 @@ def test_hardy_born_entries_are_the_fraction_chain_bit_for_bit(theta: float) -> 
     for left_setting, right_setting in SETTING_PAIRS:
         left, right = config.basis(left_setting), config.basis(right_setting)
         for ol, orr in OUTCOME_PAIRS:
-            projector = [x * y for x in left.vector_for(ol).components for y in right.vector_for(orr).components]
+            projector = [x * y for x in left.vector_for(ol) for y in right.vector_for(orr)]
             expected = abs(fraction_chain(projector, config.state.components)) ** 2
             assert born_joint_probability(config.state, left, ol, right, orr).hex() == expected.hex()
 
 
 def deviations_as_formerly_computed(basis: MeasurementBasis) -> tuple[float, float, float]:
     """The orthonormality deviations as ``validate_basis`` computed them on each call, before bases stored them."""
-    plus, minus = basis.plus.components, basis.minus.components
+    plus, minus = basis.plus, basis.minus
     plus_err = abs(sum([c * c.conjugate() for c in plus]).real - 1.0)
     minus_err = abs(sum([c * c.conjugate() for c in minus]).real - 1.0)
     (p0, p1), (m0, m1) = plus, minus
@@ -281,7 +281,7 @@ def general_bases(draw: st.DrawFn) -> MeasurementBasis:
     basis = draw(phased_bases(Setting.R1))
     if kind == "orthonormal":
         return basis
-    (m0, m1), skew = basis.minus.components, draw(basis_complexes)
+    (m0, m1), skew = basis.minus, draw(basis_complexes)
     return MeasurementBasis(plus=basis.plus, minus=[m0 + skew, m1], label=Setting.R1)
 
 
@@ -332,7 +332,7 @@ def test_float_vectors_give_the_bits_of_their_complex_coercions(
     plus: tuple[float, float], minus: tuple[float, float], right: tuple[float, float], state: tuple[float, ...]
 ) -> None:
     """The objective's float path: each shared check and the kernel read a float as its ``complex`` coercion."""
-    cplus, cminus, cright = (_as_vector(v, 2, "Qubit2Vector") for v in (plus, minus, right))
+    cplus, cminus, cright = (_as_vector(v, 2, what) for v, what in ((plus, "plus"), (minus, "minus"), (right, "plus")))
     cstate = _as_vector(state, 4, "StateVector")
     for vec, cvec in ((plus, cplus), (minus, cminus), (right, cright), (state, cstate)):
         assert _bits(_norm_squared, vec) == _bits(_norm_squared, cvec)

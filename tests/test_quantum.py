@@ -7,6 +7,7 @@ import collections
 import dataclasses
 import math
 from collections.abc import Callable
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -16,7 +17,6 @@ from hardycheck import (
     INPUT_TOL,
     MeasurementBasis,
     Outcome,
-    Qubit2Vector,
     Setting,
     StateVector,
     ValidationError,
@@ -35,6 +35,23 @@ KET1 = np.array([0.0, 1.0])
 def computational_basis(label: Setting, plus_is_zero: bool = True) -> MeasurementBasis:
     plus, minus = (KET0, KET1) if plus_is_zero else (KET1, KET0)
     return MeasurementBasis(plus=plus, minus=minus, label=label)
+
+
+def state_vector(value: object) -> tuple[complex, ...]:
+    return StateVector(value).components
+
+
+def basis_plus(value: object) -> tuple[complex, ...]:
+    return MeasurementBasis(plus=value, minus=KET1, label=Setting.L1).plus
+
+
+def basis_minus(value: object) -> tuple[complex, ...]:
+    return MeasurementBasis(plus=KET0, minus=value, label=Setting.L1).minus
+
+
+#: Each checked vector: the name its errors start with, its size, and a call that builds it from one argument.
+BASIS_VECTORS = [("plus", 2, basis_plus), ("minus", 2, basis_minus)]
+VECTORS = [*BASIS_VECTORS, ("StateVector", 4, state_vector)]
 
 
 def born_on_computational_bases(state: object) -> float:
@@ -268,15 +285,14 @@ class TestTypeInvariants:
         with pytest.raises(ValidationError):
             StateVector(np.array([np.nan, 0, 0, 0], dtype=complex))
 
-    def test_qubit_vector_rejects_infinity(self) -> None:
-        with pytest.raises(ValidationError):
-            Qubit2Vector(np.array([np.inf, 0.0]))
+    @pytest.mark.parametrize(("what", "make"), [(what, make) for what, _, make in BASIS_VECTORS])
+    def test_basis_vector_rejects_infinity(self, what: str, make: Callable[[object], object]) -> None:
+        with pytest.raises(ValidationError, match=f"^{what} components must be finite$"):
+            make(np.array([np.inf, 0.0]))
 
     @pytest.mark.parametrize("part", ["real", "imag"])
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
-    @pytest.mark.parametrize(
-        ("what", "size", "make"), [("Qubit2Vector", 2, Qubit2Vector), ("StateVector", 4, StateVector)]
-    )
+    @pytest.mark.parametrize(("what", "size", "make"), VECTORS)
     def test_one_non_finite_part_of_one_component_rejected(
         self, what: str, size: int, make: Callable[[object], object], value: float, part: str
     ) -> None:
@@ -285,28 +301,32 @@ class TestTypeInvariants:
         with pytest.raises(ValidationError, match=f"^{what} components must be finite$"):
             make(components)
 
-    def test_qubit_vector_rejects_three_components(self) -> None:
-        with pytest.raises(ValidationError, match="exactly 2 components"):
-            Qubit2Vector(np.array([1.0, 0.0, 0.0]))
+    @pytest.mark.parametrize(("what", "make"), [(what, make) for what, _, make in BASIS_VECTORS])
+    def test_basis_vector_rejects_three_components(self, what: str, make: Callable[[object], object]) -> None:
+        with pytest.raises(ValidationError, match=f"^{what} must have exactly 2 components, got shape \\(3,\\)$"):
+            make(np.array([1.0, 0.0, 0.0]))
 
     def test_basis_label_must_be_a_setting(self) -> None:
         with pytest.raises(ValidationError, match="label"):
             MeasurementBasis(plus=KET0, minus=KET1, label="L1")  # type: ignore[arg-type]
 
     @pytest.mark.parametrize("container", [list, tuple])
-    @pytest.mark.parametrize(("make", "components"), [(StateVector, [1, 0, 0, 0]), (Qubit2Vector, [0.6, 0.8j])])
+    @pytest.mark.parametrize(
+        ("make", "components"),
+        [(state_vector, [1, 0, 0, 0]), (basis_plus, [0.6, 0.8j]), (basis_minus, [0.8j, 0.6])],
+    )
     def test_components_are_an_immutable_tuple_of_complex(
         self, make: Callable[[object], object], components: list, container: type
     ) -> None:
         built = make(container(components))
-        assert type(built.components) is tuple
-        assert all(type(c) is complex for c in built.components)
-        assert built.components == tuple(complex(c) for c in components)
+        assert type(built) is tuple
+        assert all(type(c) is complex for c in built)
+        assert built == tuple(complex(c) for c in components)
         with pytest.raises(TypeError):
-            built.components[0] = 0.0  # type: ignore[index]
+            built[0] = 0.0  # type: ignore[index]
 
     @pytest.mark.parametrize("source", ["ndarray", "strided_view", "array_protocol"])
-    @pytest.mark.parametrize(("make", "size"), [(StateVector, 4), (Qubit2Vector, 2)])
+    @pytest.mark.parametrize(("make", "size"), [(make, size) for _, size, make in VECTORS])
     def test_components_never_alias_the_callers_buffer(
         self, make: Callable[[object], object], size: int, source: str
     ) -> None:
@@ -323,8 +343,8 @@ class TestTypeInvariants:
         built = make(argument)
         expected = tuple(caller.tolist())
         caller[:] = 0.5j
-        assert type(built.components) is tuple
-        assert built.components == expected
+        assert type(built) is tuple
+        assert built == expected
         assert caller.flags.writeable
 
     @pytest.mark.parametrize(
@@ -332,12 +352,14 @@ class TestTypeInvariants:
         [range(2), collections.deque([0, 1]), array.array("d", [0.0, 1.0]), bytearray(b"\x00\x01")],
         ids=["range", "deque", "array_module", "bytearray"],
     )
-    def test_any_sequence_of_numbers_is_accepted(self, source: object) -> None:
-        assert Qubit2Vector(source).components == (0j, 1 + 0j)
+    @pytest.mark.parametrize("make", [basis_plus, basis_minus])
+    def test_any_sequence_of_numbers_is_accepted(self, make: Callable[[object], object], source: object) -> None:
+        assert make(source) == (0j, 1 + 0j)
 
-    @pytest.mark.parametrize(("make", "size"), [(StateVector, 4), (Qubit2Vector, 2)])
-    def test_two_dimensional_array_rejected(self, make: Callable[[object], object], size: int) -> None:
-        with pytest.raises(ValidationError, match=f"exactly {size} components, got shape \\(2, {size}\\)$"):
+    @pytest.mark.parametrize(("what", "size", "make"), VECTORS)
+    def test_two_dimensional_array_rejected(self, what: str, size: int, make: Callable[[object], object]) -> None:
+        message = f"^{what} must have exactly {size} components, got shape \\(2, {size}\\)$"
+        with pytest.raises(ValidationError, match=message):
             make(np.zeros((2, size)))
 
     @pytest.mark.parametrize(
@@ -350,6 +372,7 @@ class TestTypeInvariants:
             pytest.param(lambda n: ["1"] + ["0"] * (n - 1), id="numeric_strings"),
             pytest.param(lambda n: [None] * n, id="none_components"),
             pytest.param(lambda n: [1.0, [0.0]] + [0.0] * (n - 2), id="ragged"),
+            pytest.param(lambda n: SimpleNamespace(components=[[0.0] * n] * n), id="nested_components"),
             pytest.param(lambda n: [object()] * n, id="objects"),
             pytest.param(lambda n: [10**400] + [0] * (n - 1), id="int_beyond_float"),
             pytest.param(lambda n: iter([1.0] + [0.0] * (n - 1)), id="iterator"),
@@ -361,7 +384,7 @@ class TestTypeInvariants:
     )
     @pytest.mark.parametrize(
         ("what", "size", "make"),
-        [("Qubit2Vector", 2, Qubit2Vector), ("StateVector", 4, StateVector), ("state", 4, born_on_computational_bases)],
+        [*VECTORS, ("state", 4, born_on_computational_bases)],
     )
     def test_malformed_input_raises_validation_error_naming_the_vector(
         self, what: str, size: int, make: Callable[[object], object], malformed: Callable[[int], object]
@@ -371,8 +394,9 @@ class TestTypeInvariants:
 
     def test_basis_vector_lookup(self) -> None:
         basis = computational_basis(Setting.L1)
-        assert np.allclose(basis.vector_for(Outcome.PLUS).components, KET0)
-        assert np.allclose(basis.vector_for(Outcome.MINUS).components, KET1)
+        assert basis.vector_for(Outcome.PLUS) is basis.plus
+        assert basis.vector_for(Outcome.MINUS) is basis.minus
+        assert (basis.plus, basis.minus) == ((1 + 0j, 0j), (0j, 1 + 0j))
 
     def test_setting_values_in_declared_order(self) -> None:
         assert [s.value for s in Setting] == ["L1", "L2", "R1", "R2"]
