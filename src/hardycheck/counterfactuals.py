@@ -27,12 +27,12 @@ and ``evaluate_sr`` are the per-instance definitions the sets are made from.
 from __future__ import annotations
 
 import itertools
-from dataclasses import FrozenInstanceError, dataclass
+from dataclasses import dataclass
 from functools import cached_property, lru_cache, reduce
 from operator import and_, or_
 from typing import ClassVar, Iterable
 
-from .quantum import LEFT_SETTINGS, OUTCOMES, RIGHT_SETTINGS, Outcome, Setting, ValidationError, _require
+from .quantum import LEFT_SETTINGS, OUTCOMES, RIGHT_SETTINGS, Outcome, Record, Setting, ValidationError, _require
 
 #: Field order of the canonical 6-tuple encoding of an instance.
 INSTANCE_FIELDS = ("o_L(L1)", "o_L(L2)", "o_R(L1,R1)", "o_R(L1,R2)", "o_R(L2,R1)", "o_R(L2,R2)")
@@ -56,18 +56,18 @@ def _require_side(setting: object, side: tuple[Setting, Setting]) -> Setting:
     """Return ``setting`` if it is one of ``side`` (``LEFT_SETTINGS`` or ``RIGHT_SETTINGS``)."""
     if setting not in side:
         name = "left" if side is LEFT_SETTINGS else "right"
-        raise ValidationError(f"expected a {name}-side choice ({side[0]} or {side[1]}), got {setting}")
+        got = setting if isinstance(setting, Setting) else f"{setting!r} ({type(setting).__name__})"
+        raise ValidationError(f"expected a {name}-side choice ({side[0]} or {side[1]}), got {got}")
     return setting
 
 
-@dataclass(frozen=True)
-class OutcomeAssignment:
-    """Outcomes in a fixed slot order; subclasses, undecorated and with no new field, set ``_size`` and ``_noun``."""
+class OutcomeAssignment(Record):
+    """Outcomes in a fixed slot order; subclasses, with no new field, set ``_size`` and ``_noun``."""
 
     outcomes: tuple[Outcome, ...]
 
-    def __post_init__(self) -> None:
-        values = tuple(self.outcomes) if isinstance(self.outcomes, Iterable) else ()
+    def __init__(self, outcomes: Iterable[Outcome]) -> None:
+        values = tuple(outcomes) if isinstance(outcomes, Iterable) else ()
         if len(values) != self._size or not all(isinstance(o, Outcome) for o in values):
             raise ValidationError(f"{self._noun} needs exactly {self._size} Outcome entries")
         object.__setattr__(self, "outcomes", values)
@@ -85,14 +85,6 @@ class OutcomeAssignment:
 
     def __str__(self) -> str:
         return "(" + ", ".join(self.labels()) + ")"
-
-
-def _refuse(self: OutcomeAssignment, name: str, *value: object) -> None:
-    raise FrozenInstanceError(f"cannot {'assign to' if value else 'delete'} field {name!r}")
-
-
-# The generated methods guard only the fields on a subclass; these refuse every name, as on a decorated class.
-OutcomeAssignment.__setattr__ = OutcomeAssignment.__delattr__ = _refuse
 
 
 class CounterfactualInstance(OutcomeAssignment):
@@ -130,27 +122,26 @@ def _select(instances: int, items: tuple) -> tuple:
     return tuple(itertools.compress(items, f"{instances:b}"[::-1].encode().translate(_DIGIT_BYTES)))
 
 
-@dataclass(frozen=True)
-class Constraint:
+class Constraint(Record):
     """One joint event, used either as a zero (forbidden) or positivity (must occur) constraint."""
 
     label: str
     settings: tuple[Setting, Setting]
     outcomes: tuple[Outcome, Outcome]
 
-    def __post_init__(self) -> None:
-        settings, outcomes = self.settings, self.outcomes
-        if not (isinstance(self.label, str) and self.label):
-            raise ValidationError(f"constraint label must be a non-empty string, got {self.label!r}")
+    def __init__(self, label: str, settings: tuple[Setting, Setting], outcomes: tuple[Outcome, Outcome]) -> None:
+        if not (isinstance(label, str) and label):
+            raise ValidationError(f"constraint label must be a non-empty string, got {label!r}")
         if not (isinstance(settings, tuple) and isinstance(outcomes, tuple) and len(settings) == len(outcomes) == 2):
-            raise ValidationError(f"constraint {self.label!r} needs a (left, right) tuple of settings and of outcomes")
+            raise ValidationError(f"constraint {label!r} needs a (left, right) tuple of settings and of outcomes")
         if not all(isinstance(o, Outcome) for o in outcomes):
-            raise ValidationError(f"constraint {self.label!r} outcomes must be Outcome members, got {outcomes!r}")
+            raise ValidationError(f"constraint {label!r} outcomes must be Outcome members, got {outcomes!r}")
         _require_side(settings[0], LEFT_SETTINGS)
         _require_side(settings[1], RIGHT_SETTINGS)
         # Not a field, so eq, hash and JSON ignore it: the instances realizing the event.
         left, right = _LEFT_SLOT[settings[0]], _RIGHT_SLOT[settings]
-        object.__setattr__(self, "_instances", _slot_masks()[left][outcomes[0]] & _slot_masks()[right][outcomes[1]])
+        instances = _slot_masks()[left][outcomes[0]] & _slot_masks()[right][outcomes[1]]
+        self.__dict__.update(label=label, settings=settings, outcomes=outcomes, _instances=instances)
 
     @property
     def event_key(self) -> tuple[tuple[Setting, Setting], tuple[Outcome, Outcome]]:
@@ -161,16 +152,15 @@ class Constraint:
         return f"({sl}{ol}, {sr}{orr}) under ({sl},{sr})"
 
 
-@dataclass(frozen=True)
-class ConstraintSet:
+class ConstraintSet(Record):
     """Zero constraints (never realized) plus positivity constraints (realized somewhere)."""
 
-    zeros: tuple[Constraint, ...] = ()
-    positivity: tuple[Constraint, ...] = ()
+    zeros: tuple[Constraint, ...]
+    positivity: tuple[Constraint, ...]
 
-    def __post_init__(self) -> None:
-        for name in ("zeros", "positivity"):
-            if not isinstance(value := getattr(self, name), Iterable):
+    def __init__(self, zeros: Iterable[Constraint] = (), positivity: Iterable[Constraint] = ()) -> None:
+        for name, value in (("zeros", zeros), ("positivity", positivity)):
+            if not isinstance(value, Iterable):
                 raise ValidationError(f"constraint set {name} must be an iterable of Constraint objects, got {value!r}")
             object.__setattr__(self, name, tuple(value))
         if not all(isinstance(c, Constraint) for c in self.zeros + self.positivity):
@@ -228,8 +218,7 @@ def satisfies_zeros(instance: CounterfactualInstance, constraint_set: Constraint
     return not any(realizes(instance, zero) for zero in _require(constraint_set, ConstraintSet, "constraint_set").zeros)
 
 
-@dataclass(frozen=True)
-class SRVerdict:
+class SRVerdict(Record):
     """Truth value of SR for one instance at one left context.
 
     ``premise_holds`` is o_R(context, R2) = +; ``sr_value`` is the material
@@ -262,8 +251,7 @@ def _sr_table() -> dict[Setting, tuple[tuple[SRVerdict, ...], int]]:
     return {ctx: (v, sum(1 << s.instance_index for s in v if not s.sr_value)) for ctx, v in verdicts.items()}
 
 
-@dataclass(frozen=True)
-class Property1Report:
+class Property1Report(Record):
     """Exhaustive check that SR holds at context L2 in every zero-satisfying instance."""
 
     holds: bool
@@ -271,6 +259,12 @@ class Property1Report:
     verdicts: tuple[SRVerdict, ...]
     counterexamples: tuple[CounterfactualInstance, ...]
     constraint_set: ConstraintSet
+
+    def __init__(self, holds, admissible, verdicts, counterexamples, constraint_set) -> None:  # one per locality report
+        self.__dict__.update(
+            holds=holds, admissible=admissible, verdicts=verdicts, counterexamples=counterexamples,
+            constraint_set=constraint_set,
+        )
 
     def to_json_dict(self) -> dict[str, object]:
         return {
@@ -297,8 +291,7 @@ def check_property1(constraint_set: ConstraintSet) -> Property1Report:
     return Property1Report(not counterexamples, admissible, _select(allowed, verdicts), counterexamples, constraint_set)
 
 
-@dataclass(frozen=True)
-class Property2Report:
+class Property2Report(Record):
     """Witness search showing that "the left choice is L1" does not force SR."""
 
     witness_found: bool
@@ -307,6 +300,12 @@ class Property2Report:
     witness_count: int
     forced_step: str | None
     constraint_set: ConstraintSet
+
+    def __init__(self, witness_found, witness, witness_verdict, witness_count, forced_step, constraint_set) -> None:
+        self.__dict__.update(
+            witness_found=witness_found, witness=witness, witness_verdict=witness_verdict, witness_count=witness_count,
+            forced_step=forced_step, constraint_set=constraint_set,
+        )
 
     def to_json_dict(self) -> dict[str, object]:
         return {
@@ -396,8 +395,7 @@ def locality_violation_report(constraint_set: ConstraintSet) -> LocalityReport:
     )
 
 
-@dataclass(frozen=True)
-class AdmissibilityReport:
+class AdmissibilityReport(Record):
     admissible: bool
     failures: tuple[str, ...]
 

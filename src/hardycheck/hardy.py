@@ -27,6 +27,7 @@ from .quantum import (
     RIGHT_SETTINGS,
     MeasurementBasis,
     Outcome,
+    Record,
     Setting,
     StateVector,
     ValidationError,
@@ -69,22 +70,20 @@ def outcome_pair_label(pair: OutcomePair) -> str:
     return f"{pair[0]}{pair[1]}"
 
 
-@dataclass(frozen=True, eq=False)
-class HardyConfiguration:
+class HardyConfiguration(Record, eq=False):
     """A state, four measurement bases (ordered L1, L2, R1, R2), and the angle used to build them, inside (0, pi/2)."""
 
     state: StateVector
     bases: tuple[MeasurementBasis, MeasurementBasis, MeasurementBasis, MeasurementBasis]
     theta: float
 
-    def __post_init__(self) -> None:
-        _require(self.state, StateVector, "state")
-        bases = tuple(_require(self.bases, Sequence, "bases"))  # a copy the caller cannot edit; a tuple is kept as is
+    def __init__(self, state: StateVector, bases: Sequence[MeasurementBasis], theta: float) -> None:
+        _require(state, StateVector, "state")
+        bases = tuple(_require(bases, Sequence, "bases"))  # a copy the caller cannot edit; a tuple is kept as is
         labels = tuple(_require(basis, MeasurementBasis, "bases entry").label for basis in bases)
         if labels != _BASIS_ORDER:
-            raise ValidationError(f"bases must be labelled {_BASIS_ORDER}, got {labels}")
-        object.__setattr__(self, "bases", bases)
-        object.__setattr__(self, "theta", _as_angle(self.theta))
+            raise ValidationError(f"bases must be labelled (L1, L2, R1, R2), got ({', '.join(map(str, labels))})")
+        self.__dict__.update(state=state, bases=bases, theta=_as_angle(theta))
 
     def basis(self, setting: Setting) -> MeasurementBasis:
         try:
@@ -162,8 +161,7 @@ def build_hardy_configuration(theta: float) -> HardyConfiguration:
     return HardyConfiguration(state=StateVector(state), bases=bases, theta=theta)
 
 
-@dataclass(frozen=True, eq=False)
-class JointProbabilityTable:
+class JointProbabilityTable(Record, eq=False):
     """Born probabilities for all 4 setting pairs x 4 outcome pairs.
 
     Entries must lie in [0, 1] and each setting-pair row must sum to 1 within
@@ -173,11 +171,11 @@ class JointProbabilityTable:
 
     entries: Mapping[tuple[SettingPair, OutcomePair], float]
 
-    def __post_init__(self) -> None:
-        if set(_require(self.entries, Mapping, "entries")) != _TABLE_KEYS:
+    def __init__(self, entries: Mapping[tuple[SettingPair, OutcomePair], float]) -> None:
+        if set(_require(entries, Mapping, "entries")) != _TABLE_KEYS:
             raise ValidationError("table must contain exactly the 16 setting/outcome pair entries")
         clean: dict[tuple[SettingPair, OutcomePair], float] = {}
-        for key, value in self.entries.items():
+        for key, value in entries.items():
             p = value if type(value) is float else _as_float(value, "table entry")
             if not -IDENTITY_TOL <= p <= 1.0 + IDENTITY_TOL:  # nan and both infinities fail it too
                 raise ValidationError(f"entry {key} = {p!r} outside [0, 1]")

@@ -31,7 +31,7 @@ from .counterfactuals import (
     realizes,
     satisfies_zeros,
 )
-from .quantum import OUTCOMES, Outcome, _require
+from .quantum import OUTCOMES, Outcome, Record, _require
 
 
 class LocalStrategy(OutcomeAssignment):
@@ -73,13 +73,15 @@ def strategy_satisfies(strategy: LocalStrategy, constraint_set: ConstraintSet) -
     return satisfies_zeros(_require(strategy, LocalStrategy, "strategy").as_instance(), constraint_set)
 
 
-@dataclass(frozen=True)
-class TraceStep:
+class TraceStep(Record):
     """One step of the deduction over the zero events."""
 
     constraint: str
     assignment: str
     kind: str  # "forced" or "contradiction"
+
+    def __init__(self, constraint: str, assignment: str, kind: str) -> None:  # a few per infeasible set
+        self.__dict__.update(constraint=constraint, assignment=assignment, kind=kind)
 
 
 @dataclass(frozen=True)

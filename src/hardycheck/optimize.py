@@ -11,13 +11,12 @@ state/basis pipeline, supplies the gap reported alongside the result.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 
 from .counterfactuals import hardy_constraint_set
 from .hardy import _BASIS_INDEX, _as_angle, _hardy_vectors
-from .quantum import INPUT_TOL, OUTCOMES, Setting, ValidationError, _as_float, _basis_deviations, _basis_failures
-from .quantum import _born, _not_orthonormal, _unit_state
+from .quantum import INPUT_TOL, OUTCOMES, Record, Setting, ValidationError, _as_float, _basis_deviations
+from .quantum import _basis_failures, _born, _not_orthonormal, _unit_state
 
 INV_PHI = (math.sqrt(5) - 1) / 2  # 1/phi
 INV_PHI_SQ = (3 - math.sqrt(5)) / 2  # 1/phi^2
@@ -103,8 +102,7 @@ def reference_grid_maximum(lo: float = DEFAULT_BRACKET[0], hi: float = DEFAULT_B
     return (hi, hi_value) if hi_value > lo_value else (lo, lo_value)
 
 
-@dataclass(frozen=True)
-class ObjectiveReport:
+class ObjectiveReport(Record):
     """Search result; ``oracle_gap`` is |p4_max - the curve's true maximum over ``bracket``|."""
 
     theta_star: float

@@ -40,7 +40,8 @@ import cmath
 import enum
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError
+from operator import attrgetter
 
 IDENTITY_TOL = 1e-12
 INPUT_TOL = 1e-9
@@ -121,6 +122,50 @@ def _require(value: object, cls: type, what: str) -> object:
     return value
 
 
+class Record:
+    """A frozen record of the names annotated in its class body, after those of its bases (``_fields``, at least one).
+
+    This ``__init__`` takes each field once, by position or keyword; a type with checks, or built per op, has its own.
+    ``repr`` names the fields, eq and hash compare their values (identity for a type declared with ``eq=False``), every
+    name is frozen, and ``__replace__`` (``copy.replace`` on 3.13) builds the copy through ``__init__``, checks and all.
+    """
+
+    _fields: tuple[str, ...] = ()
+
+    def __init_subclass__(cls, eq: bool = True, **kwargs: object) -> None:
+        super().__init_subclass__(**kwargs)
+        cls._fields += tuple(cls.__dict__.get("__annotations__", ()))
+        get = attrgetter(*cls._fields)  # a bare value for one field, a tuple for more
+        cls._values = property(get if len(cls._fields) > 1 else lambda self: (get(self),))  # the field values, in order
+        if not eq:
+            cls.__eq__, cls.__hash__ = object.__eq__, object.__hash__
+
+    def __init__(self, *args: object, **kwargs: object) -> None:
+        names, values = self._fields, dict(zip(self._fields, args), **kwargs)  # a repeated field is counted below
+        if len(args) > len(names) or len(values) != len(args) + len(kwargs) or values.keys() != set(names):
+            raise TypeError(f"{type(self).__name__}() takes each of {', '.join(names)} once, by position or keyword")
+        # Every multi-field store is one update from a dict: item by item into a fresh instance's dict, Python 3.11
+        # keeps a split table, on which attribute reads do not specialize (~4x slower).
+        self.__dict__.update(values)
+
+    def __repr__(self) -> str:
+        return f"{type(self).__qualname__}({', '.join(f'{n}={v!r}' for n, v in zip(self._fields, self._values))})"
+
+    def __eq__(self, other: object) -> bool:
+        return self._values == other._values if type(other) is type(self) else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._values)
+
+    def __setattr__(self, name: str, *value: object) -> None:  # and __delattr__, which passes no value
+        raise FrozenInstanceError(f"cannot {'assign to' if value else 'delete'} field {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __replace__(self, /, **changes: object) -> Record:
+        return type(self)(**dict(zip(self._fields, self._values), **changes))
+
+
 def _as_float(value: object, what: str) -> float:
     """``float(value)`` for a real number in float range, else a ``ValidationError`` naming ``what``.
 
@@ -193,14 +238,13 @@ def _amplitude(xs: tuple[complex, ...], ys: tuple[complex, ...]) -> complex:
     return complex(re, im)
 
 
-@dataclass(frozen=True, eq=False)
-class StateVector:
+class StateVector(Record, eq=False):
     """Two-qubit pure state; squared norm must equal 1 within ``IDENTITY_TOL``."""
 
     components: tuple[complex, ...]
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "components", _unit_state(_as_vector(self.components, 4, "StateVector")))
+    def __init__(self, components: object) -> None:
+        object.__setattr__(self, "components", _unit_state(_as_vector(components, 4, "StateVector")))
 
 
 def _unit_state(vec: tuple[complex, ...]) -> tuple[complex, ...]:
@@ -211,8 +255,7 @@ def _unit_state(vec: tuple[complex, ...]) -> tuple[complex, ...]:
     return vec
 
 
-@dataclass(frozen=True, eq=False)
-class MeasurementBasis:
+class MeasurementBasis(Record, eq=False):
     """Two-outcome local basis for one setting; ``plus`` and ``minus`` are kept as checked complex pairs.
 
     Orthonormality is an invariant of valid bases but is not enforced by the
@@ -227,15 +270,13 @@ class MeasurementBasis:
     minus: tuple[complex, complex]
     label: Setting
 
-    def __post_init__(self) -> None:
-        plus = _as_vector(self.plus, 2, "plus")
-        minus = _as_vector(self.minus, 2, "minus")
-        if not isinstance(self.label, Setting):
-            raise ValidationError(f"basis label must be a Setting, got {self.label!r}")
-        object.__setattr__(self, "plus", plus)
-        object.__setattr__(self, "minus", minus)
-        # The report at INPUT_TOL, computed once; not a field, so repr ignores it.
-        object.__setattr__(self, "_report", _basis_report(*_basis_deviations(plus, minus), INPUT_TOL))
+    def __init__(self, plus: object, minus: object, label: Setting) -> None:
+        plus = _as_vector(plus, 2, "plus")
+        minus = _as_vector(minus, 2, "minus")
+        if not isinstance(label, Setting):
+            raise ValidationError(f"basis label must be a Setting, got {label!r}")
+        report = _basis_report(*_basis_deviations(plus, minus), INPUT_TOL)  # at INPUT_TOL, once; not a field
+        self.__dict__.update(plus=plus, minus=minus, label=label, _report=report)
 
     def vector_for(self, outcome: Outcome) -> tuple[complex, complex]:
         if outcome is not _PLUS and outcome is not _MINUS:  # identity: no __eq__ of the argument runs
@@ -243,8 +284,7 @@ class MeasurementBasis:
         return self.plus if outcome is _PLUS else self.minus
 
 
-@dataclass(frozen=True)
-class BasisReport:
+class BasisReport(Record):
     """Orthonormality check result; ``failures`` lists every broken requirement."""
 
     passed: bool
@@ -253,6 +293,12 @@ class BasisReport:
     overlap: float
     tol: float
     failures: tuple[str, ...]
+
+    def __init__(self, passed, plus_norm_error, minus_norm_error, overlap, tol, failures) -> None:  # one per basis
+        self.__dict__.update(
+            passed=passed, plus_norm_error=plus_norm_error, minus_norm_error=minus_norm_error, overlap=overlap, tol=tol,
+            failures=failures,
+        )
 
 
 def _basis_deviations(plus_vec: tuple[complex, ...], minus_vec: tuple[complex, ...]) -> tuple[float, float, float]:

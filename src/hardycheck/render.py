@@ -1,10 +1,10 @@
 """Deterministic report rendering: fixed key order, 17-significant-digit floats.
 
-In JSON a dataclass renders as its fields in declaration order, or as its
-``to_json_dict()`` where keys are renamed or derived; an enum as its string.
-Each type gets one emitter, built on first sight; a dataclass's holds its ``"name": ``
+In JSON a record (a ``quantum.Record`` or a dataclass) renders as its fields in declaration order, or
+as its ``to_json_dict()`` where keys are renamed or derived; an enum as its string.
+Each type gets one emitter, built on first sight; a record's holds its ``"name": ``
 field heads encoded once. Each indent depth's brackets and separator are built once.
-A frozen, eq dataclass with no ``to_json_dict`` that hashes (holds no mapping or list) keeps
+A frozen record with field-wise eq and no ``to_json_dict`` that hashes (holds no mapping or list) keeps
 its indent-0 text as ``_json``, which dies with it; a later emission shifts each newline to
 its indent, as every raw newline is structural: strings have their own newlines escaped.
 """
@@ -24,7 +24,7 @@ from .counterfactuals import LocalityReport, Property1Report, Property2Report, h
 from .hardy import JointProbabilityTable, PredictionReport
 from .lhv import FeasibilityResult
 from .optimize import ObjectiveReport
-from .quantum import ValidationError
+from .quantum import Record, ValidationError
 
 
 class UsageError(ValueError):
@@ -105,10 +105,12 @@ def _emitter(cls: type) -> Emitter:
         emit = _emit_list
     elif hasattr(cls, "to_json_dict"):
         emit = lambda value, indent, out: _emit_dict(value.to_json_dict(), indent, out)
-    elif is_dataclass(cls):
-        heads = tuple((encode_basestring_ascii(f.name) + ": ", f.name) for f in fields(cls))  # encoded once per type
+    elif issubclass(cls, Record) or is_dataclass(cls):
+        names = cls._fields if issubclass(cls, Record) else [f.name for f in fields(cls)]
+        heads = tuple((encode_basestring_ascii(name) + ": ", name) for name in names)  # encoded once per type
         emit = partial(_emit_members, heads, getattr)
-        if cls.__dataclass_params__.frozen and cls.__dataclass_params__.eq:
+        params = getattr(cls, "__dataclass_params__", None)  # a Record is frozen; a dataclass says so in its params
+        if cls.__eq__ is Record.__eq__ or params and params.frozen and params.eq:
             emit = partial(_emit_kept, emit)
     else:
         raise TypeError(f"cannot serialize {cls.__name__} to JSON")

@@ -108,16 +108,16 @@ class TestEnumeration:
 
 
 class TestOutcomeAssignmentTypes:
-    """Both types are plain subclasses of the frozen dataclass ``OutcomeAssignment`` and inherit its behaviour."""
+    """Both types are plain subclasses of the frozen record ``OutcomeAssignment`` and inherit its behaviour."""
 
     @pytest.mark.parametrize(("cls", "size"), [(CounterfactualInstance, 6), (LocalStrategy, 4)], ids=["instance", "strategy"])
-    def test_inherit_the_dataclass_behaviour(self, cls: type, size: int) -> None:
+    def test_inherit_the_record_behaviour(self, cls: type, size: int) -> None:
         value = cls((PLUS,) * size)
-        assert [f.name for f in dataclasses.fields(value)] == ["outcomes"]
-        flipped = dataclasses.replace(value, outcomes=(MINUS,) * size)
+        assert cls._fields == ("outcomes",)
+        flipped = value.__replace__(outcomes=(MINUS,) * size)
         assert type(flipped) is cls and flipped.outcomes == (MINUS,) * size
         with pytest.raises(ValidationError, match=f"exactly {size}"):
-            dataclasses.replace(value, outcomes=(MINUS,) * (size + 1))
+            value.__replace__(outcomes=(MINUS,) * (size + 1))
         assert repr(value).startswith(f"{cls.__name__}(outcomes=(")
         with pytest.raises(dataclasses.FrozenInstanceError):
             value.outcomes = (MINUS,) * size  # type: ignore[misc]

@@ -81,3 +81,28 @@ def test_import_loads_every_library_submodule_and_no_call_loads_numpy() -> None:
     result = run_fresh(_IMPORT_THEN_COMPUTE)
     assert result["loaded"] == sorted(f"hardycheck.{name}" for name in SUBMODULES)  # and not cli
     assert result["numpy"] is False
+
+
+_DATACLASSES_AFTER_IMPORT = """
+import json, sys
+sys.path.insert(0, sys.argv[1])
+import hardycheck.cli
+print(json.dumps(sorted(
+    f"{name}.{cls}"
+    for name, module in sys.modules.items() if name.startswith("hardycheck.")
+    for cls, value in vars(module).items()
+    if isinstance(value, type) and value.__module__ == name and "__dataclass_fields__" in vars(value)
+)))
+"""
+
+
+def test_only_the_four_records_the_benchmark_replaces_are_dataclasses() -> None:
+    # perfbench/selfcheck.py builds perturbed copies of these four with dataclasses.replace, which takes only a
+    # dataclass. Every other record is a quantum.Record, built without the per-class code generation that
+    # @dataclass runs on each cold import; a fifth decorated class would add that cost back to every CLI process.
+    assert run_fresh(_DATACLASSES_AFTER_IMPORT) == [
+        "hardycheck.counterfactuals.LocalityReport",
+        "hardycheck.hardy.NoSignallingReport",
+        "hardycheck.hardy.PredictionReport",
+        "hardycheck.lhv.FeasibilityResult",
+    ]

@@ -10,13 +10,17 @@ import pytest
 
 import hardycheck
 from hardycheck import (
+    Constraint,
     ConstraintSet,
     HardyConfiguration,
     JointProbabilityTable,
     Outcome,
+    Setting,
     ValidationError,
     born_joint_probability,
     build_hardy_configuration,
+    enumerate_instances,
+    evaluate_sr,
     hardy_constraint_set,
     joint_probability_table,
     ensemble_admissible,
@@ -88,6 +92,7 @@ def test_all_lists_exactly_the_public_names_bound_in_the_package() -> None:
         pytest.param(lambda: JointProbabilityTable(None), "entries", id="table_entries_none"),
         pytest.param(lambda: HardyConfiguration(CONFIG.state, (1, 2, 3, 4), 0.3), "bases entry", id="config_int_bases"),
         pytest.param(lambda: HardyConfiguration(CONFIG.state, None, 0.3), "bases", id="config_bases_none"),
+        pytest.param(lambda: HardyConfiguration(CONFIG.state, CONFIG.bases[::-1], 0.3), "bases", id="config_order"),
         pytest.param(lambda: HardyConfiguration("abcd", CONFIG.bases, 0.3), "state", id="config_str_state"),
         pytest.param(lambda: HardyConfiguration(CONFIG.state, CONFIG.bases, "x"), "theta", id="config_str_theta"),
         pytest.param(lambda: HardyConfiguration(CONFIG.state, CONFIG.bases, None), "theta", id="config_none_theta"),
@@ -102,4 +107,30 @@ def test_all_lists_exactly_the_public_names_bound_in_the_package() -> None:
 )
 def test_a_non_numeric_argument_raises_validation_error_naming_it(call: Callable[[], object], argument: str) -> None:
     with pytest.raises(ValidationError, match=rf"^{argument} "):
+        call()
+
+
+LEFT_CHOICE = r"expected a left-side choice \(L1 or L2\), got "
+INSTANCE = enumerate_instances()[0]
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        pytest.param(
+            lambda: Constraint("x", ("L1", "R1"), (Outcome.PLUS, Outcome.PLUS)),
+            LEFT_CHOICE + r"'L1' \(str\)",
+            id="constraint_str",
+        ),
+        pytest.param(lambda: evaluate_sr(INSTANCE, "L1"), LEFT_CHOICE + r"'L1' \(str\)", id="evaluate_sr_str"),
+        pytest.param(lambda: evaluate_sr(INSTANCE, Setting.R1), LEFT_CHOICE + "R1", id="evaluate_sr_right"),
+        pytest.param(
+            lambda: HardyConfiguration(CONFIG.state, CONFIG.bases[::-1], 0.3),
+            r"bases must be labelled \(L1, L2, R1, R2\), got \(R2, R1, L2, L1\)",
+            id="config_misordered",
+        ),
+    ],
+)
+def test_a_refused_value_prints_as_its_label_or_by_repr_and_type(call: Callable[[], object], message: str) -> None:
+    with pytest.raises(ValidationError, match=rf"^{message}$"):
         call()

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import array
 import collections
-import dataclasses
 import math
 from collections.abc import Callable
 from types import SimpleNamespace
@@ -263,17 +262,17 @@ class TestValidateBasis:
     def test_deviations_are_not_a_field(self) -> None:
         basis = MeasurementBasis(plus=2 * KET0, minus=KET1, label=Setting.R1)
         assert vars(basis)["_report"] is validate_basis(basis, INPUT_TOL)
-        assert [f.name for f in dataclasses.fields(basis)] == ["plus", "minus", "label"]
+        assert MeasurementBasis._fields == ("plus", "minus", "label")
         assert "_report" not in repr(basis)
         assert type(basis).__eq__ is object.__eq__  # identity, so no stored value takes part in eq
 
     def test_replaced_vector_reports_its_own_deviations(self) -> None:
         basis = computational_basis(Setting.L1)
-        unnormalized = dataclasses.replace(basis, plus=2 * KET0)
+        unnormalized = basis.__replace__(plus=2 * KET0)
         report = validate_basis(unnormalized)
         assert (report.plus_norm_error, report.minus_norm_error, report.overlap) == (3.0, 0.0, 0.0)
         assert validate_basis(basis).passed
-        assert validate_basis(dataclasses.replace(unnormalized, plus=KET0)).passed
+        assert validate_basis(unnormalized.__replace__(plus=KET0)).passed
 
 
 class TestTypeInvariants:
