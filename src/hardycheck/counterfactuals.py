@@ -19,20 +19,20 @@ Its truth conditions refer only to right-side events, which is what makes
 the dependence of its truth value on the left choice a locality violation.
 
 The checks decide with instance sets, ints whose bit i stands for the
-instance of index i: constraints and constraint sets resolve theirs when
-built, SR's verdicts are tabulated once, and ``realizes``, ``satisfies_zeros``
-and ``evaluate_sr`` are the per-instance definitions the sets are made from.
+instance of index i: a constraint takes its set from the per-slot sets, a
+constraint set combines those of its constraints (agreeing with ``realizes``
+and ``satisfies_zeros``), and ``_sr_table`` tabulates ``evaluate_sr`` once.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import cached_property, lru_cache, reduce
+from functools import lru_cache, reduce
 from operator import and_, or_
 from typing import ClassVar, Iterable
 
-from .quantum import LEFT_SETTINGS, OUTCOMES, RIGHT_SETTINGS, Outcome, Record, Setting, ValidationError, _require
+from .quantum import LEFT_SETTINGS, OUTCOMES, RIGHT_SETTINGS, Outcome, Record, Setting, ValidationError, _MINUS, _require
 
 #: Field order of the canonical 6-tuple encoding of an instance.
 INSTANCE_FIELDS = ("o_L(L1)", "o_L(L2)", "o_R(L1,R1)", "o_R(L1,R2)", "o_R(L2,R1)", "o_R(L2,R2)")
@@ -70,15 +70,11 @@ class OutcomeAssignment(Record):
         values = tuple(outcomes) if isinstance(outcomes, Iterable) else ()
         if len(values) != self._size or not all(isinstance(o, Outcome) for o in values):
             raise ValidationError(f"{self._noun} needs exactly {self._size} Outcome entries")
-        object.__setattr__(self, "outcomes", values)
-
-    @cached_property
-    def index(self) -> int:
-        """Rank in the canonical enumeration ("+" < "-", leftmost slot most significant)."""
+        # index: the rank in the canonical enumeration ("+" < "-", leftmost slot most significant).
         rank = 0
-        for outcome in self.outcomes:
-            rank = (rank << 1) | (outcome is Outcome.MINUS)
-        return rank
+        for outcome in values:
+            rank = (rank << 1) | (outcome is _MINUS)
+        self.__dict__.update(outcomes=values, index=rank)
 
     def labels(self) -> tuple[str, ...]:
         return tuple(str(o) for o in self.outcomes)
@@ -101,20 +97,19 @@ class CounterfactualInstance(OutcomeAssignment):
         return self.outcomes[_LEFT_SLOT[_require_side(left_choice, LEFT_SETTINGS)]]
 
 
+# Lazy, like ``_sr_table``, unlike the tables built at import: only the counterfactual command reads either.
 @lru_cache(maxsize=1)
 def enumerate_instances() -> tuple[CounterfactualInstance, ...]:
     """All 2**6 = 64 instances in lexicographic order over the canonical tuple."""
     return tuple(CounterfactualInstance(combo) for combo in itertools.product(OUTCOMES, repeat=6))
 
 
-@lru_cache(maxsize=1)
-def _slot_masks() -> tuple[dict[Outcome, int], ...]:
-    """Per slot, the set of instances taking each outcome there, read off the order of ``enumerate_instances``."""
-    masks = tuple(dict.fromkeys(OUTCOMES, 0) for _ in INSTANCE_FIELDS)
-    for index, outcomes in enumerate(itertools.product(OUTCOMES, repeat=len(INSTANCE_FIELDS))):
-        for mask, outcome in zip(masks, outcomes):
-            mask[outcome] |= 1 << index
-    return masks
+#: Per slot, the set of instances taking each outcome there. Slot k is bit 5 - k of the index, so "+" takes alternate
+#: runs of ``run = 2**(5 - k)`` indices from index 0, ``_ALL_INSTANCES // (2**run + 1)``, and "-" the runs between.
+_SLOT_MASKS = tuple(
+    {Outcome.PLUS: _ALL_INSTANCES // (2**run + 1), Outcome.MINUS: _ALL_INSTANCES // (2**run + 1) << run}
+    for run in (32, 16, 8, 4, 2, 1)
+)
 
 
 def _select(instances: int, items: tuple) -> tuple:
@@ -140,7 +135,7 @@ class Constraint(Record):
         _require_side(settings[1], RIGHT_SETTINGS)
         # Not a field, so eq, hash and JSON ignore it: the instances realizing the event.
         left, right = _LEFT_SLOT[settings[0]], _RIGHT_SLOT[settings]
-        instances = _slot_masks()[left][outcomes[0]] & _slot_masks()[right][outcomes[1]]
+        instances = _SLOT_MASKS[left][outcomes[0]] & _SLOT_MASKS[right][outcomes[1]]
         self.__dict__.update(label=label, settings=settings, outcomes=outcomes, _instances=instances)
 
     @property
@@ -159,22 +154,23 @@ class ConstraintSet(Record):
     positivity: tuple[Constraint, ...]
 
     def __init__(self, zeros: Iterable[Constraint] = (), positivity: Iterable[Constraint] = ()) -> None:
+        entries = {}
         for name, value in (("zeros", zeros), ("positivity", positivity)):
             if not isinstance(value, Iterable):
                 raise ValidationError(f"constraint set {name} must be an iterable of Constraint objects, got {value!r}")
-            object.__setattr__(self, name, tuple(value))
-        if not all(isinstance(c, Constraint) for c in self.zeros + self.positivity):
+            entries[name] = tuple(value)
+        zeros, positivity = entries.values()
+        if not all(isinstance(c, Constraint) for c in zeros + positivity):
             raise ValidationError("constraint set entries must be Constraint objects")
-        zero_events = {c.event_key for c in self.zeros}
-        positive_events = {c.event_key for c in self.positivity}
-        if zero_events & positive_events:
+        if {c.event_key for c in zeros} & {c.event_key for c in positivity}:
             raise ValidationError("zero and positivity constraints must be disjoint events")
-        labels = [c.label for c in self.zeros + self.positivity]
+        labels = [c.label for c in zeros + positivity]
         if len(labels) != len(set(labels)):
             raise ValidationError("constraint labels must be unique")
-        # The instances realizing no zero event, and those realizing every positivity event.
-        object.__setattr__(self, "_allowed", _ALL_INSTANCES & ~reduce(or_, (c._instances for c in self.zeros), 0))
-        object.__setattr__(self, "_realized", reduce(and_, (c._instances for c in self.positivity), _ALL_INSTANCES))
+        # Not fields: the instances realizing no zero event, and those realizing every positivity event.
+        entries["_allowed"] = _ALL_INSTANCES & ~reduce(or_, (c._instances for c in zeros), 0)
+        entries["_realized"] = reduce(and_, (c._instances for c in positivity), _ALL_INSTANCES)
+        self.__dict__.update(entries)
 
     def constraint(self, label: str) -> Constraint:
         for c in self.zeros + self.positivity:
@@ -191,17 +187,19 @@ class ConstraintSet(Record):
         )
 
 
-@lru_cache(maxsize=1)
+_HARDY_CONSTRAINTS = ConstraintSet(
+    zeros=(
+        Constraint("Eq1", (Setting.L2, Setting.R2), (Outcome.MINUS, Outcome.PLUS)),
+        Constraint("Eq2", (Setting.L2, Setting.R1), (Outcome.PLUS, Outcome.PLUS)),
+        Constraint("Eq3", (Setting.L1, Setting.R2), (Outcome.MINUS, Outcome.MINUS)),
+    ),
+    positivity=(Constraint("Eq4", (Setting.L1, Setting.R1), (Outcome.MINUS, Outcome.PLUS)),),
+)
+
+
 def hardy_constraint_set() -> ConstraintSet:
     """The three zero events and the positivity event of the Hardy-type table; every layer reads them here."""
-    return ConstraintSet(
-        zeros=(
-            Constraint("Eq1", (Setting.L2, Setting.R2), (Outcome.MINUS, Outcome.PLUS)),
-            Constraint("Eq2", (Setting.L2, Setting.R1), (Outcome.PLUS, Outcome.PLUS)),
-            Constraint("Eq3", (Setting.L1, Setting.R2), (Outcome.MINUS, Outcome.MINUS)),
-        ),
-        positivity=(Constraint("Eq4", (Setting.L1, Setting.R1), (Outcome.MINUS, Outcome.PLUS)),),
-    )
+    return _HARDY_CONSTRAINTS
 
 
 def realizes(instance: CounterfactualInstance, constraint: Constraint) -> bool:

@@ -186,6 +186,9 @@ class JointProbabilityTable(Record, eq=False):
                 raise ValidationError(f"row {setting_pair_label(pair)} sums to {row_sum!r}, not 1")
         object.__setattr__(self, "entries", MappingProxyType(clean))
 
+    def __reduce__(self) -> tuple:  # the read-only view neither pickles nor deep-copies: rebuild from a dict copy
+        return type(self), (dict(self.entries),)
+
     def probability(
         self,
         left_setting: Setting,
@@ -290,6 +293,9 @@ class NoSignallingReport:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "deviations", MappingProxyType(dict(self.deviations)))
+
+    def __reduce__(self) -> tuple:  # as the table's: rebuilt through the constructor, ``deviations`` read-only again
+        return type(self), (self.passed, self.max_deviation, self.tol, dict(self.deviations))
 
 
 #: The eight no-signalling comparisons: a label, then the table keys of the two marginals it compares,

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from typing import Iterable
 
 from .counterfactuals import (
     Constraint,
@@ -38,26 +38,28 @@ class LocalStrategy(OutcomeAssignment):
     """Outcome pre-assignment, stored as (o_L(L1), o_L(L2), o_R(R1), o_R(R2)).
 
     Every question about a strategy is answered by its embedding into the
-    counterfactual carrier, built once per strategy.
+    counterfactual carrier, built with the strategy.
     """
 
     _size = 4
     _noun = "a strategy"
 
-    @cached_property
-    def _instance(self) -> CounterfactualInstance:
-        l1, l2, r1, r2 = self.outcomes
-        return CounterfactualInstance((l1, l2, r1, r2, r1, r2))
+    def __init__(self, outcomes: Iterable[Outcome]) -> None:
+        super().__init__(outcomes)
+        l1, l2, r1, r2 = self.outcomes  # not a field, so eq, hash and JSON ignore it
+        self.__dict__["_instance"] = CounterfactualInstance((l1, l2, r1, r2, r1, r2))
 
     def as_instance(self) -> CounterfactualInstance:
         """Embed into the counterfactual carrier; the right entries ignore the left choice."""
         return self._instance
 
 
-@lru_cache(maxsize=1)
+_STRATEGIES = tuple(LocalStrategy(combo) for combo in itertools.product(OUTCOMES, repeat=4))
+
+
 def enumerate_strategies() -> tuple[LocalStrategy, ...]:
     """All 16 strategies in lexicographic order ("+" < "-")."""
-    return tuple(LocalStrategy(combo) for combo in itertools.product(OUTCOMES, repeat=4))
+    return _STRATEGIES
 
 
 def strategy_realizes(strategy: LocalStrategy, constraint: Constraint) -> bool:

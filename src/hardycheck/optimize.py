@@ -11,11 +11,10 @@ state/basis pipeline, supplies the gap reported alongside the result.
 from __future__ import annotations
 
 import math
-from functools import lru_cache
 
 from .counterfactuals import hardy_constraint_set
 from .hardy import _BASIS_INDEX, _as_angle, _hardy_vectors
-from .quantum import INPUT_TOL, OUTCOMES, Record, Setting, ValidationError, _as_float, _basis_deviations
+from .quantum import INPUT_TOL, OUTCOMES, Record, ValidationError, _as_float, _basis_deviations
 from .quantum import _basis_failures, _born, _not_orthonormal, _unit_state
 
 INV_PHI = (math.sqrt(5) - 1) / 2  # 1/phi
@@ -28,6 +27,10 @@ _PRESCAN_POINTS = 65
 # The curve's maximum (5*sqrt(5)-11)/2 and the two angles that attain it (Hardy, PRL 71, 1665 (1993)).
 _P4_STAR = (5 * math.sqrt(5) - 11) / 2
 _PEAKS = (0.5 * math.asin(3 - math.sqrt(5)), math.pi / 2 - 0.5 * math.asin(3 - math.sqrt(5)))
+#: (setting, index in ``_BASIS_ORDER``, index in ``OUTCOMES``) for each side of Eq4.
+_PARADOX_EVENT = tuple(
+    (s, _BASIS_INDEX[s], OUTCOMES.index(o)) for s, o in zip(*hardy_constraint_set().positivity[0].event_key)
+)
 
 
 class ConvergenceError(RuntimeError):
@@ -46,19 +49,12 @@ def paradox_probability(theta: float) -> float:
     number strictly inside (0, pi/2).
     """
     _, state, pairs = _hardy_vectors(theta)
-    (left, left_index, left_outcome), (right, right_index, right_outcome) = _paradox_event()
+    (left, left_index, left_outcome), (right, right_index, right_outcome) = _PARADOX_EVENT
     psi, left_pair, right_pair = _unit_state(state), pairs[left_index], pairs[right_index]
     for setting, vectors in ((left, left_pair), (right, right_pair)):
         if failures := _basis_failures(*_basis_deviations(*vectors), INPUT_TOL):
             raise _not_orthonormal(setting, failures)
     return _born(left_pair[left_outcome], right_pair[right_outcome], psi)
-
-
-@lru_cache(maxsize=1)
-def _paradox_event() -> tuple[tuple[Setting, int, int], tuple[Setting, int, int]]:
-    """(setting, index in ``_BASIS_ORDER``, index in ``OUTCOMES``) for each side of Eq4, read on the first call."""
-    settings, outcomes = hardy_constraint_set().positivity[0].event_key
-    return tuple((s, _BASIS_INDEX[s], OUTCOMES.index(o)) for s, o in zip(settings, outcomes))
 
 
 def _curve(theta: float) -> float:

@@ -106,3 +106,23 @@ def test_only_the_four_records_the_benchmark_replaces_are_dataclasses() -> None:
         "hardycheck.hardy.PredictionReport",
         "hardycheck.lhv.FeasibilityResult",
     ]
+
+
+_LAZY_TABLES_AFTER = """
+import contextlib, io, json, sys
+sys.path.insert(0, sys.argv[1])
+from hardycheck.cli import main
+from hardycheck.counterfactuals import _sr_table, enumerate_instances
+with contextlib.redirect_stdout(io.StringIO()):
+    codes = [main(argv) for argv in json.loads(sys.argv[2])]
+print(json.dumps({"codes": codes, "built": [enumerate_instances.cache_info().currsize, _sr_table.cache_info().currsize]}))
+"""
+
+
+def test_only_the_counterfactual_command_builds_the_instances_and_the_sr_table() -> None:
+    # The cheap logic tables are built at import: the per-slot instance sets, the Hardy constraint set, Eq4's basis
+    # indices and the 16 strategies with their embedded instances (3-7, 12-15, 1 and 68-81 us on Python 3.10-3.13,
+    # best of 7). The 64 instances (130-180 us) and SR's verdicts on them (240-290 us) are built on first use: a cold
+    # process of any other command would pay for them and never read them.
+    for argvs, built in (([["table"], ["verify"], ["optimize"], ["lhv"]], [0, 0]), ([["counterfactual"]], [1, 1])):
+        assert run_fresh(_LAZY_TABLES_AFTER, json.dumps(argvs)) == {"codes": [0] * len(argvs), "built": built}

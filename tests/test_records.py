@@ -1,5 +1,8 @@
 """The frozen records: construction, repr, equality, hashing, immutability, replacement, copying and pickling.
 
+A record stores every value it derives from its fields when built, and a copy of a table or a no-signalling
+report is rebuilt through its constructor, with read-only entries.
+
 Each record type is pinned on one instance, built from the same field values each time. ``repr`` is
 ``Name(field=value!r, ...)`` in field order; a record compares and hashes by its field values, except
 ``StateVector``, ``MeasurementBasis``, ``HardyConfiguration`` and ``JointProbabilityTable``, which compare and
@@ -36,6 +39,7 @@ from hardycheck import (
     ValidationError,
     build_hardy_configuration,
     joint_probability_table,
+    no_signalling_check,
     validate_basis,
 )
 
@@ -167,19 +171,50 @@ def test_no_record_equals_a_tuple_or_a_record_of_another_type_with_the_same_valu
         assert value != unlike and unlike != value and not value == unlike
 
 
+COPIERS = {"copy": copy.copy, "deepcopy": copy.deepcopy, "pickle": lambda value: pickle.loads(pickle.dumps(value))}
+
+
 @every_record
 def test_copies_and_pickles_round_trip(cls: type) -> None:
     value = build(cls)
-    copiers = [copy.copy, copy.deepcopy, lambda v: pickle.loads(pickle.dumps(v))]
-    if cls is JointProbabilityTable:  # its entries are a read-only mapping view, which neither deepcopy nor pickle takes
-        for copier in copiers[1:]:
-            with pytest.raises(TypeError, match="mappingproxy"):
-                copier(value)
-        copiers = copiers[:1]
-    for copier in copiers:
+    for copier in COPIERS.values():
         twin = copier(value)
         assert type(twin) is cls and twin is not value and repr(twin) == repr(value)
         assert (twin == value) is (cls not in IDENTITY_EQ)
+        assert vars(twin).keys() == vars(value).keys()
+
+
+@pytest.mark.parametrize("copier", list(COPIERS.values()), ids=list(COPIERS))
+def test_a_copied_table_or_no_signalling_report_is_rebuilt_with_read_only_entries(copier) -> None:
+    table = JointProbabilityTable(ENTRIES)
+    report = no_signalling_check(table)
+    twin_table, twin_report = copier(table), copier(report)
+    assert twin_table.entries == table.entries and twin_report == report and twin_report is not report
+    for mapping in (twin_table.entries, twin_report.deviations):
+        assert type(mapping).__name__ == "mappingproxy"
+        with pytest.raises(TypeError):
+            mapping["x"] = 0.5  # type: ignore[index]
+
+
+@every_record
+def test_a_record_is_whole_when_built(cls: type) -> None:
+    # Every value a record derives from its fields is stored by its constructor: reading a field, ``index``,
+    # ``as_instance()`` or ``labels()`` later adds nothing to the instance and replaces no stored value.
+    value = build(cls)
+    built = dict(vars(value))
+    for name in (*RECORDS[cls][0], "index"):
+        getattr(value, name, None)
+    for method in ("as_instance", "labels"):
+        if hasattr(value, method):
+            getattr(value, method)()
+    assert vars(value).keys() == built.keys() and all(vars(value)[name] is item for name, item in built.items())
+
+
+def test_a_strategy_embeds_one_instance_built_with_it() -> None:
+    strategy = build(LocalStrategy)
+    embedded = strategy.as_instance()
+    assert embedded is strategy.as_instance() and embedded in vars(strategy).values()
+    assert embedded == CounterfactualInstance((PLUS, MINUS, PLUS, MINUS, PLUS, MINUS))
 
 
 @every_record
