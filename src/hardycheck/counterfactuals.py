@@ -27,10 +27,11 @@ and ``satisfies_zeros``), and ``_sr_table`` tabulates ``evaluate_sr`` once.
 from __future__ import annotations
 
 import itertools
+from collections.abc import Iterable
 from dataclasses import dataclass
 from functools import lru_cache, reduce
 from operator import and_, or_
-from typing import ClassVar, Iterable
+from typing import ClassVar
 
 from .quantum import LEFT_SETTINGS, OUTCOMES, RIGHT_SETTINGS, Outcome, Record, Setting, ValidationError, _MINUS, _require
 

@@ -19,8 +19,8 @@ trace, the package's one unit propagation over the zero events.
 from __future__ import annotations
 
 import itertools
+from collections.abc import Iterable
 from dataclasses import dataclass
-from typing import Iterable
 
 from .counterfactuals import (
     Constraint,

@@ -2,11 +2,12 @@
 
 In JSON a record (a ``quantum.Record`` or a dataclass) renders as its fields in declaration order, or
 as its ``to_json_dict()`` where keys are renamed or derived; an enum as its string.
-Each type gets one emitter, built on first sight; a record's holds its ``"name": ``
-field heads encoded once. Each indent depth's brackets and separator are built once.
+Each type gets one emitter, built on first sight, holding what it encodes once: a record's ``"name": ``
+field heads, a ``to_json_dict`` type's heads for its last keys, an enum's member texts.
+Each indent depth's brackets and separator are built once.
 A frozen record with field-wise eq and no ``to_json_dict`` that hashes (holds no mapping or list) keeps
-its indent-0 text as ``_json``, which dies with it; a later emission shifts each newline to
-its indent, as every raw newline is structural: strings have their own newlines escaped.
+its text per indent depth as ``_json``, which dies with it: depth 0 as rendered, each other depth shifted
+from it once, as every raw newline is structural: strings have their own newlines escaped.
 """
 
 from __future__ import annotations
@@ -72,19 +73,39 @@ def _emit_members(heads: Collection[tuple[str, object]], get: Callable, value: o
     out.append(closer if heads else "{}")
 
 
+def _heads(keys: Collection) -> tuple[tuple[str, object], ...]:
+    return tuple((encode_basestring_ascii(str(key)) + ": ", key) for key in keys)
+
+
 def _emit_dict(value: dict | MappingProxyType, indent: int, out: list[str]) -> None:
-    _emit_members([(encode_basestring_ascii(str(key)) + ": ", key) for key in value], type(value).__getitem__, value, indent, out)
+    _emit_members(_heads(value), type(value).__getitem__, value, indent, out)
+
+
+def _emit_derived(kept: list, value: object, indent: int, out: list[str]) -> None:
+    """Emit ``value.to_json_dict()`` under the heads ``kept`` for its type's last ``str`` keys, else under new heads."""
+    members = value.to_json_dict()
+    keys, heads = kept[0]
+    if (now := tuple(members)) != keys:
+        heads = _heads(now)
+        if all(type(key) is str for key in now):  # an equal int or bool key would have another head
+            kept[0] = now, heads
+    _emit_members(heads, type(members).__getitem__, members, indent, out)
+
+
+def _emit_enum(texts: dict[int, str], value: Enum, indent: int, out: list[str]) -> None:
+    """A listed member's text, by identity (it may hash in Python, or not at all); else (a ``Flag`` combination) new."""
+    out.append(texts.get(id(value)) or encode_basestring_ascii(str(value)))
 
 
 def _emit_kept(emit: Emitter, value: object, indent: int, out: list[str]) -> None:
-    text = getattr(value, "_json", None)
-    if text is None:
+    texts = getattr(value, "_json", None)
+    if texts is None:
         emit(value, 0, parts := [])
-        text = "".join(parts)
+        texts = {0: "".join(parts)}
         with suppress(TypeError, AttributeError):  # unhashable: a dict or list inside; or slots and no __dict__
             hash(value)
-            object.__setattr__(value, "_json", text)
-    out.append(text.replace("\n", "\n" + "  " * indent) if indent else text)
+            object.__setattr__(value, "_json", texts)
+    out.append(texts.get(indent) or texts.setdefault(indent, texts[0].replace("\n", "\n" + "  " * indent)))
 
 
 def _emitter(cls: type) -> Emitter:
@@ -97,18 +118,19 @@ def _emitter(cls: type) -> Emitter:
         emit = lambda value, indent, out: out.append(str(value))
     elif issubclass(cls, float):
         emit = lambda value, indent, out: out.append(format_float(value))
-    elif issubclass(cls, (str, Enum)):
+    elif issubclass(cls, Enum):
+        emit = partial(_emit_enum, {id(member): encode_basestring_ascii(str(member)) for member in cls})
+    elif issubclass(cls, str):
         emit = lambda value, indent, out: out.append(encode_basestring_ascii(str(value)))
     elif issubclass(cls, (dict, MappingProxyType)):
         emit = _emit_dict
     elif issubclass(cls, (list, tuple)):
         emit = _emit_list
     elif hasattr(cls, "to_json_dict"):
-        emit = lambda value, indent, out: _emit_dict(value.to_json_dict(), indent, out)
+        emit = partial(_emit_derived, [((), ())])
     elif issubclass(cls, Record) or is_dataclass(cls):
         names = cls._fields if issubclass(cls, Record) else [f.name for f in fields(cls)]
-        heads = tuple((encode_basestring_ascii(name) + ": ", name) for name in names)  # encoded once per type
-        emit = partial(_emit_members, heads, getattr)
+        emit = partial(_emit_members, _heads(names), getattr)  # heads encoded once per type
         params = getattr(cls, "__dataclass_params__", None)  # a Record is frozen; a dataclass says so in its params
         if cls.__eq__ is Record.__eq__ or params and params.frozen and params.eq:
             emit = partial(_emit_kept, emit)

@@ -2,11 +2,16 @@
 
 from __future__ import annotations
 
+import enum
+import hashlib
 import json
 import math
+import random
 import weakref
 from dataclasses import dataclass
 from enum import Enum
+from functools import partial
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 import pytest
@@ -385,8 +390,13 @@ def _fresh_set(label: str = "Z") -> ConstraintSet:
     return ConstraintSet(zeros=(zero,), positivity=(Constraint(label + "+", (Setting.L1, Setting.R1), (Outcome.MINUS, Outcome.PLUS)),))
 
 
+def _kept_tables() -> dict[type, list[int]]:
+    """The size of each table an emitter keeps: the one key tuple of a ``to_json_dict`` type, an enum's member texts."""
+    return {cls: [len(arg) for arg in emit.args if isinstance(arg, (list, dict))] for cls, emit in _EMITTERS.items() if isinstance(emit, partial)}
+
+
 class TestKeptJson:
-    """A frozen record's JSON is rendered once, kept on the record, and shifted to each indent it is emitted at."""
+    """A frozen record's JSON is rendered once, kept on the record, and shifted once to each indent it is emitted at."""
 
     @pytest.mark.parametrize("alone_first", [True, False], ids=["alone-first", "nested-first"])
     def test_a_record_alone_and_nested_gives_the_shifted_text(self, alone_first: bool) -> None:
@@ -397,8 +407,53 @@ class TestKeptJson:
         alone = texts[id(cs)]
         assert alone == json.dumps(json.loads(alone), indent=2) + "\n"
         assert texts[id(nested)] == '{\n  "k": [\n    ' + alone[:-1].replace("\n", "\n    ") + "\n  ]\n}\n"
-        assert vars(cs)["_json"] == alone[:-1]  # kept at indent 0, without the closing newline
+        kept = vars(cs)["_json"]  # per indent depth, without the closing newline
+        assert kept[0] == alone[:-1] and kept[2] == alone[:-1].replace("\n", "\n    ") and sorted(kept) == [0, 2]
         assert to_json_text(cs) == alone and to_json_text(nested) == texts[id(nested)]
+
+    def test_a_record_at_three_depths_gives_each_depths_shifted_text(self) -> None:
+        plain = json.loads(to_json_text(_fresh_set()))
+        one = _fresh_set()  # first emitted at depth 1, then at 2 and 3 in the same payload
+        assert to_json_text({"a": one, "b": [one], "c": [[one]]}) == json.dumps({"a": plain, "b": [plain], "c": [[plain]]}, indent=2) + "\n"
+        across = _fresh_set()  # one depth per payload, deepest first, then again
+        for payload, twin in [([[across]], [[plain]]), (across, plain), ([across], [plain])] * 2:
+            assert to_json_text(payload) == json.dumps(twin, indent=2) + "\n"
+        assert sorted(vars(one)["_json"]) == [0, 1, 2, 3] and sorted(vars(across)["_json"]) == [0, 1, 2]
+
+    def test_members_and_flag_combinations_render_as_their_own_text(self) -> None:
+        class Access(enum.Flag):
+            READ = 1
+            WRITE = 2
+            RUN = 4
+
+        class Odd(Enum):
+            QUOTE = 1
+            ACCENT = 2
+
+            def __str__(self) -> str:
+                return {1: 'say "hi"\nthen \\', 2: "caf\u00e9 \u2192 \U0001d53c"}[self.value]
+
+        values = [Access.READ | Access.WRITE, Access.READ, Odd.QUOTE, Access.WRITE | Access.RUN, Odd.ACCENT, Access(0), Access.RUN]
+        expected = "[\n  " + ",\n  ".join(encode_basestring_ascii(str(value)) for value in values) + "\n]\n"
+        assert to_json_text(values) == to_json_text(values) == expected
+        assert json.loads(expected)[2:5:2] == ['say "hi"\nthen \\', "caf\u00e9 \u2192 \U0001d53c"]
+        assert [len(_EMITTERS[cls].args[0]) for cls in (Access, Odd)] == [3, 2]  # one text per listed member
+
+    def test_a_to_json_dict_type_renders_the_keys_of_each_call(self) -> None:
+        class Derived:
+            def __init__(self, members: dict) -> None:
+                self.members = members
+
+            def to_json_dict(self) -> dict:
+                return self.members
+
+        calls = [
+            {"a": 1, "b": 2}, {"a": 1, "b": 2}, {"b": 2, "a": 1}, {"a": 1}, {}, {"a": 1, "c": [3]},
+            {1: "x"}, {True: "x"}, {"1": "x"}, {1.0: "x"}, {"a": 1, "b": 2},
+        ]  # fmt: skip
+        for members in calls:
+            text = to_json_text(Derived(members))
+            assert text == to_json_text(members) and list(json.loads(text)) == [str(key) for key in members]
 
     def test_only_frozen_eq_records_without_to_json_dict_keep_their_text(self) -> None:
         @dataclass(frozen=True, eq=False)
@@ -461,7 +516,7 @@ class TestKeptJson:
     def test_the_text_dies_with_its_record_and_the_module_tables_stay_put(self) -> None:
         render_report(hardy_lhv_feasibility(_fresh_set()), "json")
         render_report(locality_violation_report(_fresh_set()), "json")  # every type and depth seen once
-        sizes = len(_EMITTERS), len(_PADS)
+        sizes = len(_EMITTERS), len(_PADS), _kept_tables()
         report = locality_violation_report(_fresh_set())
         render_report(report, "json")
         refs = [weakref.ref(report), weakref.ref(report.property1.constraint_set)]
@@ -471,7 +526,35 @@ class TestKeptJson:
             cs = _fresh_set(f"Z{i}")
             render_report(locality_violation_report(cs), "json")
             render_report(hardy_lhv_feasibility(cs), "json")
-        assert (len(_EMITTERS), len(_PADS)) == sizes
+        assert (len(_EMITTERS), len(_PADS), _kept_tables()) == sizes
+
+
+#: sha256 of the bytes below, recorded before a kept text was stored per depth and key heads and enum texts were encoded once.
+LOGIC_RENDER_DIGEST = "afd00542a4146962442e7431c00f29a2edc8049cd87e99423c8751478b75c7ce"
+
+_EVENTS = [((sl, sr), (ol, orr)) for sl in (Setting.L1, Setting.L2) for sr in (Setting.R1, Setting.R2) for ol in Outcome for orr in Outcome]
+
+
+def test_logic_report_bytes_match_the_recorded_digest() -> None:
+    """Locality and LHV JSON for the Hardy set, its four drop-one variants and seeded sets, 2,000 in all, hash as recorded.
+
+    The seeded sets are drawn as the benchmark's ``logic`` workload draws them: 1-3 zeros and 0-2 positivity events
+    among the 16 joint events. Every other set renders its LHV report first, so the text a constraint set keeps at one
+    depth is also reused at the other.
+    """
+    rng = random.Random(20261020)
+    hardy = hardy_constraint_set()
+    sets = [hardy] + [hardy.without(c.label) for c in hardy.zeros + hardy.positivity]
+    while len(sets) < 2000:
+        nz, npos = rng.randint(1, 3), rng.randint(0, 2)
+        constraints = [Constraint(f"Eq{i + 1}", *event) for i, event in enumerate(rng.sample(_EVENTS, nz + npos))]
+        sets.append(ConstraintSet(zeros=constraints[:nz], positivity=constraints[nz:]))
+    digest = hashlib.sha256()
+    for i, cs in enumerate(sets):
+        reports = locality_violation_report(cs), hardy_lhv_feasibility(cs)
+        for report in reports[::-1] if i % 2 else reports:
+            digest.update(render_report(report, "json"))
+    assert digest.hexdigest() == LOGIC_RENDER_DIGEST
 
 
 class TestRenderReport:

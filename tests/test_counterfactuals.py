@@ -398,6 +398,26 @@ class TestConstraintSet:
         with pytest.raises(ValidationError, match=f"^constraint set {field} must be an iterable of Constraint"):
             ConstraintSet(**{field: value})
 
+    @pytest.mark.parametrize("wrap", [tuple, list, lambda items: (item for item in items)], ids=["tuple", "list", "generator"])
+    def test_outcomes_and_constraints_take_any_iterable(self, wrap: Callable) -> None:
+        hardy = hardy_constraint_set()
+        assert CounterfactualInstance(wrap((PLUS, MINUS) * 3)) == CounterfactualInstance((PLUS, MINUS) * 3)
+        assert LocalStrategy(wrap((MINUS,) * 4)) == LocalStrategy((MINUS,) * 4)
+        assert ConstraintSet(zeros=wrap(hardy.zeros), positivity=wrap(hardy.positivity)) == hardy
+
+    @pytest.mark.parametrize("value", [5, None], ids=["int", "None"])
+    def test_a_non_iterable_gets_the_same_message_word_for_word(self, value: object) -> None:
+        calls = [
+            (CounterfactualInstance, "an instance needs exactly 6 Outcome entries"),
+            (LocalStrategy, "a strategy needs exactly 4 Outcome entries"),
+            (lambda v: ConstraintSet(zeros=v), f"constraint set zeros must be an iterable of Constraint objects, got {value!r}"),
+            (lambda v: ConstraintSet(positivity=v), f"constraint set positivity must be an iterable of Constraint objects, got {value!r}"),
+        ]
+        for call, message in calls:
+            with pytest.raises(ValidationError) as info:
+                call(value)
+            assert str(info.value) == message
+
     @pytest.mark.parametrize(
         "call",
         [
