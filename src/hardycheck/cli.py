@@ -3,15 +3,16 @@
 Each command takes only the flags it reads (``--theta``: verify, table;
 ``--tol``: verify, optimize), and the library checks each value.
 
-Exit codes: 0 when the command's checks pass, 1 when a check fails (for
-example a prediction verdict coming out false), 2 on usage errors such as an
-unknown or abbreviated flag, a flag the command does not take, or an out-of-range angle.
+Exit codes: 0 when the command's checks pass, 1 when a check fails (for example a prediction verdict coming
+out false), 2 on usage errors (an unknown or abbreviated flag, a flag the command does not take, an out-of-range
+angle) and when the report cannot be written (an ``--out`` path that cannot be opened, a stdout whose reader has gone).
 """
 
 from __future__ import annotations
 
 import argparse
 import math
+import os
 import re
 import sys
 from pathlib import Path
@@ -90,14 +91,17 @@ def main(argv: list[str] | None = None) -> int:
     except ConvergenceError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    if args.out is not None:
-        try:
+    try:
+        if args.out is not None:
             args.out.write_bytes(data)
-        except OSError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-    else:
-        sys.stdout.write(data.decode("utf-8"))
+        else:
+            sys.stdout.write(data.decode("utf-8"))
+            sys.stdout.flush()
+    except (OSError, ValueError) as exc:  # ValueError: a NUL in the path
+        if args.out is None:  # the reader has gone: send what is still buffered to devnull (signal docs, SIGPIPE)
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     return 0 if passed else 1
 
 

@@ -31,7 +31,6 @@ from collections.abc import Iterable
 from dataclasses import dataclass
 from functools import lru_cache, reduce
 from operator import and_, or_
-from typing import ClassVar
 
 from .quantum import LEFT_SETTINGS, OUTCOMES, RIGHT_SETTINGS, Outcome, Record, Setting, ValidationError, _MINUS, _require
 
@@ -360,7 +359,7 @@ class LocalityReport:
     sr_sometimes_false_at_l1: bool
     property1: Property1Report
     property2: Property2Report
-    note: ClassVar[str] = LOCALITY_NOTE
+    note = LOCALITY_NOTE
 
     def to_json_dict(self) -> dict[str, object]:
         return {

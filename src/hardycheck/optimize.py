@@ -75,10 +75,7 @@ def reference_curve(theta: float) -> float:
 
 
 def _check_bracket(lo: float, hi: float) -> tuple[float, float]:
-    lo = _as_float(lo, "lo")
-    hi = _as_float(hi, "hi")
-    if not (math.isfinite(lo) and math.isfinite(hi)):
-        raise ValidationError("bracket endpoints must be finite")
+    lo, hi = _as_float(lo, "lo"), _as_float(hi, "hi")
     if not (0.0 < lo < hi < math.pi / 2):
         raise ValidationError(f"need 0 < lo < hi < pi/2, got lo={lo!r}, hi={hi!r}")
     return lo, hi
@@ -118,6 +115,7 @@ def maximize_paradox(
     golden-section bracketing shrinks that cell until its width drops below
     ``tol`` or its interior points no longer separate in floating point, so
     every pass strictly shrinks the bracket and the loop always ends. The
+    result is the first evaluation that attains the largest value, and the
     reported ``iterations`` counts golden-section contractions only.
 
     Raises ``ConvergenceError`` if the result misses the closed-form maximum
@@ -128,53 +126,41 @@ def maximize_paradox(
     if not tol > 0.0:
         raise ValidationError(f"tol must be positive, got {tol!r}")
 
+    # Every evaluation in order: the interior of np.linspace(lo, hi, 65), two seeds, then one point per contraction.
     step = (hi - lo) / (_PRESCAN_POINTS - 1)
-    scan = [lo + i * step for i in range(1, _PRESCAN_POINTS - 1)]  # the interior of np.linspace(lo, hi, 65)
-    scan_values = [paradox_probability(x) for x in scan]
-    best_value = max(scan_values)
-    k = scan_values.index(best_value)
-    best_theta = scan[k]
-    a = scan[k - 1] if k > 0 else lo
-    b = scan[k + 1] if k + 1 < len(scan) else hi
-
-    def consider(theta: float, value: float) -> None:
-        nonlocal best_theta, best_value
-        if value > best_value:
-            best_theta, best_value = theta, value
+    grid = [lo, *(lo + i * step for i in range(1, _PRESCAN_POINTS - 1)), hi]
+    thetas = grid[1:-1]
+    values = [paradox_probability(x) for x in thetas]
+    k = values.index(max(values))
+    a, b = grid[k], grid[k + 2]  # the best prescan point's cell
 
     iterations = 0
-    width = b - a
-    if width > tol:
-        c = a + INV_PHI_SQ * width
-        d = a + INV_PHI * width
-        yc = paradox_probability(c)
-        yd = paradox_probability(d)
-        consider(c, yc)
-        consider(d, yd)
-        while width > tol and a < c < d < b:
+    if b - a > tol:
+        c, d = a + INV_PHI_SQ * (b - a), a + INV_PHI * (b - a)
+        yc, yd = paradox_probability(c), paradox_probability(d)
+        thetas += (c, d)
+        values += (yc, yd)
+        while b - a > tol and a < c < d < b:
             if yc > yd:
                 b, d, yd = d, c, yc
-                width = b - a
-                c = a + INV_PHI_SQ * width
+                c = a + INV_PHI_SQ * (b - a)
                 yc = paradox_probability(c)
-                consider(c, yc)
+                thetas.append(c)
+                values.append(yc)
             else:
                 a, c, yc = c, d, yd
-                width = b - a
-                d = a + INV_PHI * width
+                d = a + INV_PHI * (b - a)
                 yd = paradox_probability(d)
-                consider(d, yd)
+                thetas.append(d)
+                values.append(yd)
             iterations += 1
 
+    best = values.index(max(values))
     _, reference_value = reference_grid_maximum(lo, hi)
-    gap = abs(best_value - reference_value)
+    gap = abs(values[best] - reference_value)
     if gap > ORACLE_GAP_TOL:
         raise ConvergenceError(f"result misses the closed-form maximum by {gap:.3e}")
     return ObjectiveReport(
-        theta_star=best_theta,
-        p4_max=best_value,
-        iterations=iterations,
-        bracket=(lo, hi),
-        oracle_gap=gap,
+        theta_star=thetas[best], p4_max=values[best], iterations=iterations, bracket=(lo, hi), oracle_gap=gap
     )
 

@@ -13,13 +13,13 @@ from it once, as every raw newline is structural: strings have their own newline
 from __future__ import annotations
 
 import math
+from collections.abc import Callable, Collection
 from contextlib import suppress
 from dataclasses import fields, is_dataclass
 from enum import Enum
 from functools import partial
 from json.encoder import encode_basestring_ascii
 from types import MappingProxyType
-from typing import Callable, Collection
 
 from .counterfactuals import LocalityReport, Property1Report, Property2Report, hardy_constraint_set
 from .hardy import JointProbabilityTable, PredictionReport
@@ -73,8 +73,19 @@ def _emit_members(heads: Collection[tuple[str, object]], get: Callable, value: o
     out.append(closer if heads else "{}")
 
 
+def _key(key: object) -> str:
+    """A key that is not a ``str`` as ``json.dumps`` writes it: a float by its repr, not as a float value is."""
+    if isinstance(key, float):
+        return float.__repr__(key) if math.isfinite(key) else format_float(key)  # which refuses nan and inf
+    if key is None or isinstance(key, bool):
+        return "null" if key is None else "true" if key else "false"
+    if isinstance(key, int):
+        return int.__repr__(key)
+    raise TypeError(f"keys must be str, int, float, bool or None, not {type(key).__name__}")
+
+
 def _heads(keys: Collection) -> tuple[tuple[str, object], ...]:
-    return tuple((encode_basestring_ascii(str(key)) + ": ", key) for key in keys)
+    return tuple((encode_basestring_ascii(key if isinstance(key, str) else _key(key)) + ": ", key) for key in keys)
 
 
 def _emit_dict(value: dict | MappingProxyType, indent: int, out: list[str]) -> None:

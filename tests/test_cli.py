@@ -6,7 +6,10 @@ import enum
 import hashlib
 import json
 import math
+import os
 import random
+import subprocess
+import sys
 import weakref
 from dataclasses import dataclass
 from enum import Enum
@@ -48,6 +51,7 @@ from hardycheck.render import _EMITTERS, _PADS, _TEXT_RENDERERS
 
 PI_6 = "0.5235987755982988"
 GOLDEN = Path(__file__).parent / "golden"
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def run(capsys, *argv: str) -> tuple[int, str, str]:
@@ -255,6 +259,27 @@ class TestDeterminismAndOutput:
         assert err.count("\n") == 1
         assert not target.exists()
 
+    def test_out_path_with_a_nul_byte_is_one_line_usage_error(self, capsys) -> None:
+        code, out, err = run(capsys, "lhv", "--out", "a\x00b")  # open() refuses it with ValueError, not OSError
+        assert (code, out) == (2, "")
+        assert err.startswith("error:") and err.count("\n") == 1
+
+    def test_stdout_whose_reader_has_gone_is_one_line_error(self) -> None:
+        # Python ignores SIGPIPE, so the report's flush into a pipe with no reader raises BrokenPipeError.
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        env = {**os.environ, "PYTHONPATH": str(SRC)}
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "hardycheck.cli", "lhv"], stdout=write_end, stderr=subprocess.PIPE, env=env,
+                text=True, timeout=120,
+            )  # fmt: skip
+        finally:
+            os.close(write_end)
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("error:") and proc.stderr.count("\n") == 1, proc.stderr
+        assert "Traceback" not in proc.stderr
+
     def test_json_floats_carry_17_significant_digits(self, capsys) -> None:
         _, out, _ = run(capsys, "verify", "--theta", PI_6, "--format", "json")
         payload = json.loads(out)
@@ -453,7 +478,17 @@ class TestKeptJson:
         ]  # fmt: skip
         for members in calls:
             text = to_json_text(Derived(members))
-            assert text == to_json_text(members) and list(json.loads(text)) == [str(key) for key in members]
+            assert text == to_json_text(members) == json.dumps(members, indent=2) + "\n"  # 1 -> "1", True -> "true"
+
+    def test_a_nan_or_inf_key_is_refused_as_a_value_is_and_other_key_types_as_json_refuses_them(self) -> None:
+        for key in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ValidationError, match="^cannot serialize non-finite float"):
+                to_json_text({"a": 1, key: 2})
+        for key in ((1, 2), Setting.L1, b"x"):
+            with pytest.raises(TypeError, match=f"^keys must be str, int, float, bool or None, not {type(key).__name__}$"):
+                to_json_text({key: 1})
+            with pytest.raises(TypeError):
+                json.dumps({key: 1})
 
     def test_only_frozen_eq_records_without_to_json_dict_keep_their_text(self) -> None:
         @dataclass(frozen=True, eq=False)

@@ -371,6 +371,17 @@ class TestVerifyPredictions:
         with pytest.raises(ValidationError):
             verify_hardy_predictions(table, tol=0.0)
 
+    def test_a_value_equal_to_the_tolerance_fails_its_verdict(self) -> None:
+        # A zero holds below tol and the positivity above it, so a tol equal to the value fails either verdict.
+        table = joint_probability_table(build_hardy_configuration(math.pi / 6))
+        report = verify_hardy_predictions(table)
+        p1, p4 = report.p1_zero, report.p4_positive
+        assert 0.0 < p1 < 1e-32 and 0.07 < p4 < 0.08  # 5.75e-33 and 0.0781
+        assert verify_hardy_predictions(table, tol=p1).verdicts[0] is False
+        assert verify_hardy_predictions(table, tol=math.nextafter(p1, 1.0)).verdicts[0] is True
+        assert verify_hardy_predictions(table, tol=p4).verdicts[3] is False
+        assert verify_hardy_predictions(table, tol=math.nextafter(p4, 0.0)).verdicts[3] is True
+
 
 class TestNoSignalling:
     def test_passes_for_built_configurations(self) -> None:

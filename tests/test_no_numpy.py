@@ -1,4 +1,4 @@
-"""No command and no library call loads numpy: the package computes in pure Python.
+"""No command and no library call loads numpy: the package computes in pure Python. Nor does the CLI load typing.
 
 Each test runs in a fresh interpreter, since this pytest process has numpy loaded.
 """
@@ -126,3 +126,10 @@ def test_only_the_counterfactual_command_builds_the_instances_and_the_sr_table()
     # process of any other command would pay for them and never read them.
     for argvs, built in (([["table"], ["verify"], ["optimize"], ["lhv"]], [0, 0]), ([["counterfactual"]], [1, 1])):
         assert run_fresh(_LAZY_TABLES_AFTER, json.dumps(argvs)) == {"codes": [0] * len(argvs), "built": built}
+
+
+def test_the_cli_imports_no_typing() -> None:
+    # -S skips site, whose .pth files (certifi's, for one) may import typing before any package code runs.
+    code = "import sys; sys.path.insert(0, sys.argv[1]); import hardycheck.cli; print('typing' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-S", "-c", code, str(SRC)], capture_output=True, text=True, timeout=120)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "False\n", "")

@@ -20,6 +20,7 @@ import hardycheck.optimize as optimize_module
 import hardycheck.quantum as quantum_module
 from hardycheck import (
     DEFAULT_BRACKET,
+    ConvergenceError,
     MeasurementBasis,
     Outcome,
     Setting,
@@ -403,6 +404,48 @@ class TestMaximizeParadox:
     def test_invalid_inputs_rejected(self, kwargs: dict) -> None:
         with pytest.raises(ValidationError):
             maximize_paradox(**kwargs)
+
+
+class TestBoundaries:
+    """A value exactly on each bound of the search and its checks."""
+
+    def test_lo_at_zero_is_refused(self) -> None:
+        with pytest.raises(ValidationError, match=r"^need 0 < lo < hi < pi/2, got lo=0\.0, "):
+            maximize_paradox(lo=0.0)
+
+    @pytest.mark.parametrize("lo, hi", [(math.nan, 1.0), (0.1, math.inf), (-math.inf, 1.0)])
+    def test_a_nan_or_infinite_endpoint_gets_the_range_message(self, lo: float, hi: float) -> None:
+        for call in (maximize_paradox, reference_grid_maximum):
+            with pytest.raises(ValidationError, match=rf"^need 0 < lo < hi < pi/2, got lo={lo!r}, hi={hi!r}$"):
+                call(lo, hi)
+
+    def test_a_tol_equal_to_the_prescan_cell_width_seeds_no_search(self, monkeypatch: pytest.MonkeyPatch) -> None:
+        """At that tol only the 63 scan points are evaluated; one ulp below it, the 2 seeds and 1 contraction too."""
+        grid = np.linspace(DEFAULT_LO, DEFAULT_HI, 65)
+        k = int(np.argmax([paradox_probability(float(t)) for t in grid[1:-1]]))
+        width = float(grid[k + 2] - grid[k])  # the cell around the best scan point
+        calls = []
+        objective = optimize_module.paradox_probability
+        monkeypatch.setattr(optimize_module, "paradox_probability", lambda theta: calls.append(theta) or objective(theta))
+        for tol, count in ((width, 63), (math.nextafter(width, 0.0), 66)):
+            calls.clear()
+            with pytest.raises(ConvergenceError):  # the cell's best point is 2e-4 below the peak, the search's 3e-6
+                maximize_paradox(tol=tol)
+            assert len(calls) == count, tol
+
+    def test_a_gap_equal_to_the_oracle_tolerance_passes(self, monkeypatch: pytest.MonkeyPatch) -> None:
+        gap = maximize_paradox().oracle_gap
+        assert gap > 0.0
+        monkeypatch.setattr(optimize_module, "ORACLE_GAP_TOL", gap)
+        assert maximize_paradox().oracle_gap == gap
+        monkeypatch.setattr(optimize_module, "ORACLE_GAP_TOL", math.nextafter(gap, 0.0))
+        with pytest.raises(ConvergenceError, match="^result misses the closed-form maximum by "):
+            maximize_paradox()
+
+    def test_a_peakless_bracket_with_equal_endpoint_values_returns_lo(self) -> None:
+        lo, hi = 0.45, math.pi / 2 - 0.45  # mirror images about pi/4, both between the peaks
+        assert reference_curve(lo) == reference_curve(hi)
+        assert reference_grid_maximum(lo, hi) == (lo, reference_curve(lo))
 
 
 class TestFiniteDifference:

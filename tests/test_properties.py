@@ -638,7 +638,8 @@ def test_select_keeps_the_members_of_the_per_item_scan_in_index_order(instances:
         assert _select(instances, items) == select_as_formerly_scanned(instances, items)
 
 
-json_keys = st.text()  # every code point, so non-ASCII and control characters too
+# Every code point, so non-ASCII and control characters too, and every other key type json.dumps takes.
+json_keys = st.text() | st.integers() | st.booleans() | st.none() | st.floats(allow_nan=False, allow_infinity=False)
 json_trees = st.recursive(
     st.none() | st.booleans() | st.integers() | st.text(),
     lambda children: st.lists(children, max_size=3) | st.dictionaries(json_keys, children, max_size=3),
@@ -663,6 +664,7 @@ def deep_json_values(draw: st.DrawFn) -> object:
 @example(value=[])
 @example(value={})
 @example(value={"\x00\n\u00e9\U0001f600": [[], {}, "\x7f"]})
+@example(value={True: 1, 1.5: 2, None: 3, -0.0: 4})
 def test_json_text_is_what_stdlib_json_prints(value: object) -> None:
     assert to_json_text(value) == json.dumps(value, indent=2) + "\n"
 

@@ -236,6 +236,26 @@ class TestValidateBasis:
         with pytest.raises(ValidationError, match="tol must be positive and finite"):
             validate_basis(repeated, tol=tol)
 
+    def test_a_deviation_equal_to_the_tolerance_passes(self) -> None:
+        basis = build_hardy_configuration(math.pi / 6).basis(Setting.L1)
+        report = validate_basis(basis)
+        err = max(report.plus_norm_error, report.minus_norm_error, report.overlap)
+        assert err == 2.0**-52
+        assert validate_basis(basis, tol=err).passed
+        assert not validate_basis(basis, tol=math.nextafter(err, 0.0)).passed
+
+    @pytest.mark.parametrize(
+        "plus, minus, tol, broken",
+        [
+            ([2, 0], [2, 2], 3.0, ["minus", "plus/minus"]),  # deviations 3, 7, 4: plus's 3 is on tol
+            ([2, 1], [0, 2], 3.0, ["plus"]),  # deviations 4, 3, 2: minus's 3 is on tol
+            ([2, 1], [0, 2], 2.0, ["plus", "minus"]),  # and here the overlap's 2 is
+        ],
+    )
+    def test_a_deviation_on_the_tolerance_is_not_listed_beside_a_broken_one(self, plus, minus, tol, broken) -> None:
+        report = validate_basis(MeasurementBasis(plus=plus, minus=minus, label=Setting.R1), tol=tol)
+        assert [failure.split()[0] for failure in report.failures] == broken
+
     def test_tolerance_controls_verdict(self) -> None:
         skewed = MeasurementBasis(plus=np.array([1.0, 1e-8]), minus=np.array([0.0, 1.0]), label=Setting.R2)
         assert not validate_basis(skewed, tol=1e-12).passed
