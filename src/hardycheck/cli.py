@@ -17,10 +17,7 @@ import re
 import sys
 from pathlib import Path
 
-from .counterfactuals import hardy_constraint_set, locality_violation_report
-from .hardy import build_hardy_configuration, joint_probability_table, verify_hardy_predictions
-from .lhv import hardy_lhv_feasibility
-from .optimize import ConvergenceError, maximize_paradox
+from . import counterfactuals, hardy, lhv, optimize  # lazy (see __init__): a command runs only those it calls
 from .quantum import ValidationError
 from .render import UsageError, render_report
 
@@ -65,18 +62,18 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _run_command(args: argparse.Namespace) -> tuple[object, bool]:
     if args.command == "verify":
-        table = joint_probability_table(build_hardy_configuration(args.theta))
-        report = verify_hardy_predictions(table, tol=args.tol)
+        table = hardy.joint_probability_table(hardy.build_hardy_configuration(args.theta))
+        report = hardy.verify_hardy_predictions(table, tol=args.tol)
         return report, report.all_hold
     if args.command == "table":
-        return joint_probability_table(build_hardy_configuration(args.theta)), True
+        return hardy.joint_probability_table(hardy.build_hardy_configuration(args.theta)), True
     if args.command == "counterfactual":
-        report = locality_violation_report(hardy_constraint_set())
+        report = counterfactuals.locality_violation_report(counterfactuals.hardy_constraint_set())
         return report, report.violation
     if args.command == "lhv":
-        result = hardy_lhv_feasibility()
+        result = lhv.hardy_lhv_feasibility()
         return result, not result.feasible
-    return maximize_paradox(tol=args.tol), True
+    return optimize.maximize_paradox(tol=args.tol), True
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -88,7 +85,7 @@ def main(argv: list[str] | None = None) -> int:
     except (UsageError, ValidationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except ConvergenceError as exc:
+    except optimize.ConvergenceError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     try:

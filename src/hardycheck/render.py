@@ -8,6 +8,7 @@ Each indent depth's brackets and separator are built once.
 A frozen record with field-wise eq and no ``to_json_dict`` that hashes (holds no mapping or list) keeps
 its text per indent depth as ``_json``, which dies with it: depth 0 as rendered, each other depth shifted
 from it once, as every raw newline is structural: strings have their own newlines escaped.
+A text renderer is found by the module and name of the report's class, so render runs no model module.
 """
 
 from __future__ import annotations
@@ -21,10 +22,7 @@ from functools import partial
 from json.encoder import encode_basestring_ascii
 from types import MappingProxyType
 
-from .counterfactuals import LocalityReport, Property1Report, Property2Report, hardy_constraint_set
-from .hardy import JointProbabilityTable, PredictionReport
-from .lhv import FeasibilityResult
-from .optimize import ObjectiveReport
+from . import counterfactuals, hardy, lhv, optimize  # lazy (see __init__): only annotations and one call read them
 from .quantum import Record, ValidationError
 
 
@@ -125,8 +123,10 @@ def _emitter(cls: type) -> Emitter:
         emit = lambda value, indent, out: out.append("true" if value else "false")
     elif cls is type(None):
         emit = lambda value, indent, out: out.append("null")
-    elif issubclass(cls, int):
+    elif cls is int:
         emit = lambda value, indent, out: out.append(str(value))
+    elif issubclass(cls, int):  # as json.dumps writes it: not by a subclass's __str__, such as an IntEnum's on 3.10
+        emit = lambda value, indent, out: out.append(int.__repr__(value))
     elif issubclass(cls, float):
         emit = lambda value, indent, out: out.append(format_float(value))
     elif issubclass(cls, Enum):
@@ -166,8 +166,8 @@ def _yes(ok: bool) -> str:
     return "yes" if ok else "NO"
 
 
-def _text_prediction(report: PredictionReport) -> str:
-    events = hardy_constraint_set()
+def _text_prediction(report: hardy.PredictionReport) -> str:
+    events = counterfactuals.hardy_constraint_set()
     values = (report.p1_zero, report.p2_zero, report.p3_zero, report.p4_positive)
     lines = [f"Hardy prediction report (tol = {format_float(report.tol)})"]
     for i, (event, p, ok) in enumerate(zip(events.zeros + events.positivity, values, report.verdicts)):
@@ -180,7 +180,7 @@ def _text_prediction(report: PredictionReport) -> str:
     return "\n".join(lines)
 
 
-def _text_table(table: JointProbabilityTable) -> str:
+def _text_table(table: hardy.JointProbabilityTable) -> str:
     lines = ["setting pair   outcome pair   probability"]
     for record in table.records():
         lines.append(
@@ -190,7 +190,7 @@ def _text_table(table: JointProbabilityTable) -> str:
     return "\n".join(lines)
 
 
-def _csv_table(table: JointProbabilityTable) -> str:
+def _csv_table(table: hardy.JointProbabilityTable) -> str:
     lines = ["setting_pair,outcome_pair,probability"]
     for record in table.records():
         prob = format_float(record["probability"])
@@ -198,7 +198,7 @@ def _csv_table(table: JointProbabilityTable) -> str:
     return "\n".join(lines)
 
 
-def _text_property1(report: Property1Report) -> str:
+def _text_property1(report: counterfactuals.Property1Report) -> str:
     lines = [
         f"Property 1 (L2 implies SR): {'holds' if report.holds else 'FAILS'} "
         f"over {len(report.admissible)} zero-satisfying instances"
@@ -208,7 +208,7 @@ def _text_property1(report: Property1Report) -> str:
     return "\n".join(lines)
 
 
-def _text_property2(report: Property2Report) -> str:
+def _text_property2(report: counterfactuals.Property2Report) -> str:
     if not report.witness_found:
         return 'Property 2 ("L1 implies SR" is false): NO witness found'
     lines = [
@@ -221,7 +221,7 @@ def _text_property2(report: Property2Report) -> str:
     return "\n".join(lines)
 
 
-def _text_locality(report: LocalityReport) -> str:
+def _text_locality(report: counterfactuals.LocalityReport) -> str:
     lines = [
         "Counterfactual locality analysis",
         "  " + _text_property1(report.property1).replace("\n", "\n  "),
@@ -234,7 +234,7 @@ def _text_locality(report: LocalityReport) -> str:
     return "\n".join(lines)
 
 
-def _text_feasibility(result: FeasibilityResult) -> str:
+def _text_feasibility(result: lhv.FeasibilityResult) -> str:
     lines = [
         "Local deterministic strategy feasibility",
         f"  strategies compatible with all constraints: {len(result.witnesses)} of 16",
@@ -251,7 +251,7 @@ def _text_feasibility(result: FeasibilityResult) -> str:
     return "\n".join(lines)
 
 
-def _text_objective(report: ObjectiveReport) -> str:
+def _text_objective(report: optimize.ObjectiveReport) -> str:
     return "\n".join(
         [
             "Paradox probability maximization",
@@ -264,13 +264,23 @@ def _text_objective(report: ObjectiveReport) -> str:
     )
 
 
-_TEXT_RENDERERS = (
-    (PredictionReport, _text_prediction),
-    (JointProbabilityTable, _text_table),
-    (LocalityReport, _text_locality),
-    (FeasibilityResult, _text_feasibility),
-    (ObjectiveReport, _text_objective),
-)
+#: Each printed report type, by module and name, so that render imports no report class, and its text renderer.
+_TEXT_RENDERERS = {
+    ("hardycheck.hardy", "PredictionReport"): _text_prediction,
+    ("hardycheck.hardy", "JointProbabilityTable"): _text_table,
+    ("hardycheck.counterfactuals", "LocalityReport"): _text_locality,
+    ("hardycheck.lhv", "FeasibilityResult"): _text_feasibility,
+    ("hardycheck.optimize", "ObjectiveReport"): _text_objective,
+}
+_TABLE = ("hardycheck.hardy", "JointProbabilityTable")
+
+
+def _printed_type(report: object) -> tuple[str, str] | None:
+    """The first of the report's classes that a command prints, as a ``_TEXT_RENDERERS`` key."""
+    for cls in type(report).__mro__:
+        if (key := (cls.__module__, cls.__qualname__)) in _TEXT_RENDERERS:
+            return key
+    return None
 
 
 def render_report(report: object, fmt: str) -> bytes:
@@ -280,16 +290,15 @@ def render_report(report: object, fmt: str) -> bytes:
     ``UsageError``. Rendering is pure: the same report and format always
     produce identical bytes.
     """
+    kind = _printed_type(report)
     if fmt == "json":
-        payload = report.records() if isinstance(report, JointProbabilityTable) else report
-        return to_json_text(payload).encode("utf-8")
+        return to_json_text(report.records() if kind == _TABLE else report).encode("utf-8")
     if fmt == "csv":
-        if isinstance(report, JointProbabilityTable):
+        if kind == _TABLE:
             return (_csv_table(report) + "\n").encode("utf-8")
         raise UsageError("csv output is only available for probability tables")
     if fmt == "text":
-        for kind, renderer in _TEXT_RENDERERS:
-            if isinstance(report, kind):
-                return (renderer(report) + "\n").encode("utf-8")
+        if kind is not None:
+            return (_TEXT_RENDERERS[kind](report) + "\n").encode("utf-8")
         raise TypeError(f"no text renderer for {type(report).__name__}")
     raise UsageError(f"unknown format: {fmt!r}")

@@ -1,5 +1,6 @@
 """No command and no library call loads numpy: the package computes in pure Python. Nor does the CLI load typing.
 
+A cold command runs only the library submodules it uses, though all six are in ``sys.modules``.
 Each test runs in a fresh interpreter, since this pytest process has numpy loaded.
 """
 
@@ -9,6 +10,8 @@ import json
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 from hardycheck.cli import _COMMANDS
 
@@ -83,13 +86,150 @@ def test_import_loads_every_library_submodule_and_no_call_loads_numpy() -> None:
     assert result["numpy"] is False
 
 
+#: A submodule is in sys.modules from ``import hardycheck`` on, but runs on its first attribute read; type() reads none.
+_RAN = """
+import contextlib, io, json, sys, types
+sys.path.insert(0, sys.argv[1])
+
+def ran():
+    return sorted(n[11:] for n, m in list(sys.modules.items()) if n.startswith("hardycheck.") and type(m) is types.ModuleType)
+"""
+
+_RAN_FOR_ARGV = (
+    _RAN
+    + """
+import hardycheck.cli
+with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+    code = hardycheck.cli.main(json.loads(sys.argv[2]))
+print(json.dumps({"code": code, "ran": ran()}))
+"""
+)
+
+#: The library submodules a cold command runs: its own, what they import, and render, which imports quantum.
+RUNS = {
+    "verify": ["counterfactuals", "hardy", "quantum", "render"],
+    "table": ["counterfactuals", "hardy", "quantum", "render"],
+    "counterfactual": ["counterfactuals", "quantum", "render"],
+    "lhv": ["counterfactuals", "lhv", "quantum", "render"],
+    "optimize": ["counterfactuals", "hardy", "optimize", "quantum", "render"],
+}
+
+
+@pytest.mark.parametrize(
+    "argv", [[name, "--format", fmt] for name, formats, _, _ in _COMMANDS for fmt in formats], ids=" ".join
+)
+def test_a_command_runs_only_the_library_submodules_it_uses(argv: list[str]) -> None:
+    assert run_fresh(_RAN_FOR_ARGV, json.dumps(argv)) == {"code": 0, "ran": ["cli", *RUNS[argv[0]]]}
+
+
+def test_a_usage_error_runs_only_quantum_and_render() -> None:
+    assert run_fresh(_RAN_FOR_ARGV, json.dumps(["frobnicate"])) == {"code": 2, "ran": ["cli", "quantum", "render"]}
+
+
+_TRACER_VIEW = (
+    _RAN
+    + """
+import hardycheck.cli
+listed = sorted(name for name in sys.modules if name.startswith("hardycheck."))
+before = ran()
+for name in listed:
+    vars(sys.modules[name])  # as the tracer reads each module's bindings
+print(json.dumps({"listed": listed, "before": before, "after": ran()}))
+"""
+)
+
+
+def test_every_library_submodule_is_in_sys_modules_after_importing_the_cli() -> None:
+    # perfbench's tracer and cli_child look every submodule up in sys.modules and wrap its functions before main runs;
+    # reading a lazy module's attributes, as they do, runs it.
+    assert run_fresh(_TRACER_VIEW) == {
+        "listed": sorted(f"hardycheck.{name}" for name in ("cli", *SUBMODULES)),
+        "before": ["cli", "quantum", "render"],
+        "after": sorted(("cli", *SUBMODULES)),
+    }
+
+
+_FIRST_READS_FROM_THREADS = """
+import json, sys, threading
+sys.path.insert(0, sys.argv[1])
+import hardycheck
+sys.setswitchinterval(1e-6)
+reads = [
+    lambda: hardycheck.hardy.joint_probability_table,
+    lambda: hardycheck.optimize.maximize_paradox,
+    lambda: hardycheck.lhv.hardy_lhv_feasibility,
+    lambda: hardycheck.maximize_paradox,
+] * 2
+barrier = threading.Barrier(len(reads))
+errors = []
+
+def read(get):
+    barrier.wait(timeout=60)
+    try:
+        get()
+    except Exception as exc:
+        errors.append(repr(exc))
+
+threads = [threading.Thread(target=read, args=(get,), daemon=True) for get in reads]
+for thread in threads:
+    thread.start()
+for thread in threads:
+    thread.join(timeout=60)
+print(json.dumps({"errors": errors, "alive": sum(thread.is_alive() for thread in threads)}))
+"""
+
+
+def test_threads_that_first_read_the_same_modules_at_once_each_see_them_whole() -> None:
+    # importlib.util.LazyLoader, before Python 3.13, makes a module plain before running its code, so a second thread
+    # read a half-run module (AttributeError on 3.10.13, 3.11.7 and 3.12.1); here it waits for the run to end.
+    for _ in range(3):
+        assert run_fresh(_FIRST_READS_FROM_THREADS) == {"errors": [], "alive": 0}
+
+
+_PACKAGE_NAMES = (
+    _RAN
+    + """
+import hardycheck
+
+def names():
+    return {"dir": dir(hardycheck), "all": list(hardycheck.__all__), "ran": ran()}
+
+before = names()
+first = {name: getattr(hardycheck, name) for name in hardycheck.__all__}
+after = names()
+modules = [vars(sys.modules[f"hardycheck.{name}"]) for name in after["ran"]]
+print(json.dumps({
+    "before": before,
+    "after": after,
+    "kept": [name for name, value in first.items() if vars(hardycheck)[name] is value],
+    "getattr_left": "__getattr__" in vars(hardycheck),
+    "from_a_submodule": [name for name, value in first.items() if any(m.get(name) is value for m in modules)],
+}))
+"""
+)
+
+
+def test_dir_all_and_every_export_read_the_same_before_and_after_the_first_access() -> None:
+    result = run_fresh(_PACKAGE_NAMES)
+    before, after = result["before"], result["after"]
+    assert before["ran"] == [] and after["ran"] == sorted(SUBMODULES)  # dir() and __all__ run nothing
+    assert before["dir"] == after["dir"] and before["all"] == after["all"]
+    names = after["all"]
+    assert len(names) == len(set(names)) == 62
+    assert names == sorted(names, key=lambda name: (not name.isupper(), name[0].islower(), name))  # constants first
+    public = [name for name in after["dir"] if not name.startswith("_")]
+    assert public == sorted([*names, *SUBMODULES, "annotations"])
+    assert result["kept"] == result["from_a_submodule"] == names
+    assert result["getattr_left"] is False  # while a module has one, Python 3.11+ reads its attributes unspecialized
+
+
 _DATACLASSES_AFTER_IMPORT = """
 import json, sys
 sys.path.insert(0, sys.argv[1])
 import hardycheck.cli
 print(json.dumps(sorted(
     f"{name}.{cls}"
-    for name, module in sys.modules.items() if name.startswith("hardycheck.")
+    for name, module in list(sys.modules.items()) if name.startswith("hardycheck.")
     for cls, value in vars(module).items()
     if isinstance(value, type) and value.__module__ == name and "__dataclass_fields__" in vars(value)
 )))
