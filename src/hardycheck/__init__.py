@@ -28,9 +28,9 @@ _EXPORTS = {
         ),
         (
             "counterfactuals",
-            "INSTANCE_FIELDS AdmissibilityReport Constraint ConstraintSet CounterfactualInstance LocalityReport"
-            " Property1Report Property2Report SRVerdict check_property1 check_property2 ensemble_admissible"
-            " enumerate_instances evaluate_sr hardy_constraint_set locality_violation_report realizes satisfies_zeros",
+            "INSTANCE_FIELDS Constraint ConstraintSet CounterfactualInstance LocalityReport Property1Report"
+            " Property2Report SRVerdict check_property1 check_property2 enumerate_instances evaluate_sr"
+            " hardy_constraint_set locality_violation_report realizes satisfies_zeros",
         ),
         (
             "hardy",

@@ -29,9 +29,9 @@ class _Parser(argparse.ArgumentParser):
         super().__init__(*args, **kwargs)
         self._negative_number_matcher = re.compile(r"-\.?\d")  # argparse hook: -1e-9 and -.5 are values, not flags
 
-    # argparse hook; raising keeps library callers away from SystemExit
+    # argparse hook; raising keeps library callers away from SystemExit. Unprintable characters are escaped: one line.
     def error(self, message: str) -> None:
-        raise UsageError(message)
+        raise UsageError("".join(c if c.isprintable() else c.encode("unicode_escape").decode() for c in message))
 
 
 #: (flag, default, help line) of each value flag.

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 from functools import lru_cache, reduce
 from operator import and_, or_
 
-from .quantum import LEFT_SETTINGS, OUTCOMES, RIGHT_SETTINGS, Outcome, Record, Setting, ValidationError, _MINUS, _require
+from .quantum import LEFT_SETTINGS, OUTCOMES, RIGHT_SETTINGS, Outcome, Record, Setting, ValidationError, _MINUS, _require, _shown
 
 #: Field order of the canonical 6-tuple encoding of an instance.
 INSTANCE_FIELDS = ("o_L(L1)", "o_L(L2)", "o_R(L1,R1)", "o_R(L1,R2)", "o_R(L2,R1)", "o_R(L2,R2)")
@@ -56,7 +56,7 @@ def _require_side(setting: object, side: tuple[Setting, Setting]) -> Setting:
     """Return ``setting`` if it is one of ``side`` (``LEFT_SETTINGS`` or ``RIGHT_SETTINGS``)."""
     if setting not in side:
         name = "left" if side is LEFT_SETTINGS else "right"
-        got = setting if isinstance(setting, Setting) else f"{setting!r} ({type(setting).__name__})"
+        got = setting if isinstance(setting, Setting) else f"{_shown(setting)} ({type(setting).__name__})"
         raise ValidationError(f"expected a {name}-side choice ({side[0]} or {side[1]}), got {got}")
     return setting
 
@@ -126,11 +126,11 @@ class Constraint(Record):
 
     def __init__(self, label: str, settings: tuple[Setting, Setting], outcomes: tuple[Outcome, Outcome]) -> None:
         if not (isinstance(label, str) and label):
-            raise ValidationError(f"constraint label must be a non-empty string, got {label!r}")
+            raise ValidationError(f"constraint label must be a non-empty string, got {_shown(label)}")
         if not (isinstance(settings, tuple) and isinstance(outcomes, tuple) and len(settings) == len(outcomes) == 2):
-            raise ValidationError(f"constraint {label!r} needs a (left, right) tuple of settings and of outcomes")
+            raise ValidationError(f"constraint {_shown(label)} needs a (left, right) tuple of settings and of outcomes")
         if not all(isinstance(o, Outcome) for o in outcomes):
-            raise ValidationError(f"constraint {label!r} outcomes must be Outcome members, got {outcomes!r}")
+            raise ValidationError(f"constraint {_shown(label)} outcomes must be Outcome members, got {_shown(outcomes)}")
         _require_side(settings[0], LEFT_SETTINGS)
         _require_side(settings[1], RIGHT_SETTINGS)
         # Not a field, so eq, hash and JSON ignore it: the instances realizing the event.
@@ -157,7 +157,7 @@ class ConstraintSet(Record):
         entries = {}
         for name, value in (("zeros", zeros), ("positivity", positivity)):
             if not isinstance(value, Iterable):
-                raise ValidationError(f"constraint set {name} must be an iterable of Constraint objects, got {value!r}")
+                raise ValidationError(f"constraint set {name} must be an iterable of Constraint objects, got {_shown(value)}")
             entries[name] = tuple(value)
         zeros, positivity = entries.values()
         if not all(isinstance(c, Constraint) for c in zeros + positivity):
@@ -176,7 +176,7 @@ class ConstraintSet(Record):
         for c in self.zeros + self.positivity:
             if c.label == label:
                 return c
-        raise ValidationError(f"label {label!r} names no constraint in this set")
+        raise ValidationError(f"label {_shown(label)} names no constraint in this set")
 
     def without(self, label: str) -> ConstraintSet:
         """A copy with the named constraint removed (from either list)."""
@@ -391,35 +391,3 @@ def locality_violation_report(constraint_set: ConstraintSet) -> LocalityReport:
         property1=p1,
         property2=p2,
     )
-
-
-class AdmissibilityReport(Record):
-    admissible: bool
-    failures: tuple[str, ...]
-
-
-def ensemble_admissible(support: Iterable[CounterfactualInstance], constraint_set: ConstraintSet) -> AdmissibilityReport:
-    """Check an ensemble, given as the instances it supports, against the constraints.
-
-    Every instance must avoid each zero event; each positivity event and the
-    left event (L1, -), which the SR falsification needs, must occur in some
-    instance. Only the support matters, so the ensemble carries no weights.
-    """
-    _require(constraint_set, ConstraintSet, "constraint_set")
-    try:
-        items = iter(support)
-    except TypeError:
-        raise ValidationError(f"support must be an iterable of CounterfactualInstance objects, got {support!r}") from None
-    support = tuple(items)
-    failures: list[str] = []
-    for inst in support:
-        _require(inst, CounterfactualInstance, "instance")
-        for zero in constraint_set.zeros:
-            if realizes(inst, zero):
-                failures.append(f"instance {inst.index} realizes zero event {zero.label}")
-    for positive in constraint_set.positivity:
-        if not any(realizes(inst, positive) for inst in support):
-            failures.append(f"positivity event {positive.label} never realized")
-    if not any(inst.left_outcome(Setting.L1) is Outcome.MINUS for inst in support):
-        failures.append(f"left event {Setting.L1}{Outcome.MINUS} never realized")
-    return AdmissibilityReport(not failures, tuple(failures))

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Mapping, Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from types import MappingProxyType
 
 from .counterfactuals import hardy_constraint_set
@@ -33,6 +33,7 @@ from .quantum import (
     ValidationError,
     _as_float,
     _require,
+    _shown,
     born_joint_probability,
 )
 
@@ -89,7 +90,7 @@ class HardyConfiguration(Record, eq=False):
         try:
             return self.bases[_BASIS_INDEX[setting]]
         except (KeyError, TypeError):
-            raise ValidationError(f"setting must be a Setting, got {setting!r}") from None
+            raise ValidationError(f"setting must be a Setting, got {_shown(setting)}") from None
 
 
 def _as_angle(theta: object) -> float:
@@ -200,8 +201,8 @@ class JointProbabilityTable(Record, eq=False):
             return self.entries[((left_setting, right_setting), (left_outcome, right_outcome))]
         except (KeyError, TypeError):
             raise ValidationError(
-                f"no table entry for left_setting={left_setting!r}, right_setting={right_setting!r}, "
-                f"left_outcome={left_outcome!r}, right_outcome={right_outcome!r}"
+                f"no table entry for left_setting={_shown(left_setting)}, right_setting={_shown(right_setting)}, "
+                f"left_outcome={_shown(left_outcome)}, right_outcome={_shown(right_outcome)}"
             ) from None
 
     def left_marginal(self, left_setting: Setting, left_outcome: Outcome, right_setting: Setting) -> float:
@@ -250,22 +251,10 @@ class PredictionReport:
     left_minus_marginal_under_L1: float
     verdicts: tuple[bool, bool, bool, bool]
     tol: float
+    all_hold: bool = field(init=False)
 
-    @property
-    def all_hold(self) -> bool:
-        return all(self.verdicts)
-
-    def to_json_dict(self) -> dict[str, object]:
-        return {
-            "p1_zero": self.p1_zero,
-            "p2_zero": self.p2_zero,
-            "p3_zero": self.p3_zero,
-            "p4_positive": self.p4_positive,
-            "left_minus_marginal_under_L1": self.left_minus_marginal_under_L1,
-            "verdicts": self.verdicts,
-            "tol": self.tol,
-            "all_hold": self.all_hold,
-        }
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "all_hold", all(self.verdicts))
 
 
 def verify_hardy_predictions(table: JointProbabilityTable, tol: float = ZERO_TOL) -> PredictionReport:
@@ -346,7 +335,7 @@ def to_hardy_notation(setting: Setting, outcome: Outcome) -> str:
     try:
         return _HARDY_LABELS[(setting, outcome)]
     except (KeyError, TypeError):
-        raise ValidationError(f"no ket label for setting {setting!r} and outcome {outcome!r}") from None
+        raise ValidationError(f"no ket label for setting {_shown(setting)} and outcome {_shown(outcome)}") from None
 
 
 def from_hardy_notation(label: str) -> tuple[Setting, Outcome]:
@@ -354,4 +343,4 @@ def from_hardy_notation(label: str) -> tuple[Setting, Outcome]:
     try:
         return _HARDY_LABELS_INVERSE[label]
     except (KeyError, TypeError):
-        raise ValidationError(f"label must be one of the eight ket labels, got {label!r}") from None
+        raise ValidationError(f"label must be one of the eight ket labels, got {_shown(label)}") from None

@@ -161,13 +161,10 @@ def hardy_lhv_feasibility(constraint_set: ConstraintSet | None = None) -> Feasib
     A strategy passes when its embedded instance is in the allowed and the
     realized instance set. With at most one positivity event this equals
     mixture feasibility; with more, a mixture can pass where no strategy does.
-    ``ensemble_admissible`` checks a given mixture: it takes counterfactual
-    instances, so each strategy ``s`` goes in as ``s.as_instance()``, and it also
-    requires the left event (L1, -) to occur. For the full Hardy set
-    none passes and the deduction trace closes in three steps: assuming the
-    (L1-, R1+) event, the zero on (L2,R1) forces o_L(L2) = -, the zero on
-    (L1,R2) forces o_R(R2) = +, and the zero on (L2,R2) is then realized
-    outright. Dropping any single constraint reopens feasibility.
+    For the full Hardy set none passes, and the trace closes in three steps:
+    assuming (L1-, R1+), the zero on (L2,R1) forces o_L(L2) = -, the zero on
+    (L1,R2) forces o_R(R2) = +, and the zero on (L2,R2) is realized outright.
+    Dropping any single constraint reopens feasibility.
     """
     cs = hardy_constraint_set() if constraint_set is None else _require(constraint_set, ConstraintSet, "constraint_set")
     feasible = cs._allowed & cs._realized

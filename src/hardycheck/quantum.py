@@ -122,6 +122,14 @@ def _require(value: object, cls: type, what: str) -> object:
     return value
 
 
+def _shown(value: object) -> str:
+    """A caller's value in a message: its ``repr``, which fails on an int of too many digits (a float's cannot)."""
+    try:
+        return repr(value)
+    except ValueError:
+        return f"<{type(value).__name__} too long to show>"
+
+
 class Record:
     """A frozen record of the names annotated in its class body, after those of its bases (``_fields``, at least one).
 
@@ -178,7 +186,7 @@ def _as_float(value: object, what: str) -> float:
             return float(value)
         except (TypeError, ValueError, OverflowError):
             pass
-    raise ValidationError(f"{what} must be a real number in float range, got {value!r}")
+    raise ValidationError(f"{what} must be a real number in float range, got {_shown(value)}")
 
 
 def _norm_squared(vec: tuple[complex, ...]) -> float:
@@ -274,13 +282,13 @@ class MeasurementBasis(Record, eq=False):
         plus = _as_vector(plus, 2, "plus")
         minus = _as_vector(minus, 2, "minus")
         if not isinstance(label, Setting):
-            raise ValidationError(f"basis label must be a Setting, got {label!r}")
+            raise ValidationError(f"basis label must be a Setting, got {_shown(label)}")
         report = _basis_report(*_basis_deviations(plus, minus), INPUT_TOL)  # at INPUT_TOL, once; not a field
         self.__dict__.update(plus=plus, minus=minus, label=label, _report=report)
 
     def vector_for(self, outcome: Outcome) -> tuple[complex, complex]:
         if outcome is not _PLUS and outcome is not _MINUS:  # identity: no __eq__ of the argument runs
-            raise ValidationError(f"outcome must be an Outcome, got {outcome!r}")
+            raise ValidationError(f"outcome must be an Outcome, got {_shown(outcome)}")
         return self.plus if outcome is _PLUS else self.minus
 
 

@@ -23,7 +23,7 @@ from json.encoder import encode_basestring_ascii
 from types import MappingProxyType
 
 from . import counterfactuals, hardy, lhv, optimize  # lazy (see __init__): only annotations and one call read them
-from .quantum import Record, ValidationError
+from .quantum import Record, ValidationError, _shown
 
 
 class UsageError(ValueError):
@@ -157,7 +157,10 @@ _EMITTERS: dict[type, Emitter] = {}  # one entry per type, filled on first sight
 def to_json_text(payload: object) -> str:
     """Stable JSON: insertion key order, 17-significant-digit decimal floats."""
     out: list[str] = []
-    (_EMITTERS.get(type(payload)) or _emitter(type(payload)))(payload, 0, out)
+    try:
+        (_EMITTERS.get(type(payload)) or _emitter(type(payload)))(payload, 0, out)
+    except ValueError as exc:  # such as str() of an int of more than sys.get_int_max_str_digits() digits
+        raise exc if isinstance(exc, ValidationError) else ValidationError(f"cannot serialize payload: {exc}") from exc
     out.append("\n")
     return "".join(out)
 
@@ -301,4 +304,4 @@ def render_report(report: object, fmt: str) -> bytes:
         if kind is not None:
             return (_TEXT_RENDERERS[kind](report) + "\n").encode("utf-8")
         raise TypeError(f"no text renderer for {type(report).__name__}")
-    raise UsageError(f"unknown format: {fmt!r}")
+    raise UsageError(f"unknown format: {_shown(fmt)}")

@@ -132,6 +132,18 @@ class TestExitCodes:
         assert err.startswith(f"error: unrecognized arguments: {argv[1]}")
         assert err.count("\n") == 1
 
+    @pytest.mark.parametrize(
+        "argv, shown",
+        [
+            (["table", "--tol", "\n1.0\u2003"], "--tol \\n1.0\\u2003"),
+            (["lhv", "a\n\u0660.\u0663\\b"], "a\\n\u0660.\u0663\\b"),  # printable text stays as typed
+        ],
+    )
+    def test_an_unprintable_character_of_an_argument_is_escaped_onto_one_line(self, capsys, argv, shown) -> None:
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err == f"error: unrecognized arguments: {shown}\n"
+
     def test_csv_for_non_table_report_is_usage_error(self, capsys) -> None:
         code, _, err = run(capsys, "verify", "--format", "csv")
         assert code == 2

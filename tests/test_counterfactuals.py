@@ -5,7 +5,6 @@ from __future__ import annotations
 import dataclasses
 import itertools
 import json
-import re
 from collections.abc import Callable
 
 import pytest
@@ -24,7 +23,6 @@ from hardycheck import (
     ValidationError,
     check_property1,
     check_property2,
-    ensemble_admissible,
     enumerate_instances,
     evaluate_sr,
     hardy_constraint_set,
@@ -425,31 +423,12 @@ class TestConstraintSet:
             lambda: check_property1(3),  # type: ignore[arg-type]
             lambda: check_property2(hardy_constraint_set().zeros),  # type: ignore[arg-type]
             lambda: hardy_lhv_feasibility("x"),  # type: ignore[arg-type]
-            lambda: ensemble_admissible(enumerate_instances(), None),  # type: ignore[arg-type]
         ],
-        ids=["locality_report", "property1", "property2", "lhv_feasibility", "ensemble_admissible"],
+        ids=["locality_report", "property1", "property2", "lhv_feasibility"],
     )
     def test_reports_reject_a_non_constraint_set(self, call: Callable[[], object]) -> None:
         with pytest.raises(ValidationError, match="^constraint_set must be a ConstraintSet, got "):
             call()
-
-    @pytest.mark.parametrize("support", [5, None, enumerate_instances()[0]], ids=["int", "None", "instance"])
-    def test_ensemble_rejects_a_support_that_is_not_iterable(self, support: object) -> None:
-        message = f"support must be an iterable of CounterfactualInstance objects, got {support!r}"
-        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
-            ensemble_admissible(support, hardy_constraint_set())  # type: ignore[arg-type]
-
-    def test_ensemble_accepts_a_support_that_iterates_by_getitem(self) -> None:
-        class Indexed:  # iterable only through the old __getitem__ protocol, not an Iterable
-            def __init__(self, items: tuple) -> None:
-                self.items = items
-
-            def __getitem__(self, i: int) -> object:
-                return self.items[i]
-
-        support = enumerate_instances()[:5]
-        expected = ensemble_admissible(support, hardy_constraint_set())
-        assert ensemble_admissible(Indexed(support), hardy_constraint_set()) == expected  # type: ignore[arg-type]
 
     @pytest.mark.parametrize(
         ("call", "name", "expected"),
@@ -486,46 +465,3 @@ class TestConstraintSet:
 
     def test_hardy_constraint_set_is_one_shared_object(self) -> None:
         assert hardy_constraint_set() is hardy_constraint_set()
-
-
-class TestEnsembles:
-    def _admissible_instances(self) -> tuple[CounterfactualInstance, ...]:
-        cs = hardy_constraint_set()
-        return tuple(inst for inst in enumerate_instances() if satisfies_zeros(inst, cs))
-
-    def test_maximal_admissible_ensemble_passes(self) -> None:
-        report = ensemble_admissible(self._admissible_instances(), hardy_constraint_set())
-        assert report.admissible
-        assert report.failures == ()
-
-    def test_missing_positivity_event_fails(self) -> None:
-        cs = hardy_constraint_set()
-        eq4 = cs.constraint("Eq4")
-        without_event = tuple(inst for inst in self._admissible_instances() if not realizes(inst, eq4))
-        report = ensemble_admissible(without_event, cs)
-        assert not report.admissible
-        assert any("Eq4" in failure for failure in report.failures)
-
-    def test_missing_left_minus_realization_fails_by_default(self) -> None:
-        cs = hardy_constraint_set().without("Eq4")
-        support = tuple(
-            inst
-            for inst in self._admissible_instances()
-            if inst.left_outcome(Setting.L1) is PLUS
-        )
-        report = ensemble_admissible(support, cs)
-        assert not report.admissible
-        assert any("L1-" in failure for failure in report.failures)
-
-    def test_only_left_minus_under_l1_is_required(self) -> None:
-        # The support never realizes L2-, and the ensemble is still admissible.
-        cs = hardy_constraint_set()
-        support = tuple(
-            inst for inst in self._admissible_instances() if inst.left_outcome(Setting.L2) is PLUS
-        )
-        assert ensemble_admissible(support, cs).admissible
-
-    def test_zero_constraint_violation_in_support_fails(self) -> None:
-        bad = CounterfactualInstance((PLUS, MINUS, PLUS, PLUS, PLUS, PLUS))  # realizes Eq1
-        report = ensemble_admissible(self._admissible_instances() + (bad,), hardy_constraint_set())
-        assert not report.admissible

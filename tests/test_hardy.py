@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
+import json
 import math
 import random
 from collections import Counter
@@ -26,6 +27,7 @@ from hardycheck import (
     MeasurementBasis,
     NoSignallingReport,
     Outcome,
+    PredictionReport,
     Setting,
     StateVector,
     ValidationError,
@@ -320,6 +322,15 @@ class TestVerifyPredictions:
         assert report.verdicts == (True, True, True, True)
         assert report.all_hold
         assert report.p4_positive == pytest.approx(P4_AT_PI_6, rel=1e-12)
+
+    def test_all_hold_is_a_derived_last_field(self) -> None:
+        report = verify_hardy_predictions(joint_probability_table(build_hardy_configuration(0.3)))
+        failed = dataclasses.replace(report, verdicts=(True, True, True, False))
+        assert report.all_hold is True and failed.all_hold is False
+        with pytest.raises(TypeError):
+            PredictionReport(*dataclasses.astuple(report))  # all_hold is not a constructor argument
+        names = [f.name for f in dataclasses.fields(PredictionReport)]
+        assert names[-1] == "all_hold" and list(json.loads(render_report(failed, "json"))) == names
 
     def test_left_minus_marginal_reported(self) -> None:
         # Independent closed form for the construction: a^2 b^2 / (a^2 - a b + b^2).

@@ -16,7 +16,6 @@ from hardycheck import (
     ConstraintSet,
     Outcome,
     Setting,
-    ensemble_admissible,
     enumerate_strategies,
     hardy_constraint_set,
     hardy_lhv_feasibility,
@@ -166,8 +165,9 @@ class TestFeasibility:
         assert [(s.constraint, s.assignment, s.kind) for s in result.trace] == [
             ("B", "contradiction: o_L(L1) already forced to +", "contradiction")
         ]
-        mixture = tuple(LocalStrategy((o,) * 4).as_instance() for o in (PLUS, MINUS))
-        assert ensemble_admissible(mixture, cs).admissible
+        mixture = tuple(LocalStrategy((o,) * 4) for o in (PLUS, MINUS))
+        assert all(strategy_satisfies(s, cs) for s in mixture)
+        assert all(any(strategy_realizes(s, p) for s in mixture) for p in cs.positivity)
 
     def test_json_payload_shape(self) -> None:
         payload = json.loads(render_report(hardy_lhv_feasibility(), "json"))

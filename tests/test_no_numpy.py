@@ -215,7 +215,7 @@ def test_dir_all_and_every_export_read_the_same_before_and_after_the_first_acces
     assert before["ran"] == [] and after["ran"] == sorted(SUBMODULES)  # dir() and __all__ run nothing
     assert before["dir"] == after["dir"] and before["all"] == after["all"]
     names = after["all"]
-    assert len(names) == len(set(names)) == 62
+    assert len(names) == len(set(names)) == 60
     assert names == sorted(names, key=lambda name: (not name.isupper(), name[0].islower(), name))  # constants first
     public = [name for name in after["dir"] if not name.startswith("_")]
     assert public == sorted([*names, *SUBMODULES, "annotations"])

@@ -16,20 +16,23 @@ from hardycheck import (
     JointProbabilityTable,
     Outcome,
     Setting,
+    UsageError,
     ValidationError,
     born_joint_probability,
     build_hardy_configuration,
     enumerate_instances,
     evaluate_sr,
+    from_hardy_notation,
     hardy_constraint_set,
     joint_probability_table,
-    ensemble_admissible,
-    enumerate_strategies,
     maximize_paradox,
     no_signalling_check,
     paradox_probability,
     reference_curve,
     reference_grid_maximum,
+    render_report,
+    to_hardy_notation,
+    to_json_text,
     validate_basis,
     verify_hardy_predictions,
 )
@@ -37,7 +40,6 @@ from hardycheck import (
 CONFIG = build_hardy_configuration(0.7)
 TABLE = joint_probability_table(CONFIG)
 KEY = next(iter(TABLE.entries))
-STRATEGY = enumerate_strategies()[0]
 STR_ENTRIES = {key: repr(p) for key, p in TABLE.entries.items()}  # text a float() call would parse
 
 
@@ -97,11 +99,6 @@ def test_all_lists_exactly_the_public_names_bound_in_the_package() -> None:
         pytest.param(lambda: HardyConfiguration(CONFIG.state, CONFIG.bases, "x"), "theta", id="config_str_theta"),
         pytest.param(lambda: HardyConfiguration(CONFIG.state, CONFIG.bases, None), "theta", id="config_none_theta"),
         pytest.param(lambda: hardy_constraint_set().constraint("Eq5"), "label", id="constraint_unknown_label"),
-        pytest.param(lambda: ensemble_admissible(5, hardy_constraint_set()), "support", id="ensemble_int_support"),
-        pytest.param(lambda: ensemble_admissible(["x"], ConstraintSet()), "instance", id="ensemble_str_instance"),
-        pytest.param(
-            lambda: ensemble_admissible([STRATEGY], ConstraintSet()), "instance", id="ensemble_strategy_instance"
-        ),
         pytest.param(lambda: hardy_constraint_set().without("Eq5"), "label", id="without_unknown_label"),
     ],
 )
@@ -134,3 +131,52 @@ INSTANCE = enumerate_instances()[0]
 def test_a_refused_value_prints_as_its_label_or_by_repr_and_type(call: Callable[[], object], message: str) -> None:
     with pytest.raises(ValidationError, match=rf"^{message}$"):
         call()
+
+
+#: More digits than ``str()`` writes by default (``sys.get_int_max_str_digits()``), so its ``repr`` raises ValueError.
+HUGE = 10**5000
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        pytest.param(lambda: build_hardy_configuration(HUGE), "theta must be a real number in float range, got ", id="theta"),
+        pytest.param(lambda: from_hardy_notation(HUGE), "label must be one of the eight ket labels, got ", id="ket_label"),
+        pytest.param(lambda: to_hardy_notation(HUGE, Outcome.PLUS), "no ket label for setting ", id="ket_setting"),
+        pytest.param(lambda: evaluate_sr(INSTANCE, HUGE), LEFT_CHOICE, id="evaluate_sr"),
+        pytest.param(lambda: CONFIG.bases[0].vector_for(HUGE), "outcome must be an Outcome, got ", id="vector_for"),
+        pytest.param(lambda: CONFIG.basis(HUGE), "setting must be a Setting, got ", id="basis"),
+        pytest.param(lambda: hardy_constraint_set().constraint(HUGE), "label ", id="constraint_label"),
+        pytest.param(lambda: ConstraintSet(zeros=HUGE), "constraint set zeros must be an iterable", id="constraint_set"),
+        pytest.param(lambda: render_report(TABLE, HUGE), "unknown format: ", id="format"),
+    ],
+)
+def test_an_int_too_long_for_repr_is_named_by_its_type(call: Callable[[], object], message: str) -> None:
+    with pytest.raises((ValidationError, UsageError), match=f"^{message}.*<int too long to show>"):
+        call()
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        pytest.param(lambda: build_hardy_configuration((HUGE,)), "theta must be a real number in float range, got ", id="theta"),
+        pytest.param(
+            lambda: Constraint("c", (Setting.L1, Setting.R1), (HUGE, Outcome.PLUS)),
+            "constraint 'c' outcomes must be Outcome members, got ",
+            id="constraint_outcomes",
+        ),
+    ],
+)
+def test_a_tuple_holding_such_an_int_is_named_by_its_type(call: Callable[[], object], message: str) -> None:
+    with pytest.raises(ValidationError, match=f"^{message}<tuple too long to show>$"):
+        call()
+
+
+def test_a_value_error_inside_to_json_text_is_refused_with_its_own_cause() -> None:
+    class Broken:
+        def to_json_dict(self) -> dict[str, object]:
+            raise ValueError("no value for key 'x'")
+
+    for payload, cause in (([1, HUGE], "Exceeds the limit"), ({HUGE: 1}, "Exceeds the limit"), (Broken(), "no value for")):
+        with pytest.raises(ValidationError, match=f"^cannot serialize payload: {cause}"):
+            to_json_text(payload)

@@ -7,9 +7,12 @@ of the package's own errors. An uncaught exception fails the property.
 from __future__ import annotations
 
 import contextlib
+import csv
+import inspect
 import io
 import json
 import math
+import re
 import subprocess
 import sys
 import tempfile
@@ -18,9 +21,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import assume, example, given, settings
+from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
+import hardycheck
 from hardycheck import (
     IDENTITY_TOL,
     INPUT_TOL,
@@ -38,6 +42,7 @@ from hardycheck import (
     Outcome,
     Setting,
     StateVector,
+    UsageError,
     ValidationError,
     born_joint_probability,
     build_hardy_configuration,
@@ -61,7 +66,7 @@ from hardycheck import (
     validate_basis,
     verify_hardy_predictions,
 )
-from hardycheck.cli import main
+from hardycheck.cli import build_parser, main
 from hardycheck.counterfactuals import _select, _sr_table
 from hardycheck.hardy import _hardy_vectors
 from hardycheck.quantum import _amplitude, _as_vector, _basis_deviations, _born, _fma, _norm_squared
@@ -438,16 +443,30 @@ def test_the_builder_gives_finite_floats_a_unit_state_and_orthonormal_pairs(thet
         assert max(_basis_deviations(plus, minus)) <= INPUT_TOL
 
 
+#: Digits of other scripts, which ``float()`` reads as their values: Arabic-Indic, Devanagari and full-width.
+_DIGITS = [str.maketrans("0123456789", digits) for digits in ("٠١٢٣٤٥٦٧٨٩", "०१२३४५६७८९", "０１２３４５６７８９")]
+#: Values around pi/2 and around theta of about 2.5e-206, below which the basis construction overflows.
+_EDGES = (math.pi / 2, HALF_PI_BELOW, math.nextafter(math.pi / 2, 2.0), 2.4e-206, 2.5e-206, 2.6e-206)
 numbers = st.one_of(
     angles.map(repr),
     st.floats(allow_subnormal=True).map(repr),
     st.sampled_from(["0", "-0", "1", "inf", "-inf", "nan", "1e-300", "1e-16", "1e400", "0x1p-3", "", "abc"]),
+    st.sampled_from(["1_0e-1", "0.3_0", "_0.3", "0.3_", "1__0", "5e-324", "2.2250738585072014e-308", "1e-310"]),
+    st.sampled_from(_EDGES).map(repr),
+    st.floats(2e-206, 3e-206).map(repr),
+    angles.map(float.hex),
+    st.tuples(angles.map(repr), st.sampled_from(_DIGITS)).map(lambda t: t[0].translate(t[1])),
+    st.tuples(st.sampled_from([" ", "\t", "\n", "\u2003", "\x00"]), angles.map(repr)).map(lambda t: t[0] + t[1] + t[0]),
 )
+#: Stand-ins for --out targets, each made a path inside the example's own directory.
+OUT_TARGETS = {"@file": "out", "@dir": ".", "@missing": "missing/out", "@nul": "a\x00b"}
+flags = st.sampled_from(["--theta", "--tol", "--format", "--out", "--bogus", "--th", "-h"])
+values = st.one_of(st.sampled_from(["json", "csv", "text", "xml"]), numbers, st.sampled_from(list(OUT_TARGETS)))
 tokens = st.one_of(
-    st.sampled_from(["verify", "counterfactual", "lhv", "optimize", "table", "frobnicate", "-h"]),
-    st.sampled_from(["--theta", "--tol", "--format", "--out"]),
-    st.sampled_from(["json", "csv", "text", "xml"]),
-    numbers,
+    st.sampled_from(["verify", "counterfactual", "lhv", "optimize", "table", "frobnicate"]),
+    flags,
+    values,
+    st.tuples(flags, values).map("=".join),
 )
 argvs = st.one_of(
     st.lists(tokens, max_size=6),
@@ -457,27 +476,113 @@ argvs = st.one_of(
         numbers,
         st.sampled_from(["json", "csv", "text"]),
     ).map(lambda t: [t[0], t[1], t[2], "--format", t[3]]),
+    st.tuples(  # a command and flags with values of their kind, which may repeat, all as --flag=value or all as two tokens
+        st.sampled_from(["verify", "table", "optimize", "lhv", "counterfactual"]),
+        st.lists(
+            st.one_of(
+                st.tuples(st.sampled_from(["--theta", "--tol"]), numbers),
+                st.tuples(st.just("--format"), st.sampled_from(["json", "csv", "text"])),
+                st.tuples(st.just("--out"), st.sampled_from(list(OUT_TARGETS))),
+            ),
+            max_size=4,
+        ),
+        st.booleans(),
+    ).map(lambda t: [t[0], *(part for flag, value in t[1] for part in ((f"{flag}={value}",) if t[2] else (flag, value)))]),
 )
 
 
-@settings(max_examples=150, deadline=None)
+def _parses_as(data: bytes, fmt: str) -> None:
+    text = data.decode("utf-8")
+    if fmt == "json":
+        json.loads(text)
+    elif fmt == "csv":
+        rows = list(csv.reader(io.StringIO(text)))
+        assert rows[0] == ["setting_pair", "outcome_pair", "probability"] and len(rows) == 17
+        assert all(len(row) == 3 and math.isfinite(float(row[2])) for row in rows[1:])
+    else:
+        assert text.endswith("\n") and text.strip()
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
 @given(argv=argvs)
 @example(argv=["verify", "--theta", "1e-300"])
 @example(argv=["optimize", "--tol", "inf"])
 @example(argv=["verify", "--tol", "inf", "--format", "json"])
 @example(argv=["optimize", "--tol", "1e-16"])
+@example(argv=["table", "--theta=0x1p-3", "--theta", "٠.٣", "--format=csv", "--out", "@file"])
+@example(argv=["lhv", "--out=@nul"])
+@example(argv=["lhv", "--out", "@dir"])
+@example(argv=["verify", "--out", "@missing", "--format=json"])
+@example(argv=["table", "--theta", repr(HALF_PI_BELOW), "--theta", "2.5e-206"])
+@example(argv=["table", "--tol", "\n1.0\n"])  # argparse quotes an unrecognized argument as given
 def test_cli_exits_0_1_or_2_without_a_traceback(argv: list[str]) -> None:
     stdout, stderr = io.StringIO(), io.StringIO()
+    helped = False
     with tempfile.TemporaryDirectory() as tmp:
-        # A value after --out names a file inside a fresh directory, never a path elsewhere.
-        argv = [str(Path(tmp) / "out") if i and argv[i - 1] == "--out" else a for i, a in enumerate(argv)]
+        # An --out value names a path inside a fresh directory, never a path elsewhere: its stand-in's, else "out".
+        target = lambda value: str(Path(tmp) / OUT_TARGETS.get(value, "out"))
+        argv = [
+            target(a) if i and argv[i - 1] == "--out" else "--out=" + target(a[6:]) if a.startswith("--out=") else a
+            for i, a in enumerate(argv)
+        ]
         with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
             try:
                 code = main(argv)
             except SystemExit as exc:  # argparse's -h prints help and exits 0
-                code = exc.code
+                code, helped = exc.code, True
+        if code == 0 and not helped:
+            args = build_parser().parse_args(argv)
+            _parses_as(args.out.read_bytes() if args.out else stdout.getvalue().encode(), args.format)
     assert code in (0, 1, 2)
-    assert "Traceback" not in stderr.getvalue()
+    err = stderr.getvalue()
+    assert err == "" or (err.startswith("error: ") and err.count("\n") == 1 and err.endswith("\n")), err
+
+
+_CONFIG = build_hardy_configuration(0.7)
+_TABLE = joint_probability_table(_CONFIG)
+#: A valid value per parameter name of the public functions, so that a call can get past its first argument.
+VALID_ARGUMENTS = {
+    "theta": 0.5, "tol": 1e-9, "lo": 0.2, "hi": 1.2, "label": "c1", "fmt": "json", "payload": {"a": [1, 2.5]},
+    "config": _CONFIG, "table": _TABLE, "report": verify_hardy_predictions(_TABLE), "state": _CONFIG.state,
+    "basis": _CONFIG.bases[1], "left_basis": _CONFIG.bases[0], "right_basis": _CONFIG.bases[2],
+    "outcome": Outcome.MINUS, "left_outcome": Outcome.PLUS, "right_outcome": Outcome.MINUS,
+    "setting": Setting.R1, "context": Setting.L2, "constraint_set": hardy_constraint_set(),
+    "constraint": hardy_constraint_set().zeros[1], "instance": enumerate_instances()[9], "strategy": enumerate_strategies()[5],
+}
+#: Words by which an error may name a parameter, besides its name; "left_basis" is also named by "basis".
+ROLES = {"context": ("choice",), "fmt": ("format", "csv"), "payload": ("serialize",), "report": ("serialize",)}
+PUBLIC_FUNCTIONS = [value for name in hardycheck.__all__ if inspect.isfunction(value := getattr(hardycheck, name))]
+odd_objects = st.one_of(
+    st.from_type(object),
+    st.sampled_from([*Setting, *Outcome]),  # an enum where another is expected, or the wrong member
+    st.sampled_from([10**400, -(10**400), 2**1024, 10**5000]),  # past float range, and past str()'s digit limit
+    st.lists(st.sampled_from([math.nan, 0.0, 1.0, math.inf, 1j, 10**5000]), min_size=1, max_size=6).map(tuple),
+)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, suppress_health_check=[HealthCheck.too_slow])
+@given(func=st.sampled_from(PUBLIC_FUNCTIONS), data=st.data())
+def test_a_public_function_gives_a_result_or_an_error_that_names_an_argument(func, data: st.DataObject) -> None:
+    names = list(inspect.signature(func).parameters)
+    args = [data.draw(st.one_of(st.just(VALID_ARGUMENTS[name]), odd_objects), label=name) for name in names]
+    kept = data.draw(st.one_of(st.just(len(args)), st.integers(0, len(args))), label="arguments kept")
+    args = args[:kept] + data.draw(st.lists(odd_objects, max_size=1), label="extra")
+    try:
+        inspect.signature(func).bind(*args)
+    except TypeError:
+        with pytest.raises(TypeError):  # Python's own arity error
+            func(*args)
+        return
+    try:
+        func(*args)
+    except (ValidationError, UsageError) as exc:
+        words = {word for name in names for word in (name, name.split("_")[-1], *ROLES.get(name, ()))}
+        assert any(word in str(exc) for word in words), f"{func.__name__}: {exc}"
+    except ConvergenceError:
+        assert func is maximize_paradox  # its documented failure: the tolerance cannot be met
+    except TypeError as exc:  # a type the renderer documents it cannot write
+        assert func in (to_json_text, render_report), f"{func.__name__}: {exc!r}"
+        assert re.match(r"^(cannot serialize \w+ to JSON|no text renderer for \w+|keys must be str, )", str(exc)), exc
 
 
 JOINT_EVENTS = [((sl, sr), (ol, orr)) for sl in LEFT_SETTINGS for sr in RIGHT_SETTINGS for ol in OUTCOMES for orr in OUTCOMES]

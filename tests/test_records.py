@@ -19,7 +19,6 @@ from dataclasses import FrozenInstanceError
 import pytest
 
 from hardycheck import (
-    AdmissibilityReport,
     BasisReport,
     Constraint,
     ConstraintSet,
@@ -69,7 +68,6 @@ RECORDS = {
         ("witness_found", "witness", "witness_verdict", "witness_count", "forced_step", "constraint_set"),
         (False, None, None, 0, None, ZEROS),
     ),
-    AdmissibilityReport: (("admissible", "failures"), (True, ())),
     TraceStep: (("constraint", "assignment", "kind"), ("Eq1", "forces o_L(L2) = -", "forced")),
     ObjectiveReport: (("theta_star", "p4_max", "iterations", "bracket", "oracle_gap"), (0.25, 0.09, 12, (0.01, 1.5), 0.0)),
 }
@@ -97,7 +95,6 @@ REPRS = {
         "Property2Report(witness_found=False, witness=None, witness_verdict=None, witness_count=0, forced_step=None, "
         f"constraint_set={_ZEROS_REPR})"
     ),
-    AdmissibilityReport: "AdmissibilityReport(admissible=True, failures=())",
     TraceStep: "TraceStep(constraint='Eq1', assignment='forces o_L(L2) = -', kind='forced')",
     ObjectiveReport: "ObjectiveReport(theta_star=0.25, p4_max=0.09, iterations=12, bracket=(0.01, 1.5), oracle_gap=0.0)",
 }
