@@ -33,6 +33,7 @@ from functools import lru_cache, reduce
 from operator import and_, or_
 
 from .quantum import LEFT_SETTINGS, OUTCOMES, RIGHT_SETTINGS, Outcome, Record, Setting, ValidationError, _MINUS, _require, _shown
+from .quantum import _HARDY_PARADOX, _HARDY_ZEROS
 
 #: Field order of the canonical 6-tuple encoding of an instance.
 INSTANCE_FIELDS = ("o_L(L1)", "o_L(L2)", "o_R(L1,R1)", "o_R(L1,R2)", "o_R(L2,R1)", "o_R(L2,R2)")
@@ -187,18 +188,11 @@ class ConstraintSet(Record):
         )
 
 
-_HARDY_CONSTRAINTS = ConstraintSet(
-    zeros=(
-        Constraint("Eq1", (Setting.L2, Setting.R2), (Outcome.MINUS, Outcome.PLUS)),
-        Constraint("Eq2", (Setting.L2, Setting.R1), (Outcome.PLUS, Outcome.PLUS)),
-        Constraint("Eq3", (Setting.L1, Setting.R2), (Outcome.MINUS, Outcome.MINUS)),
-    ),
-    positivity=(Constraint("Eq4", (Setting.L1, Setting.R1), (Outcome.MINUS, Outcome.PLUS)),),
-)
+_HARDY_CONSTRAINTS = ConstraintSet((Constraint(*row) for row in _HARDY_ZEROS), (Constraint(*_HARDY_PARADOX),))
 
 
 def hardy_constraint_set() -> ConstraintSet:
-    """The three zero events and the positivity event of the Hardy-type table; every layer reads them here."""
+    """The four Hardy events as constraints, built once from the rows ``quantum._HARDY_ZEROS`` and ``_HARDY_PARADOX``."""
     return _HARDY_CONSTRAINTS
 
 

@@ -19,7 +19,6 @@ from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field
 from types import MappingProxyType
 
-from .counterfactuals import hardy_constraint_set
 from .quantum import (
     IDENTITY_TOL,
     LEFT_SETTINGS,
@@ -31,6 +30,8 @@ from .quantum import (
     Setting,
     StateVector,
     ValidationError,
+    _HARDY_PARADOX,
+    _HARDY_ZEROS,
     _as_float,
     _require,
     _shown,
@@ -258,14 +259,13 @@ class PredictionReport:
 
 
 def verify_hardy_predictions(table: JointProbabilityTable, tol: float = ZERO_TOL) -> PredictionReport:
-    """Check the three zeros and the positivity of the paradox event of ``hardy_constraint_set()`` at ``tol``."""
+    """Check the three zeros and the positive paradox event (``quantum._HARDY_ZEROS``, ``_HARDY_PARADOX``) at ``tol``."""
     _require(table, JointProbabilityTable, "table")
     tol = _as_float(tol, "tol")
     if not 0.0 < tol < math.inf:
         raise ValidationError(f"tol must be positive and finite, got {tol!r}")
-    events, entries = hardy_constraint_set(), table.entries
-    p1, p2, p3, p4 = (entries[e.event_key] for e in events.zeros + events.positivity)
-    (left, right), (left_outcome, _) = events.positivity[0].event_key
+    p1, p2, p3, p4 = (table.entries[settings, outcomes] for _, settings, outcomes in (*_HARDY_ZEROS, _HARDY_PARADOX))
+    _, (left, right), (left_outcome, _) = _HARDY_PARADOX
     marginal = table.left_marginal(left, left_outcome, right)
     verdicts = (p1 < tol, p2 < tol, p3 < tol, p4 > tol)
     return PredictionReport(p1, p2, p3, p4, marginal, verdicts, tol)

@@ -12,10 +12,9 @@ from __future__ import annotations
 
 import math
 
-from .counterfactuals import hardy_constraint_set
 from .hardy import _BASIS_INDEX, _as_angle, _hardy_vectors
 from .quantum import INPUT_TOL, OUTCOMES, Record, ValidationError, _as_float, _basis_deviations
-from .quantum import _basis_failures, _born, _not_orthonormal, _unit_state
+from .quantum import _HARDY_PARADOX, _basis_failures, _born, _not_orthonormal, _unit_state
 
 INV_PHI = (math.sqrt(5) - 1) / 2  # 1/phi
 INV_PHI_SQ = (3 - math.sqrt(5)) / 2  # 1/phi^2
@@ -27,10 +26,8 @@ _PRESCAN_POINTS = 65
 # The curve's maximum (5*sqrt(5)-11)/2 and the two angles that attain it (Hardy, PRL 71, 1665 (1993)).
 _P4_STAR = (5 * math.sqrt(5) - 11) / 2
 _PEAKS = (0.5 * math.asin(3 - math.sqrt(5)), math.pi / 2 - 0.5 * math.asin(3 - math.sqrt(5)))
-#: (setting, index in ``_BASIS_ORDER``, index in ``OUTCOMES``) for each side of Eq4.
-_PARADOX_EVENT = tuple(
-    (s, _BASIS_INDEX[s], OUTCOMES.index(o)) for s, o in zip(*hardy_constraint_set().positivity[0].event_key)
-)
+#: (setting, index in ``_BASIS_ORDER``, index in ``OUTCOMES``) for each side of the paradox event (Eq4).
+_PARADOX_EVENT = tuple((s, _BASIS_INDEX[s], OUTCOMES.index(o)) for s, o in zip(*_HARDY_PARADOX[1:]))
 
 
 class ConvergenceError(RuntimeError):
@@ -40,7 +37,7 @@ class ConvergenceError(RuntimeError):
 def paradox_probability(theta: float) -> float:
     """P(left -, right +) when both sides pick their first alternative (L1, R1).
 
-    The event is Eq4 of ``hardy_constraint_set()``. On the vectors of
+    The event is the row ``quantum._HARDY_PARADOX`` (Eq4). On the vectors of
     ``build_hardy_configuration``, without building objects, the objective runs
     the checks of the state, of that event's two bases and of the Born call in
     their order and returns the Born kernel it shares with

@@ -88,6 +88,13 @@ class Setting(enum.Enum):
 
 LEFT_SETTINGS = (Setting.L1, Setting.L2)
 RIGHT_SETTINGS = (Setting.R1, Setting.R2)
+#: Hardy's four events as (label, (left, right) settings, (left, right) outcomes) rows: three zeros, then the paradox.
+_HARDY_ZEROS = (
+    ("Eq1", (Setting.L2, Setting.R2), (_MINUS, _PLUS)),
+    ("Eq2", (Setting.L2, Setting.R1), (_PLUS, _PLUS)),
+    ("Eq3", (Setting.L1, Setting.R2), (_MINUS, _MINUS)),
+)
+_HARDY_PARADOX = ("Eq4", (Setting.L1, Setting.R1), (_MINUS, _PLUS))
 
 _PLAIN_NUMBERS = frozenset((float, complex))  # items of exactly these types pass _as_vector's shape and text checks
 

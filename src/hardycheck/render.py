@@ -22,8 +22,8 @@ from functools import partial
 from json.encoder import encode_basestring_ascii
 from types import MappingProxyType
 
-from . import counterfactuals, hardy, lhv, optimize  # lazy (see __init__): only annotations and one call read them
-from .quantum import Record, ValidationError, _shown
+from . import counterfactuals, hardy, lhv, optimize  # lazy (see __init__): only annotations name them
+from .quantum import _HARDY_PARADOX, _HARDY_ZEROS, Record, ValidationError, _shown
 
 
 class UsageError(ValueError):
@@ -159,7 +159,7 @@ def to_json_text(payload: object) -> str:
     out: list[str] = []
     try:
         (_EMITTERS.get(type(payload)) or _emitter(type(payload)))(payload, 0, out)
-    except ValueError as exc:  # such as str() of an int of more than sys.get_int_max_str_digits() digits
+    except (ValueError, RecursionError) as exc:  # an int of more digits than str() takes; nesting past the recursion limit
         raise exc if isinstance(exc, ValidationError) else ValidationError(f"cannot serialize payload: {exc}") from exc
     out.append("\n")
     return "".join(out)
@@ -170,14 +170,13 @@ def _yes(ok: bool) -> str:
 
 
 def _text_prediction(report: hardy.PredictionReport) -> str:
-    events = counterfactuals.hardy_constraint_set()
     values = (report.p1_zero, report.p2_zero, report.p3_zero, report.p4_positive)
     lines = [f"Hardy prediction report (tol = {format_float(report.tol)})"]
-    for i, (event, p, ok) in enumerate(zip(events.zeros + events.positivity, values, report.verdicts)):
-        (sl, sr), (ol, orr) = event.event_key
-        check = "zero within tol" if i < len(events.zeros) else "positive above tol"
-        lines.append(f"  {event.label}  P({sl}{ol}, {sr}{orr} | {sl},{sr}) = {format_float(p)}  {check}: {_yes(ok)}")
-    (sl, _), (ol, _) = events.positivity[0].event_key
+    for row, p, ok in zip((*_HARDY_ZEROS, _HARDY_PARADOX), values, report.verdicts):
+        label, (sl, sr), (ol, orr) = row
+        check = "positive above tol" if row is _HARDY_PARADOX else "zero within tol"
+        lines.append(f"  {label}  P({sl}{ol}, {sr}{orr} | {sl},{sr}) = {format_float(p)}  {check}: {_yes(ok)}")
+    _, (sl, _), (ol, _) = _HARDY_PARADOX
     lines.append(f"  P({sl}{ol} | {sl}) = {format_float(report.left_minus_marginal_under_L1)} (reported, not enforced)")
     lines.append(f"  all predictions hold: {_yes(report.all_hold)}")
     return "\n".join(lines)

@@ -393,6 +393,42 @@ class TestVerifyPredictions:
         assert verify_hardy_predictions(table, tol=p4).verdicts[3] is False
         assert verify_hardy_predictions(table, tol=math.nextafter(p4, 0.0)).verdicts[3] is True
 
+    def test_every_layer_reads_the_four_events_from_one_statement(self, monkeypatch: pytest.MonkeyPatch) -> None:
+        import hardycheck
+        from hardycheck import Constraint, ConstraintSet
+
+        zeros, paradox = quantum._HARDY_ZEROS, quantum._HARDY_PARADOX
+        events = hardy_constraint_set()
+        assert [(c.label, c.settings, c.outcomes) for c in events.zeros] == list(zeros)
+        assert [(c.label, c.settings, c.outcomes) for c in events.positivity] == [paradox]
+        assert events is hardy_constraint_set() and events == ConstraintSet(
+            zeros=(
+                Constraint("Eq1", (Setting.L2, Setting.R2), (MINUS, PLUS)),
+                Constraint("Eq2", (Setting.L2, Setting.R1), (PLUS, PLUS)),
+                Constraint("Eq3", (Setting.L1, Setting.R2), (MINUS, MINUS)),
+            ),
+            positivity=(Constraint("Eq4", (Setting.L1, Setting.R1), (MINUS, PLUS)),),
+        )
+        (left, _, left_outcome), (right, _, right_outcome) = hardycheck.optimize._PARADOX_EVENT
+        assert ("Eq4", (left, right), (OUTCOMES[left_outcome], OUTCOMES[right_outcome])) == paradox
+        for module in (hardycheck.counterfactuals, hardycheck.hardy, hardycheck.render):
+            assert (module._HARDY_ZEROS, module._HARDY_PARADOX) == (zeros, paradox)
+        # Reversed rows reverse the zeros that the check reads and the lines of the text report.
+        table = joint_probability_table(build_hardy_configuration(math.pi / 6))
+        report = verify_hardy_predictions(table)
+        for module in (hardycheck.hardy, hardycheck.render):
+            monkeypatch.setattr(module, "_HARDY_ZEROS", zeros[::-1])
+        reversed_report = verify_hardy_predictions(table)
+        assert (reversed_report.p1_zero, reversed_report.p3_zero) == (report.p3_zero, report.p1_zero) != (0.0, 0.0)
+        assert reversed_report.p1_zero != report.p1_zero
+        lines = render_report(report, "text").decode().splitlines()
+        assert [line.split("=")[0] for line in lines[1:5]] == [
+            "  Eq3  P(L1-, R2- | L1,R2) ",
+            "  Eq2  P(L2+, R1+ | L2,R1) ",
+            "  Eq1  P(L2-, R2+ | L2,R2) ",
+            "  Eq4  P(L1-, R1+ | L1,R1) ",
+        ]
+
 
 class TestNoSignalling:
     def test_passes_for_built_configurations(self) -> None:

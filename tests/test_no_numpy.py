@@ -107,11 +107,11 @@ print(json.dumps({"code": code, "ran": ran()}))
 
 #: The library submodules a cold command runs: its own, what they import, and render, which imports quantum.
 RUNS = {
-    "verify": ["counterfactuals", "hardy", "quantum", "render"],
-    "table": ["counterfactuals", "hardy", "quantum", "render"],
+    "verify": ["hardy", "quantum", "render"],
+    "table": ["hardy", "quantum", "render"],
     "counterfactual": ["counterfactuals", "quantum", "render"],
     "lhv": ["counterfactuals", "lhv", "quantum", "render"],
-    "optimize": ["counterfactuals", "hardy", "optimize", "quantum", "render"],
+    "optimize": ["hardy", "optimize", "quantum", "render"],
 }
 
 

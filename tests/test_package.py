@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import sys
 import types
 from collections.abc import Callable
 
@@ -180,3 +181,12 @@ def test_a_value_error_inside_to_json_text_is_refused_with_its_own_cause() -> No
     for payload, cause in (([1, HUGE], "Exceeds the limit"), ({HUGE: 1}, "Exceeds the limit"), (Broken(), "no value for")):
         with pytest.raises(ValidationError, match=f"^cannot serialize payload: {cause}"):
             to_json_text(payload)
+
+
+def test_a_payload_nested_past_the_recursion_limit_is_refused_as_a_validation_error() -> None:
+    payload: list = []
+    for _ in range(sys.getrecursionlimit() * 3):
+        payload = [payload]
+    with pytest.raises(ValidationError, match="^cannot serialize payload: maximum recursion depth exceeded"):
+        to_json_text(payload)
+    assert to_json_text([[[]]]) == "[\n  [\n    []\n  ]\n]\n"  # the emitters still work after the unwinding

@@ -57,6 +57,9 @@ class Wrapped:
     def __init__(self, components: object) -> None:
         self.components = components
 
+    def __repr__(self) -> str:
+        return f"Wrapped({self.components!r})"
+
 
 class Pair(Sequence):
     """A ``Sequence`` that is neither a list nor a tuple."""
@@ -69,6 +72,9 @@ class Pair(Sequence):
 
     def __getitem__(self, index):
         return self.items[index]
+
+    def __repr__(self) -> str:
+        return f"Pair({', '.join(map(repr, self.items))})"
 
 
 def outcome(convert, value: object, size: int) -> tuple:
