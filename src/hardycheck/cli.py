@@ -15,7 +15,6 @@ import math
 import os
 import re
 import sys
-from pathlib import Path
 
 from . import counterfactuals, hardy, lhv, optimize  # lazy (see __init__): a command runs only those it calls
 from .quantum import ValidationError
@@ -56,7 +55,7 @@ def build_parser() -> argparse.ArgumentParser:
         for flag, default, text in flags:
             command.add_argument(flag, type=float, default=default, help=text)
         command.add_argument("--format", choices=formats, default="text", help="output format [default: text]")
-        command.add_argument("--out", type=Path, default=None, help="write the report to this file instead of stdout")
+        command.add_argument("--out", default=None, help="write the report to this file instead of stdout")
     return parser
 
 
@@ -90,7 +89,8 @@ def main(argv: list[str] | None = None) -> int:
         return 1
     try:
         if args.out is not None:
-            args.out.write_bytes(data)
+            with open(args.out, "wb") as out:
+                out.write(data)
         else:
             sys.stdout.write(data.decode("utf-8"))
             sys.stdout.flush()

@@ -6,10 +6,10 @@ R1, R2), built so that three joint events have probability zero:
     (L2-, R2+) under (L2,R2)    (L2+, R1+) under (L2,R1)    (L1-, R2-) under (L1,R2)
 
 while the paradox event (L1-, R1+) under (L1,R1) keeps strictly positive
-probability away from the degenerate angles. This module also checks those
-four predictions against a computed table, verifies no-signalling of the
-marginals, and translates (setting, outcome) pairs to the single-letter ket
-labels traditionally used for this construction.
+probability away from the degenerate angles. This module wraps the floats of
+``quantum._hardy_vectors`` in validated objects, checks the four predictions
+against a computed table, verifies no-signalling of the marginals, and
+translates (setting, outcome) pairs to the single-letter ket labels.
 """
 
 from __future__ import annotations
@@ -30,9 +30,13 @@ from .quantum import (
     Setting,
     StateVector,
     ValidationError,
+    _BASIS_INDEX,
+    _BASIS_ORDER,
     _HARDY_PARADOX,
     _HARDY_ZEROS,
+    _as_angle,
     _as_float,
+    _hardy_vectors,
     _require,
     _shown,
     born_joint_probability,
@@ -58,8 +62,6 @@ SETTING_PAIRS: tuple[SettingPair, ...] = (
 OUTCOME_PAIRS: tuple[OutcomePair, ...] = tuple((ol, orr) for ol in OUTCOMES for orr in OUTCOMES)
 _TABLE_KEYS = frozenset((sp, op) for sp in SETTING_PAIRS for op in OUTCOME_PAIRS)
 
-_BASIS_ORDER = (Setting.L1, Setting.L2, Setting.R1, Setting.R2)
-_BASIS_INDEX = {setting: i for i, setting in enumerate(_BASIS_ORDER)}
 #: Per setting pair, in serialization order: the pair and its four table keys.
 _ROWS = tuple((sp, tuple((sp, op) for op in OUTCOME_PAIRS)) for sp in SETTING_PAIRS)
 
@@ -92,44 +94,6 @@ class HardyConfiguration(Record, eq=False):
             return self.bases[_BASIS_INDEX[setting]]
         except (KeyError, TypeError):
             raise ValidationError(f"setting must be a Setting, got {_shown(setting)}") from None
-
-
-def _as_angle(theta: object) -> float:
-    """``theta`` as a float strictly inside (0, pi/2), else a ``ValidationError`` naming it."""
-    theta = _as_float(theta, "theta")
-    if not 0.0 < theta < math.pi / 2:  # nan and the infinities fail the comparison too
-        raise ValidationError(f"theta must lie strictly inside (0, pi/2), got {theta!r}")
-    return theta
-
-
-def _hardy_vectors(theta: object) -> tuple[float, tuple[float, float, float, float], tuple]:
-    """Check ``theta``; return it with the state components and the (plus, minus) pairs in ``_BASIS_ORDER``.
-
-    ``build_hardy_configuration`` wraps these floats in its validated objects; the optimizer's objective checks them.
-    """
-    theta = _as_angle(theta)
-    a = math.cos(theta)
-    b = math.sin(theta)
-    g = math.sqrt(a / b)
-    try:
-        g3 = g**3
-    except OverflowError:
-        g3 = math.inf
-    # Below theta of about 2.5e-206 g**3 overflows; a subnormal theta already overflows a / b to inf, which
-    # raises nothing. g is finite whenever g3 is, so this one check covers all four bases.
-    if math.isinf(g3):
-        raise ValidationError(f"theta={theta!r} is too small for the basis construction in double precision")
-    n1 = math.hypot(1.0, g)
-    n3 = math.hypot(1.0, g3)
-    # Four float divisions, before the constructors' one complex coercion; -x/n is -(x/n) exactly.
-    gn1, un1, gn3, un3 = g / n1, 1.0 / n1, g3 / n3, 1.0 / n3
-    pairs = (
-        ((gn3, un3), (un3, -gn3)),
-        ((-gn1, un1), (un1, gn1)),
-        ((un3, gn3), (gn3, -un3)),
-        ((un1, -gn1), (gn1, un1)),
-    )
-    return theta, (a, 0.0, 0.0, b), pairs
 
 
 def build_hardy_configuration(theta: float) -> HardyConfiguration:

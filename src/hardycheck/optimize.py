@@ -12,9 +12,8 @@ from __future__ import annotations
 
 import math
 
-from .hardy import _BASIS_INDEX, _as_angle, _hardy_vectors
-from .quantum import INPUT_TOL, OUTCOMES, Record, ValidationError, _as_float, _basis_deviations
-from .quantum import _HARDY_PARADOX, _basis_failures, _born, _not_orthonormal, _unit_state
+from .quantum import INPUT_TOL, OUTCOMES, Record, ValidationError, _BASIS_INDEX, _HARDY_PARADOX, _as_angle, _as_float
+from .quantum import _basis_deviations, _basis_failures, _born, _hardy_vectors, _not_orthonormal, _unit_state
 
 INV_PHI = (math.sqrt(5) - 1) / 2  # 1/phi
 INV_PHI_SQ = (3 - math.sqrt(5)) / 2  # 1/phi^2
@@ -37,13 +36,13 @@ class ConvergenceError(RuntimeError):
 def paradox_probability(theta: float) -> float:
     """P(left -, right +) when both sides pick their first alternative (L1, R1).
 
-    The event is the row ``quantum._HARDY_PARADOX`` (Eq4). On the vectors of
-    ``build_hardy_configuration``, without building objects, the objective runs
-    the checks of the state, of that event's two bases and of the Born call in
-    their order and returns the Born kernel it shares with
-    ``born_joint_probability``: the ((L1,R1), (-,+)) table entry bit for bit, or
-    the same error. Raises ``ValidationError`` unless ``theta`` is a real
-    number strictly inside (0, pi/2).
+    The event is the row ``quantum._HARDY_PARADOX`` (Eq4). On the vectors that
+    ``build_hardy_configuration`` wraps, ``quantum._hardy_vectors``'s floats, the
+    objective runs the checks of the state, of that event's two bases and of the
+    Born call in their order, building no object, and returns the Born kernel it
+    shares with ``born_joint_probability``: the ((L1,R1), (-,+)) table entry bit
+    for bit, or the same error. Raises ``ValidationError`` unless ``theta`` is a
+    real number strictly inside (0, pi/2).
     """
     _, state, pairs = _hardy_vectors(theta)
     (left, left_index, left_outcome), (right, right_index, right_outcome) = _PARADOX_EVENT

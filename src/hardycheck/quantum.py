@@ -31,7 +31,8 @@ and the Born kernel exist once, as private functions on plain vectors. The
 constructors and ``born_joint_probability`` call them, and so does the
 optimizer's objective, which builds no object: it runs them on the builder's
 float vectors as they are (a float reads as a complex number with a ``+0.0``
-imaginary part, so every value has the bits the objects give).
+imaginary part, so every value has the bits the objects give). Those vectors
+and Hardy's four events are stated here, so the optimizer does not run ``hardy``.
 """
 
 from __future__ import annotations
@@ -40,7 +41,6 @@ import cmath
 import enum
 import math
 from collections.abc import Sequence
-from dataclasses import FrozenInstanceError
 from operator import attrgetter
 
 IDENTITY_TOL = 1e-12
@@ -88,6 +88,8 @@ class Setting(enum.Enum):
 
 LEFT_SETTINGS = (Setting.L1, Setting.L2)
 RIGHT_SETTINGS = (Setting.R1, Setting.R2)
+_BASIS_ORDER = (Setting.L1, Setting.L2, Setting.R1, Setting.R2)
+_BASIS_INDEX = {setting: i for i, setting in enumerate(_BASIS_ORDER)}
 #: Hardy's four events as (label, (left, right) settings, (left, right) outcomes) rows: three zeros, then the paradox.
 _HARDY_ZEROS = (
     ("Eq1", (Setting.L2, Setting.R2), (_MINUS, _PLUS)),
@@ -173,6 +175,7 @@ class Record:
         return hash(self._values)
 
     def __setattr__(self, name: str, *value: object) -> None:  # and __delattr__, which passes no value
+        from dataclasses import FrozenInstanceError  # here: a cold command that assigns nothing loads no dataclasses
         raise FrozenInstanceError(f"cannot {'assign to' if value else 'delete'} field {name!r}")
 
     __delattr__ = __setattr__
@@ -194,6 +197,43 @@ def _as_float(value: object, what: str) -> float:
         except (TypeError, ValueError, OverflowError):
             pass
     raise ValidationError(f"{what} must be a real number in float range, got {_shown(value)}")
+
+
+def _as_angle(theta: object) -> float:
+    """``theta`` as a float strictly inside (0, pi/2), else a ``ValidationError`` naming it."""
+    theta = _as_float(theta, "theta")
+    if not 0.0 < theta < math.pi / 2:  # nan and the infinities fail the comparison too
+        raise ValidationError(f"theta must lie strictly inside (0, pi/2), got {theta!r}")
+    return theta
+
+
+def _hardy_vectors(theta: object) -> tuple[float, tuple[float, float, float, float], tuple]:
+    """Check ``theta``; return it with the state components and the (plus, minus) pairs in ``_BASIS_ORDER``.
+
+    ``hardy.build_hardy_configuration`` (whose docstring derives them) wraps them in objects; the objective checks them.
+    """
+    theta = _as_angle(theta)
+    a, b = math.cos(theta), math.sin(theta)
+    g = math.sqrt(a / b)
+    try:
+        g3 = g**3
+    except OverflowError:
+        g3 = math.inf
+    # Below theta of about 2.5e-206 g**3 overflows; a subnormal theta already overflows a / b to inf, which
+    # raises nothing. g is finite whenever g3 is, so this one check covers all four bases.
+    if math.isinf(g3):
+        raise ValidationError(f"theta={theta!r} is too small for the basis construction in double precision")
+    n1 = math.hypot(1.0, g)
+    n3 = math.hypot(1.0, g3)
+    # Four float divisions, before the constructors' one complex coercion; -x/n is -(x/n) exactly.
+    gn1, un1, gn3, un3 = g / n1, 1.0 / n1, g3 / n3, 1.0 / n3
+    pairs = (
+        ((gn3, un3), (un3, -gn3)),
+        ((-gn1, un1), (un1, gn1)),
+        ((un3, gn3), (gn3, -un3)),
+        ((un1, -gn1), (gn1, un1)),
+    )
+    return theta, (a, 0.0, 0.0, b), pairs
 
 
 def _norm_squared(vec: tuple[complex, ...]) -> float:

@@ -16,11 +16,14 @@ from __future__ import annotations
 import math
 from collections.abc import Callable, Collection
 from contextlib import suppress
-from dataclasses import fields, is_dataclass
 from enum import Enum
 from functools import partial
-from json.encoder import encode_basestring_ascii
 from types import MappingProxyType
+
+try:  # the C function json.encoder re-exports, without loading the json package
+    from _json import encode_basestring_ascii
+except ImportError:
+    from json.encoder import encode_basestring_ascii
 
 from . import counterfactuals, hardy, lhv, optimize  # lazy (see __init__): only annotations name them
 from .quantum import _HARDY_PARADOX, _HARDY_ZEROS, Record, ValidationError, _shown
@@ -139,7 +142,9 @@ def _emitter(cls: type) -> Emitter:
         emit = _emit_list
     elif hasattr(cls, "to_json_dict"):
         emit = partial(_emit_derived, [((), ())])
-    elif issubclass(cls, Record) or is_dataclass(cls):
+    elif issubclass(cls, Record) or hasattr(cls, "__dataclass_fields__"):  # dataclasses.is_dataclass's test
+        if not issubclass(cls, Record):
+            from dataclasses import fields  # loaded already: the class was made with it
         names = cls._fields if issubclass(cls, Record) else [f.name for f in fields(cls)]
         emit = partial(_emit_members, _heads(names), getattr)  # heads encoded once per type
         params = getattr(cls, "__dataclass_params__", None)  # a Record is frozen; a dataclass says so in its params

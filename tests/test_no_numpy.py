@@ -1,4 +1,5 @@
-"""No command and no library call loads numpy: the package computes in pure Python. Nor does the CLI load typing.
+"""No command and no library call loads numpy: the package computes in pure Python. Nor does the CLI load typing,
+dataclasses, inspect, json or pathlib.
 
 A cold command runs only the library submodules it uses, though all six are in ``sys.modules``.
 Each test runs in a fresh interpreter, since this pytest process has numpy loaded.
@@ -111,7 +112,7 @@ RUNS = {
     "table": ["hardy", "quantum", "render"],
     "counterfactual": ["counterfactuals", "quantum", "render"],
     "lhv": ["counterfactuals", "lhv", "quantum", "render"],
-    "optimize": ["hardy", "optimize", "quantum", "render"],
+    "optimize": ["optimize", "quantum", "render"],
 }
 
 
@@ -268,8 +269,59 @@ def test_only_the_counterfactual_command_builds_the_instances_and_the_sr_table()
         assert run_fresh(_LAZY_TABLES_AFTER, json.dumps(argvs)) == {"codes": [0] * len(argvs), "built": built}
 
 
-def test_the_cli_imports_no_typing() -> None:
-    # -S skips site, whose .pth files (certifi's, for one) may import typing before any package code runs.
-    code = "import sys; sys.path.insert(0, sys.argv[1]); import hardycheck.cli; print('typing' in sys.modules)"
-    proc = subprocess.run([sys.executable, "-S", "-c", code, str(SRC)], capture_output=True, text=True, timeout=120)
-    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "False\n", "")
+_STDLIB_AFTER = """
+import contextlib, io, sys  # json only at the end
+sys.path.insert(0, sys.argv[1])
+SKIPPED = ("typing", "dataclasses", "inspect", "json", "pathlib")
+import hardycheck.cli
+imported = [name for name in SKIPPED if name in sys.modules]
+with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+    codes = [hardycheck.cli.main(argv) for argv in (["frobnicate"], ["optimize"], ["optimize", "--format", "json"])]
+ran = "dataclasses" in sys.modules
+report = hardycheck.optimize.maximize_paradox()
+try:
+    report.p4_max = 0.0
+except Exception as exc:
+    import dataclasses
+    frozen = type(exc) is dataclasses.FrozenInstanceError
+import json
+print(json.dumps({"imported": imported, "codes": codes, "dataclasses_after_main": ran, "frozen": frozen}))
+"""
+
+
+def test_the_cli_imports_only_the_stdlib_it_runs() -> None:
+    # -S skips site, whose .pth files (certifi's, for one) may import typing or pathlib before any package code runs.
+    # dataclasses (with inspect) loads only with a module that declares a dataclass: a usage error and optimize, in
+    # text or as a JSON record, run none, and a record loads it only to raise its FrozenInstanceError. render takes
+    # its string encoder from _json.
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", _STDLIB_AFTER, str(SRC)], capture_output=True, text=True, timeout=120
+    )
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert json.loads(proc.stdout) == {"imported": [], "codes": [2, 0, 0], "dataclasses_after_main": False, "frozen": True}
+
+
+_WITHOUT_C_JSON = """
+import sys
+sys.modules["_json"] = None  # as on an interpreter built without it: import _json raises ImportError
+sys.path.insert(0, sys.argv[1])
+import contextlib, io, json, json.encoder
+from hardycheck import render
+from hardycheck.cli import main
+outputs = []
+for argv in json.loads(sys.argv[2]):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        outputs.append([main(argv), out.getvalue()])
+fallback = render.encode_basestring_ascii is json.encoder.py_encode_basestring_ascii
+print(json.dumps({"fallback": fallback, "outputs": outputs}))
+"""
+
+
+def test_the_json_reports_keep_their_bytes_without_the_c_encoder() -> None:
+    # render takes encode_basestring_ascii from _json and falls back to json.encoder, whose function is then the
+    # pure-Python one; CPython always has _json, so only this test runs the fallback.
+    names = ["verify", "table", "counterfactual", "lhv", "optimize"]
+    result = run_fresh(_WITHOUT_C_JSON, json.dumps([[name, "--format", "json"] for name in names]))
+    assert result["fallback"] is True
+    assert result["outputs"] == [[0, (GOLDEN / f"{name}.json").read_text()] for name in names]

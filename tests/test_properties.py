@@ -532,7 +532,7 @@ def test_cli_exits_0_1_or_2_without_a_traceback(argv: list[str]) -> None:
                 code, helped = exc.code, True
         if code == 0 and not helped:
             args = build_parser().parse_args(argv)
-            _parses_as(args.out.read_bytes() if args.out else stdout.getvalue().encode(), args.format)
+            _parses_as(Path(args.out).read_bytes() if args.out else stdout.getvalue().encode(), args.format)
     assert code in (0, 1, 2)
     err = stderr.getvalue()
     assert err == "" or (err.startswith("error: ") and err.count("\n") == 1 and err.endswith("\n")), err
